@@ -7,10 +7,11 @@ are never rendered here; commands emit CSV for external plotting.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import sys
-from pathlib import Path
-from typing import Optional
+import math
+import os
+from typing import Optional, TextIO
 
 import click
 
@@ -73,18 +74,51 @@ def _parse_window(window: Optional[str], log: EventLog) -> tuple[int, int]:
         lo, hi = (int(part) for part in window.split(","))
     except ValueError:
         raise _fail(f"--window must be 'start,end' integers, got {window!r}")
+    if hi <= lo:
+        raise _fail(f"--window end must be after its start, got {window!r}")
     return (lo, hi)
 
 
-def _write_manifest(command: str, cfg: dict, inputs: list[str], seed, outputs: list[str]):
-    manifest = RunManifest(
-        command=command,
-        config=cfg,
-        inputs={p: file_digest(p) for p in inputs},
-        seed=seed,
-        outputs=[str(o) for o in outputs],
-    )
-    manifest.write(manifest_path_for(outputs[0]))
+class _Outputs:
+    """A command's outputs, staged in temp files next to their targets.
+
+    commit() renames every staged file into place and then writes the run
+    manifest. Leaving the with-block without commit(), for example on an
+    error, deletes the temp files: a failed command writes neither outputs
+    nor a manifest.
+    """
+
+    def __init__(self):
+        self._staged: list[tuple[str, str]] = []  # (temp path, target path)
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for tmp, _ in self._staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+    def open(self, path: str) -> TextIO:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        fh = open(tmp, "w", encoding="utf-8")
+        self._staged.append((tmp, path))
+        return fh
+
+    def commit(self, command: str, cfg: dict, inputs: list[str], seed,
+               fit: Optional[dict] = None) -> None:
+        for tmp, path in self._staged:
+            os.replace(tmp, path)
+        outputs = [path for _, path in self._staged]
+        manifest = RunManifest(
+            command=command,
+            config=cfg,
+            inputs={p: file_digest(p) for p in inputs},
+            seed=seed,
+            outputs=outputs,
+            fit=fit,
+        )
+        manifest.write(manifest_path_for(outputs[0]))
 
 
 def _read_config(path: Optional[str]) -> dict[str, str]:
@@ -142,28 +176,28 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
         compute_flow_stats(u, log, graph, win, include_retweets=not originals_only)
         for u in sorted(graph.nodes)
     ]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("user,lambda,lambda_r,beta_r,F\n")
-        for st in stats:
-            fh.write(f"{st.user},{st.lam:.10g},{st.lam_r:.10g},{st.beta_r:.10g},{st.followees}\n")
-    outputs = [out_path]
-    if curve_path:
-        eligible = [st for st in stats if st.lam * hours >= min_received]
-        curve = log_binned_curve(
-            [st.lam for st in eligible],
-            [st.beta_r for st in eligible],
-            bins_per_decade=bins_per_decade,
-        )
-        with open(curve_path, "w", encoding="utf-8") as fh:
-            fh.write("bin_lo,bin_hi,n,mean,median,p10,p90\n")
-            for b in curve:
-                fh.write(
-                    f"{b.lo:.10g},{b.hi:.10g},{b.n},{b.mean:.10g},"
-                    f"{b.median:.10g},{b.p10:.10g},{b.p90:.10g}\n"
-                )
-        outputs.append(curve_path)
-    _write_manifest("flows", {"window": list(win), "min_received": min_received},
-                    [log_path, graph_path], None, outputs)
+    with _Outputs() as out:
+        with out.open(out_path) as fh:
+            fh.write("user,lambda,lambda_r,beta_r,F\n")
+            for st in stats:
+                fh.write(f"{st.user},{st.lam:.10g},{st.lam_r:.10g},{st.beta_r:.10g},"
+                         f"{st.followees}\n")
+        if curve_path:
+            eligible = [st for st in stats if st.lam * hours >= min_received]
+            curve = log_binned_curve(
+                [st.lam for st in eligible],
+                [st.beta_r for st in eligible],
+                bins_per_decade=bins_per_decade,
+            )
+            with out.open(curve_path) as fh:
+                fh.write("bin_lo,bin_hi,n,mean,median,p10,p90\n")
+                for b in curve:
+                    fh.write(
+                        f"{b.lo:.10g},{b.hi:.10g},{b.n},{b.mean:.10g},"
+                        f"{b.median:.10g},{b.p10:.10g},{b.p90:.10g}\n"
+                    )
+        out.commit("flows", {"window": list(win), "min_received": min_received},
+                   [log_path, graph_path], None)
 
 
 @main.command()
@@ -187,20 +221,24 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
         records, report = queue_positions(u, log, graph, win, source=source)
         all_records.extend(records)
         n_out_of_feed += report.n_out_of_feed
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("user,retweet_id,orig_id,q,delay_s\n")
-        for r in all_records:
-            fh.write(f"{r.user},{r.retweet_id},{r.orig_id},{r.q},{r.delay_s}\n")
     click.echo(f"{len(all_records)} queue records, {n_out_of_feed} out-of-feed forwards")
-    outputs = [out_path]
-    if fit_path:
-        fit = fit_lognormal_convolution([r.delay_s for r in all_records])
-        with open(fit_path, "w", encoding="utf-8") as fh:
-            for key in ("mu1", "sigma1", "mu2", "sigma2", "loglik", "n", "n_rejected"):
-                fh.write(f"{key} = {getattr(fit, key)}\n")
-        outputs.append(fit_path)
-    _write_manifest("queues", {"window": list(win), "source": source},
-                    [log_path, graph_path], None, outputs)
+    with _Outputs() as out:
+        with out.open(out_path) as fh:
+            fh.write("user,retweet_id,orig_id,q,delay_s\n")
+            for r in all_records:
+                fh.write(f"{r.user},{r.retweet_id},{r.orig_id},{r.q},{r.delay_s}\n")
+        report = None
+        if fit_path:
+            fit = fit_lognormal_convolution([r.delay_s for r in all_records])
+            report = dataclasses.asdict(fit)
+            with out.open(fit_path) as fh:
+                for key, value in report.items():
+                    fh.write(f"{key} = {value}\n")
+            # JSON has no NaN: an undefined standard error is null in the manifest.
+            report = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                      for k, v in report.items()}
+        out.commit("queues", {"window": list(win), "source": source},
+                   [log_path, graph_path], None, fit=report)
 
 
 @main.command()
@@ -214,14 +252,14 @@ def sources(log_path, graph_path, window, out_path):
     log = _load_log(log_path)
     graph = _load_graph(graph_path)
     win = _parse_window(window, log)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("user,F,S_r,p_src,out_of_feed\n")
-        for u in sorted(graph.nodes):
-            st = source_stats(u, log, graph, win)
-            fh.write(f"{st.user},{st.followees},{st.source_set},"
-                     f"{st.p_src:.10g},{st.out_of_feed}\n")
-    _write_manifest("sources", {"window": list(win)}, [log_path, graph_path],
-                    None, [out_path])
+    with _Outputs() as out:
+        with out.open(out_path) as fh:
+            fh.write("user,F,S_r,p_src,out_of_feed\n")
+            for u in sorted(graph.nodes):
+                st = source_stats(u, log, graph, win)
+                fh.write(f"{st.user},{st.followees},{st.source_set},"
+                         f"{st.p_src:.10g},{st.out_of_feed}\n")
+        out.commit("sources", {"window": list(win)}, [log_path, graph_path], None)
 
 
 @main.command()
@@ -249,24 +287,25 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
         raise _fail(f"--ranges must look like '1:10,10:100', got {ranges!r}")
     stats = [compute_flow_stats(u, log, graph, win) for u in sorted(graph.nodes)]
     groups = group_users_by_inflow(stats, bounds)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("group_lo,group_hi,k,E,I,P\n")
-        for (lo, hi) in bounds:
-            users = groups[(lo, hi)]
-            if not users:
-                continue
-            curves = []
-            for token in tokens:
-                trace = build_trace(token, log, graph, win)
-                curves.append(exposure_curve(trace, users, label=token))
-            agg = aggregate_curves(curves, mode=aggregate)
-            for k in range(agg.k_max + 1):
-                p = agg.p[k]
-                fh.write(f"{lo:.10g},{hi:.10g},{k},{agg.e[k]:.10g},{agg.i[k]:.10g},"
-                         f"{'' if p != p else format(p, '.10g')}\n")
-    _write_manifest("exposure", {"window": list(win), "tokens": list(tokens),
-                                 "ranges": ranges, "aggregate": aggregate},
-                    [log_path, graph_path], None, [out_path])
+    with _Outputs() as out:
+        with out.open(out_path) as fh:
+            fh.write("group_lo,group_hi,k,E,I,P\n")
+            for (lo, hi) in bounds:
+                users = groups[(lo, hi)]
+                if not users:
+                    continue
+                curves = []
+                for token in tokens:
+                    trace = build_trace(token, log, graph, win)
+                    curves.append(exposure_curve(trace, users, label=token))
+                agg = aggregate_curves(curves, mode=aggregate)
+                for k in range(agg.k_max + 1):
+                    p = agg.p[k]
+                    fh.write(f"{lo:.10g},{hi:.10g},{k},{agg.e[k]:.10g},{agg.i[k]:.10g},"
+                             f"{'' if p != p else format(p, '.10g')}\n")
+        out.commit("exposure", {"window": list(win), "tokens": list(tokens),
+                                "ranges": ranges, "aggregate": aggregate},
+                   [log_path, graph_path], None)
 
 
 @main.command()
@@ -294,11 +333,11 @@ def graphgen(config_path, initiator, power, target_edges, seed, out_path):
         seed=seed,
     )
     graph = kronecker_generate(params)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(graph.to_tsv())
+    with _Outputs() as out:
+        with out.open(out_path) as fh:
+            fh.write(graph.to_tsv())
+        out.commit("graphgen", dict(cfg), [p for p in [config_path] if p], seed)
     click.echo(f"{len(graph.nodes)} nodes, {graph.n_edges()} edges")
-    _write_manifest("graphgen", dict(cfg), [p for p in [config_path] if p],
-                    seed, [out_path])
 
 
 @main.command()
@@ -329,24 +368,23 @@ def simulate(model, graph_path, config_path, seed, workers, out_path, report_pat
     )
     run = simulate_ic_bg if model == "ic" else simulate_ct_bg
     records = run(graph, sim_cfg, workers=workers)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("cascade_id,seed_node,size,duration\n")
-        for r in records:
-            fh.write(f"{r.cascade_id},{r.seed_node},{r.size},{r.duration:.10g}\n")
-    outputs = [out_path]
-    if report_path:
-        rep = distribution_report(records)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write("metric,value,ccdf\n")
-            for v, c in rep.size_ccdf:
-                fh.write(f"size,{v:.10g},{c:.10g}\n")
-            for v, c in rep.duration_ccdf:
-                fh.write(f"duration,{v:.10g},{c:.10g}\n")
-        if rep.duration_empty:
-            click.echo("note: no cascades with 2+ nodes; duration table empty", err=True)
-        outputs.append(report_path)
-    _write_manifest("simulate", dict(cfg) | {"model": model, "workers": workers},
-                    [graph_path, config_path], seed, outputs)
+    with _Outputs() as out:
+        with out.open(out_path) as fh:
+            fh.write("cascade_id,seed_node,size,duration\n")
+            for r in records:
+                fh.write(f"{r.cascade_id},{r.seed_node},{r.size},{r.duration:.10g}\n")
+        if report_path:
+            rep = distribution_report(records)
+            with out.open(report_path) as fh:
+                fh.write("metric,value,ccdf\n")
+                for v, c in rep.size_ccdf:
+                    fh.write(f"size,{v:.10g},{c:.10g}\n")
+                for v, c in rep.duration_ccdf:
+                    fh.write(f"duration,{v:.10g},{c:.10g}\n")
+            if rep.duration_empty:
+                click.echo("note: no cascades with 2+ nodes; duration table empty", err=True)
+        out.commit("simulate", dict(cfg) | {"model": model, "workers": workers},
+                   [graph_path, config_path], seed)
 
 
 @main.command()
@@ -403,20 +441,17 @@ def synth(config_path, graph_path, seed, out_path, graph_out, truth_path):
         contagions=tuple(plans),
     )
     log, truth = generate_workload(spec)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(log.to_tsv())
+    with _Outputs() as out:
+        with out.open(out_path) as fh:
+            fh.write(log.to_tsv())
+        if graph_out:
+            with out.open(graph_out) as fh:
+                fh.write(graph.to_tsv())
+        if truth_path:
+            with out.open(truth_path) as fh:
+                fh.write(ground_truth_text(truth))
+        out.commit("synth", dict(cfg), [p for p in [config_path, graph_path] if p], seed)
     click.echo(f"{len(log)} events")
-    outputs = [out_path]
-    if graph_out:
-        with open(graph_out, "w", encoding="utf-8") as fh:
-            fh.write(graph.to_tsv())
-        outputs.append(graph_out)
-    if truth_path:
-        with open(truth_path, "w", encoding="utf-8") as fh:
-            fh.write(ground_truth_text(truth))
-        outputs.append(truth_path)
-    _write_manifest("synth", dict(cfg),
-                    [p for p in [config_path, graph_path] if p], seed, outputs)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ class RunManifest:
     inputs: dict[str, str]   # path -> sha256, digested before processing
     seed: Optional[int]
     outputs: list[str]
+    fit: Optional[dict] = None  # queues --fit-delays: the fit report
     tool_version: str = field(default_factory=_tool_version)
 
     def write(self, path: str | Path) -> None:

@@ -153,6 +153,46 @@ def test_queues_csv(workspace, runner):
     assert len(lines) > 1
 
 
+FIT_KEYS = [
+    "mu1", "sigma1", "mu2", "sigma2", "loglik", "n", "n_rejected", "n_unique", "nfev",
+    "converged", "se_mu1", "se_sigma1", "se_mu2", "se_sigma2", "identifiable",
+]
+
+
+def test_queues_fit_report_and_manifest(workspace, runner):
+    result = runner.invoke(main, [
+        "queues", "--log", str(workspace / "log.tsv"),
+        "--graph", str(workspace / "graph.tsv"),
+        "--out", str(workspace / "q.csv"),
+        "--fit-delays", str(workspace / "fit.txt"),
+    ])
+    assert result.exit_code == 0, result.output
+    report = dict(line.split(" = ") for line in (workspace / "fit.txt").read_text().splitlines())
+    assert list(report) == FIT_KEYS
+    assert report["converged"] in ("True", "False")
+    manifest = json.loads((workspace / "q.csv.manifest.json").read_text())
+    assert sorted(manifest["fit"]) == sorted(FIT_KEYS)
+    assert manifest["fit"]["n"] == int(report["n"])
+    assert manifest["outputs"] == [str(workspace / "q.csv"), str(workspace / "fit.txt")]
+
+
+def test_failed_fit_leaves_no_outputs(workspace, runner):
+    # One hour of the log holds far fewer than the 100 forwards a fit needs.
+    result = runner.invoke(main, [
+        "queues", "--log", str(workspace / "log.tsv"),
+        "--graph", str(workspace / "graph.tsv"),
+        "--window", "0,3600",
+        "--out", str(workspace / "q.csv"),
+        "--fit-delays", str(workspace / "fit.txt"),
+    ])
+    assert result.exit_code == 1
+    assert "need at least 100" in all_output(result)
+    assert not (workspace / "q.csv").exists()
+    assert not (workspace / "fit.txt").exists()
+    assert not (workspace / "q.csv.manifest.json").exists()
+    assert not list(workspace.glob("*.tmp"))
+
+
 def test_sources_csv(workspace, runner):
     result = runner.invoke(main, [
         "sources", "--log", str(workspace / "log.tsv"),
@@ -238,6 +278,28 @@ def test_bad_window_is_a_clean_error(workspace, runner):
     ])
     assert result.exit_code == 1
     assert "error: --window" in all_output(result)
+
+
+WINDOW_COMMANDS = {
+    "flows": [],
+    "queues": [],
+    "sources": [],
+    "exposure": ["--token", "tok"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WINDOW_COMMANDS))
+@pytest.mark.parametrize("window", ["200,100", "100,100"])
+def test_reversed_or_empty_window_is_rejected(workspace, runner, command, window):
+    out = workspace / f"{command}.csv"
+    result = runner.invoke(main, [
+        command, "--log", str(workspace / "log.tsv"),
+        "--graph", str(workspace / "graph.tsv"),
+        "--window", window, "--out", str(out), *WINDOW_COMMANDS[command],
+    ])
+    assert result.exit_code == 1
+    assert f"error: --window end must be after its start, got '{window}'" in all_output(result)
+    assert not out.exists()
 
 
 def test_missing_config_key_is_a_clean_error(workspace, tmp_path, runner):

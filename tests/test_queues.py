@@ -14,6 +14,7 @@ from feedflow.queues import (
     delay_histogram,
     fit_lognormal_convolution,
     little_bounds,
+    lognormal_sum_bin_masses,
     lognormal_sum_density,
     queue_position_at_retweet,
     queue_positions,
@@ -163,6 +164,101 @@ def test_fit_lognormal_convolution_rejects_small_samples():
         fit_lognormal_convolution([1.0] * 50)
     with pytest.raises(ValueError, match="3 non-positive"):
         fit_lognormal_convolution([1.0] * 99 + [0.0, -1.0, -2.0])
+
+
+BIN_PARAMS = [(4.0, 0.3, 3.0, 1.2), (3.0, 0.5, 2.0, 0.5), (2.0, 1.0, 1.0, 0.3)]
+BIN_DELAYS = [1, 5, 20, 60, 150, 400, 2000]
+
+
+def _lognormal_pdf(x, mu, sigma):
+    if x <= 0:
+        return 0.0
+    return math.exp(-((math.log(x) - mu) ** 2) / (2 * sigma**2)) / (
+        x * sigma * math.sqrt(2 * math.pi)
+    )
+
+
+def quad_bin_mass(d, mu1, s1, mu2, s2):
+    """Oracle: quad over (d - 1/2, d + 1/2] of the quad-convolved sum density."""
+    def density(z):
+        # Split the inner range at the modes of both factors.
+        modes = (math.exp(mu1 - s1 * s1), z - math.exp(mu2 - s2 * s2))
+        points = [p for p in modes if 0 < p < z] or None
+        val, _ = integrate.quad(
+            lambda x: _lognormal_pdf(x, mu1, s1) * _lognormal_pdf(z - x, mu2, s2),
+            0, z, points=points, epsabs=0, epsrel=1e-10, limit=200,
+        )
+        return val
+    val, _ = integrate.quad(density, max(d - 0.5, 0.0), d + 0.5, epsabs=0, epsrel=1e-8)
+    return val
+
+
+@pytest.mark.parametrize("params", BIN_PARAMS)
+def test_bin_masses_match_quadrature(params):
+    got, _ = lognormal_sum_bin_masses(BIN_DELAYS, *params)
+    for d, mass in zip(BIN_DELAYS, got):
+        want = quad_bin_mass(d, *params)
+        if want > 1e-10:
+            assert mass == pytest.approx(want, rel=1e-4), d
+
+
+@pytest.mark.parametrize("params", BIN_PARAMS)
+def test_bin_mass_gradient_matches_central_differences(params):
+    mu1, s1, mu2, s2 = params
+    theta = np.array([mu1, math.log(s1), mu2, math.log(s2)])
+    mass, grad = lognormal_sum_bin_masses(BIN_DELAYS, *params)
+    h = 1e-5
+    for j in range(4):
+        step = np.zeros(4)
+        step[j] = h
+        up, down = theta + step, theta - step
+        m_up, _ = lognormal_sum_bin_masses(
+            BIN_DELAYS, up[0], math.exp(up[1]), up[2], math.exp(up[3]))
+        m_down, _ = lognormal_sum_bin_masses(
+            BIN_DELAYS, down[0], math.exp(down[1]), down[2], math.exp(down[3]))
+        numeric = (m_up - m_down) / (2 * h)
+        kept = mass > 1e-10
+        assert np.all(np.abs(numeric - grad[:, j])[kept] <= 1e-5 * mass[kept]), j
+
+
+def test_bin_masses_sum_to_one_and_clamp_at_zero():
+    mass, _ = lognormal_sum_bin_masses(np.arange(0, 20_000), 3.0, 0.5, 2.0, 0.5)
+    assert mass.sum() == pytest.approx(1.0, abs=1e-9)
+    # The d = 0 bin is [0, 1/2]: the first half of the d = 1 bin's width.
+    assert 0 < mass[0] < mass[1]
+
+
+def test_fit_lognormal_convolution_ignores_duplication():
+    rng = np.random.default_rng(3)
+    d = sample_lognormal_sum(rng, 4.0, 0.3, 3.0, 1.2, 3000)
+    once = fit_lognormal_convolution(d)
+    twice = fit_lognormal_convolution(np.concatenate([d, d]))
+    assert (twice.mu1, twice.sigma1, twice.mu2, twice.sigma2) == (
+        once.mu1, once.sigma1, once.mu2, once.sigma2)
+    assert twice.n == 2 * once.n and twice.n_unique == once.n_unique
+    assert twice.loglik == pytest.approx(2 * once.loglik, rel=1e-12)
+
+
+def test_fit_lognormal_convolution_identifiable_for_distinct_components():
+    # Criterion 9's truth and sample.
+    rng = np.random.default_rng(0)
+    fit = fit_lognormal_convolution(sample_lognormal_sum(rng, 4.0, 0.3, 3.0, 1.2, 10_000))
+    assert fit.converged and fit.identifiable
+    assert fit.n_unique < fit.n and 0 < fit.nfev
+    ses = (fit.se_mu1, fit.se_sigma1, fit.se_mu2, fit.se_sigma2)
+    assert all(0 < se <= 0.15 for se in ses)
+
+
+def test_fit_lognormal_convolution_not_identifiable_for_equal_sigmas():
+    rng = np.random.default_rng(0)
+    fit = fit_lognormal_convolution(sample_lognormal_sum(rng, 3.0, 0.5, 2.0, 0.5, 2000))
+    assert not fit.identifiable
+
+
+def test_fit_lognormal_convolution_rounds_to_whole_seconds():
+    rng = np.random.default_rng(2)
+    d = sample_lognormal_sum(rng, 4.0, 0.3, 3.0, 1.2, 1000)
+    assert fit_lognormal_convolution(d) == fit_lognormal_convolution(np.rint(d))
 
 
 def test_little_bounds_arithmetic():
