@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -101,6 +102,20 @@ def test_synth_is_deterministic(workspace, tmp_path, runner):
     ])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "log2.tsv").read_bytes() == (workspace / "log.tsv").read_bytes()
+
+
+# sha256 of synth's outputs for SYNTH_CONFIG (criterion 8's synth config) at
+# seed 11. A change to these bytes is an output change and must be declared.
+SYNTH_GOLDEN = {
+    "log.tsv": "930949a989497eae4807e93f627fe292c5db090844176dd5195504911bfb9a74",
+    "graph.tsv": "cb477ebd06800112ea7d578f2478f3e858dd765e1f1869dbc55e994bc6bed320",
+    "truth.txt": "48da8a14805200117329c17edcc40498d049fa2436da47c734bacecdf65e2403",
+}
+
+
+def test_synth_outputs_match_golden_digests(workspace):
+    for name, digest in SYNTH_GOLDEN.items():
+        assert hashlib.sha256((workspace / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_validate(workspace, runner):
