@@ -345,7 +345,8 @@ def graphgen(config_path, initiator, power, target_edges, seed, out_path):
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="accepted for compatibility; results do not depend on it")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--report", "report_path", type=click.Path(),
               help="CCDF tables of cascade size and duration")
@@ -367,7 +368,7 @@ def simulate(model, graph_path, config_path, seed, workers, out_path, report_pat
         max_time=get_float(cfg, "max_time", float("inf")),
     )
     run = simulate_ic_bg if model == "ic" else simulate_ct_bg
-    records = run(graph, sim_cfg, workers=workers)
+    records = run(graph, sim_cfg)
     with _Outputs() as out:
         with out.open(out_path) as fh:
             fh.write("cascade_id,seed_node,size,duration\n")

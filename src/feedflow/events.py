@@ -9,7 +9,6 @@ same deterministic timeline.
 from __future__ import annotations
 
 import bisect
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -193,17 +192,6 @@ class InFlowStream:
         return iter(self.events)
 
 
-_RT_RE = re.compile(r"^RT\s+@([A-Za-z0-9_]+):", re.IGNORECASE)
-
-
-def detect_retweet_convention(text: str) -> Optional[tuple[str, str]]:
-    """Return ("RT", cited_user) if the text starts with the 'RT @user:' prefix."""
-    m = _RT_RE.match(text)
-    if m is None:
-        return None
-    return ("RT", m.group(1))
-
-
 def _parse_line(line_no: int, line: str) -> Event:
     parts = line.split("\t")
     if len(parts) < 4:
@@ -335,16 +323,3 @@ def in_flow_stream(
             out.append(e)
     out.sort(key=lambda e: e.key)
     return InFlowStream(user=user, window=window, events=tuple(out))
-
-
-def active_users(log: EventLog, before_ts: int, min_events: int = 1) -> frozenset[str]:
-    """Users with at least min_events events strictly before before_ts.
-
-    Activity-filter predicate for restricting analyses to established accounts.
-    """
-    counts: dict[str, int] = {}
-    for e in log:
-        if e.ts >= before_ts:
-            break
-        counts[e.author] = counts.get(e.author, 0) + 1
-    return frozenset(u for u, c in counts.items() if c >= min_events)

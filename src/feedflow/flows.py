@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -128,24 +128,6 @@ class EmpiricalDistribution:
         return float(np.mean(self.values))
 
 
-def ccdf_knee_loglog(dist: EmpiricalDistribution, n_grid: int = 60) -> float:
-    """Knee of the CCDF: location of the maximum second difference in log-log.
-
-    Descriptive only; reported, never asserted against.
-    """
-    pos = dist.values[dist.values > 0]
-    if len(pos) < 3:
-        raise ValueError("need at least 3 positive samples")
-    lo, hi = pos[0], pos[-1]
-    if lo == hi:
-        return float(lo)
-    grid = np.logspace(math.log10(lo), math.log10(hi), n_grid)
-    cc = np.maximum(dist.ccdf(grid), 1.0 / dist.n)
-    logc = np.log(cc)
-    d2 = np.abs(np.diff(logc, 2))
-    return float(grid[1 + int(np.argmax(d2))])
-
-
 @dataclass(frozen=True)
 class BinStat:
     lo: float
@@ -238,13 +220,31 @@ class TwoRegimeFit:
     mle_exponent: Optional[float] = None  # Clauset-style check on the decay side
 
 
-def _piecewise_lstsq(loglam: np.ndarray, logbeta: np.ndarray, logc: float):
+def fit_interior_breakpoint(
+    x: np.ndarray,
+    y: np.ndarray,
+    design: Callable[[np.ndarray, float], np.ndarray],
+) -> tuple[float, np.ndarray, float]:
+    """Least-squares piecewise fit of y on sorted x, breakpoint at an interior x.
+
+    Every interior x value is tried, so both regimes hold data; design(x, c)
+    builds the regression matrix for breakpoint c. Returns the breakpoint,
+    coefficients and residual sum of squares of the best candidate (the first
+    one on ties).
+    """
+    best = None
+    for c in x[1:-1]:
+        A = design(x, c)
+        coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
+        resid = float(((A @ coef - y) ** 2).sum())
+        if best is None or resid < best[2]:
+            best = (c, coef, resid)
+    return best
+
+
+def _plateau_then_decay(loglam: np.ndarray, logc: float) -> np.ndarray:
     d = np.where(loglam > logc, loglam - logc, 0.0)
-    A = np.column_stack([np.ones_like(loglam), -d])
-    coef, _, _, _ = np.linalg.lstsq(A, logbeta, rcond=None)
-    b0, gamma = coef
-    resid = float(((A @ coef - logbeta) ** 2).sum())
-    return b0, gamma, resid
+    return np.column_stack([np.ones_like(loglam), -d])
 
 
 def fit_two_regime(points: Sequence[tuple[float, float]]) -> TwoRegimeFit:
@@ -264,12 +264,7 @@ def fit_two_regime(points: Sequence[tuple[float, float]]) -> TwoRegimeFit:
     lam, beta = lam[order], beta[order]
     loglam, logbeta = np.log(lam), np.log(beta)
 
-    best = None
-    for logc in loglam[1:-1]:  # interior candidates: both regimes populated
-        b0, gamma, resid = _piecewise_lstsq(loglam, logbeta, logc)
-        if best is None or resid < best[3]:
-            best = (logc, b0, gamma, resid)
-    logc, b0, gamma, resid = best
+    logc, (b0, gamma), resid = fit_interior_breakpoint(loglam, logbeta, _plateau_then_decay)
 
     if gamma <= 0:
         # Flat or increasing curve: report the plateau only.
@@ -295,23 +290,3 @@ def fit_two_regime(points: Sequence[tuple[float, float]]) -> TwoRegimeFit:
         overload_detected=True,
         mle_exponent=mle_exp,
     )
-
-
-def diminishing_returns_check(
-    points: Sequence[tuple[float, float]],
-) -> tuple[bool, list[int]]:
-    """Check concavity of binned means: per-unit increments must not increase.
-
-    Returns (ok, indices of bins where the slope increased relative to the
-    previous segment).
-    """
-    pts = sorted(points)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 bins, got {len(pts)}")
-    slopes = []
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x1 == x0:
-            raise ValueError("duplicate bin position")
-        slopes.append((y1 - y0) / (x1 - x0))
-    violations = [i + 1 for i in range(1, len(slopes)) if slopes[i] > slopes[i - 1] + 1e-12]
-    return (not violations, violations)

@@ -86,12 +86,3 @@ def kronecker_generate(params: KroneckerParams) -> SocialGraph:
     edges = kronecker_edges(params)
     nodes = [str(i) for i in range(params.n_nodes)]
     return SocialGraph(((str(u), str(v)) for u, v in edges), nodes=nodes)
-
-
-def quadrant_frequencies(params: KroneckerParams, n_drops: int, seed: int) -> np.ndarray:
-    """Empirical per-level quadrant pick frequencies over n_drops; sanity hook."""
-    rng = np.random.default_rng(seed)
-    flat = np.array([p for row in params.initiator for p in row], dtype=float)
-    probs = flat / flat.sum()
-    picks = rng.choice(4, size=n_drops, p=probs)
-    return np.bincount(picks, minlength=4) / n_drops

@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .events import EventKind, EventLog, SocialGraph, UnknownUserError
+from .flows import fit_interior_breakpoint
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,13 @@ class SourceRegimeFit:
     identifiable: bool    # False when both exponents coincide (single power law)
 
 
+def _two_slopes(logf: np.ndarray, logc: float) -> np.ndarray:
+    d = logf - logc
+    return np.column_stack(
+        [np.ones_like(logf), np.where(d <= 0, d, 0.0), np.where(d > 0, d, 0.0)]
+    )
+
+
 def fit_source_regimes(
     points: Sequence[tuple[float, float]],
     tol: float = 0.05,
@@ -80,17 +88,7 @@ def fit_source_regimes(
     s = np.array([p[1] for p in sorted(pts)])
     logf, logs = np.log(f), np.log(s)
 
-    best = None
-    for logc in logf[1:-1]:
-        d = logf - logc
-        A = np.column_stack(
-            [np.ones_like(logf), np.where(d <= 0, d, 0.0), np.where(d > 0, d, 0.0)]
-        )
-        coef, _, _, _ = np.linalg.lstsq(A, logs, rcond=None)
-        resid = float(((A @ coef - logs) ** 2).sum())
-        if best is None or resid < best[2]:
-            best = (logc, coef, resid)
-    logc, (_, e_low, e_high), resid = best
+    logc, (_, e_low, e_high), resid = fit_interior_breakpoint(logf, logs, _two_slopes)
     return SourceRegimeFit(
         exponent_low=float(e_low),
         exponent_high=float(e_high),

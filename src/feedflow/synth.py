@@ -16,13 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .events import Event, EventKind, EventLog, SocialGraph
-from .simulate import (
-    BetaCurve,
-    DelayModel,
-    _IndexedGraph,
-    beta_of_inflow,
-    truncated_normal_rates,
-)
+from .simulate import BetaCurve, DelayModel, FollowView, beta_of_inflow, node_rates
 
 SECONDS_PER_HOUR = 3600
 
@@ -94,19 +88,19 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
 
     Identical spec and seed give an identical log, byte for byte.
     """
-    ig = _IndexedGraph(spec.graph)
-    n = len(ig.nodes)
+    view = FollowView(spec.graph)
+    n = len(view.nodes)
     rng = np.random.default_rng(spec.seed)
     horizon_s = int(round(spec.horizon_hours * SECONDS_PER_HOUR))
 
     if spec.rates is not None:
-        missing = [u for u in ig.nodes if u not in spec.rates]
+        missing = [u for u in view.nodes if u not in spec.rates]
         if missing:
             raise ValueError(f"rates missing for nodes: {missing[:5]}")
-        lam_out = np.array([spec.rates[u] for u in ig.nodes], dtype=float)
+        lam_out = np.array([spec.rates[u] for u in view.nodes], dtype=float)
+        lam_in = view.followee_sums(lam_out)
     else:
-        lam_out = truncated_normal_rates(rng, spec.mu, spec.sigma, n)
-    lam_in = np.array([lam_out[f].sum() for f in ig.followees])
+        lam_out, lam_in = node_rates(view, rng, spec.mu, spec.sigma)
 
     raw: list[_Raw] = []
     seq = 0
@@ -136,7 +130,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
         any_forward = False
         for u in range(n):
             incoming: list[_Raw] = []
-            for v in ig.followees[u].tolist():
+            for v in view.followees(u).tolist():
                 incoming.extend(frontier[v])
             if not incoming:
                 continue
@@ -183,7 +177,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
                 continue
             adopted.add(u)
             push(t, 1, u, EventKind.TWEET, marks=frozenset({plan.token}))
-            for w in ig.followers[u].tolist():
+            for w in view.followers(u).tolist():
                 if w in adopted:
                     continue
                 if rng.random() < _hazard_for(plan, float(lam_in[w])):
@@ -197,7 +191,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
                 "overload_hazard": plan.overload_hazard,
                 "overload_threshold": plan.overload_threshold,
                 "n_adopters": len(adopted),
-                "seeds": sorted(ig.nodes[s] for s in seeds.tolist()),
+                "seeds": sorted(view.nodes[s] for s in seeds.tolist()),
             }
         )
 
@@ -208,10 +202,10 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
         Event(
             event_id=r.event_id,
             ts=r.ts,
-            author=ig.nodes[r.author],
+            author=view.nodes[r.author],
             kind=r.kind,
             orig_event_id=r.orig.event_id if r.orig is not None else None,
-            orig_author=ig.nodes[r.orig.author] if r.orig is not None else None,
+            orig_author=view.nodes[r.orig.author] if r.orig is not None else None,
             marks=r.marks,
         )
         for r in raw
@@ -237,8 +231,8 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
             for b in spec.delay_model.bins
         ],
         "contagions": truth_contagions,
-        "lam_out": {u: float(lam_out[i]) for i, u in enumerate(ig.nodes)},
-        "lam_in": {u: float(lam_in[i]) for i, u in enumerate(ig.nodes)},
+        "lam_out": {u: float(lam_out[i]) for i, u in enumerate(view.nodes)},
+        "lam_in": {u: float(lam_in[i]) for i, u in enumerate(view.nodes)},
     }
     return EventLog(events), truth
 

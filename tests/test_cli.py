@@ -284,6 +284,37 @@ def test_simulate_cli_models_and_workers(workspace, tmp_path, runner):
     assert rep[0] == "metric,value,ccdf"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_worker_count_below_one(workspace, tmp_path, runner, workers):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG)
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, [
+        "simulate", "--model", "ic", "--graph", str(workspace / "graph.tsv"),
+        "--config", str(cfg), "--seed", "1", "--workers", workers, "--out", str(out),
+    ])
+    assert result.exit_code == 2
+    assert "Invalid value for '--workers'" in all_output(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "gamma = nan", "mu = nan", "sigma = nan", "max_time = nan",
+    "delay_bin.0.mu1 = nan", "delay_bin.0.sigma1 = -0.5",
+])
+def test_simulate_rejects_bad_parameters(workspace, tmp_path, runner, setting):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG + setting + "\n")
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, [
+        "simulate", "--model", "ct", "--graph", str(workspace / "graph.tsv"),
+        "--config", str(cfg), "--seed", "1", "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    assert "error:" in all_output(result)
+    assert not out.exists()
+
+
 def test_bad_window_is_a_clean_error(workspace, runner):
     result = runner.invoke(main, [
         "flows", "--log", str(workspace / "log.tsv"),

@@ -10,8 +10,6 @@ from feedflow.events import (
     LogFormatError,
     SocialGraph,
     UnknownUserError,
-    active_users,
-    detect_retweet_convention,
     in_flow_stream,
     parse_event_log,
 )
@@ -174,24 +172,6 @@ def test_in_flow_stream_matches_brute_force(seed):
         if e.author in graph.followees(user) and lo <= e.ts <= hi
     ]
     assert list(flow) == expected
-
-
-def test_active_users():
-    log = EventLog([
-        Event(1, 100, "a", EventKind.TWEET),
-        Event(2, 150, "a", EventKind.TWEET),
-        Event(3, 200, "b", EventKind.TWEET),
-    ])
-    assert active_users(log, 200) == {"a"}          # strictly before 200
-    assert active_users(log, 201) == {"a", "b"}
-    assert active_users(log, 201, min_events=2) == {"a"}
-
-
-def test_detect_retweet_convention():
-    assert detect_retweet_convention("RT @alice: hello") == ("RT", "alice")
-    assert detect_retweet_convention("rt @Bob_99: x") == ("RT", "Bob_99")
-    assert detect_retweet_convention("via @alice: hello") is None
-    assert detect_retweet_convention("RT alice: hello") is None
 
 
 def test_event_log_span_and_indices():

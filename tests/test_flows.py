@@ -9,9 +9,7 @@ from feedflow.events import Event, EventKind, EventLog, SocialGraph
 from feedflow.flows import (
     DegenerateFitError,
     EmpiricalDistribution,
-    ccdf_knee_loglog,
     compute_flow_stats,
-    diminishing_returns_check,
     fit_power_law_mle,
     fit_two_regime,
     log_binned_curve,
@@ -90,15 +88,6 @@ def test_ccdf_properties(samples):
     assert np.all(np.diff(cc) <= 1e-12)          # non-increasing
     assert d.ccdf(xs[0]) == pytest.approx(1.0)   # everything >= the minimum
     assert d.ccdf(xs[-1]) >= 1 / d.n - 1e-12
-
-
-def test_ccdf_knee_near_break():
-    rng = np.random.default_rng(5)
-    # Gentle decline over two decades, then a cliff at 100: the knee (maximum
-    # log-log curvature) should land near the start of the cliff.
-    x = np.concatenate([rng.uniform(1, 100, 2000), rng.uniform(100, 103, 2000)])
-    knee = ccdf_knee_loglog(EmpiricalDistribution(x))
-    assert 50 < knee < 110
 
 
 def test_log_binned_curve_assignment():
@@ -187,14 +176,3 @@ def test_fit_two_regime_increasing_curve_not_overload():
 def test_fit_two_regime_needs_points():
     with pytest.raises(ValueError):
         fit_two_regime([(1.0, 0.1), (2.0, 0.1), (0.0, 0.5)])
-
-
-def test_diminishing_returns_check():
-    ok, bad = diminishing_returns_check([(1, 1.0), (2, 1.8), (4, 2.9)])
-    assert ok and bad == []
-    ok, bad = diminishing_returns_check([(1, 1.0), (2, 1.1), (3, 3.0)])
-    assert not ok and bad == [2]
-    with pytest.raises(ValueError):
-        diminishing_returns_check([(1, 1.0), (2, 2.0)])
-    with pytest.raises(ValueError):
-        diminishing_returns_check([(1, 1.0), (1, 2.0), (2, 3.0)])

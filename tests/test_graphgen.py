@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from feedflow.graphgen import (
@@ -8,7 +7,6 @@ from feedflow.graphgen import (
     UnreachableEdgeCountError,
     kronecker_edges,
     kronecker_generate,
-    quadrant_frequencies,
 )
 
 PAPER_INITIATOR = ((0.9, 0.5), (0.5, 0.3))
@@ -100,10 +98,3 @@ def test_core_quadrant_is_densest():
     core = sum(1 for u, v in edges if u < half and v < half)
     periphery = sum(1 for u, v in edges if u >= half and v >= half)
     assert core > 2 * periphery
-
-
-def test_quadrant_frequencies():
-    params = KroneckerParams(PAPER_INITIATOR, k=4, target_edges=10, seed=0)
-    freqs = quadrant_frequencies(params, n_drops=200_000, seed=9)
-    want = np.array([0.9, 0.5, 0.5, 0.3]) / 2.2
-    assert np.allclose(freqs, want, atol=0.01)

@@ -10,10 +10,11 @@ from feedflow.simulate import (
     DelayBin,
     DelayBinError,
     DelayModel,
+    FollowView,
     SimConfig,
-    assign_rates,
     beta_of_inflow,
     distribution_report,
+    node_rates,
     simulate_ct_bg,
     simulate_ic_bg,
     truncated_normal_rates,
@@ -41,6 +42,10 @@ def test_beta_curve_validation():
         BetaCurve(lambda_c=30.0, beta0=1.5, gamma=0.65)
     with pytest.raises(ValueError):
         BetaCurve(lambda_c=30.0, beta0=0.05, gamma=-0.1)
+    for bad in ({"gamma": math.nan}, {"gamma": math.inf}, {"lambda_c": math.nan},
+                {"lambda_c": math.inf}, {"beta0": math.nan}):
+        with pytest.raises(ValueError):
+            BetaCurve(**({"lambda_c": 30.0, "beta0": 0.05, "gamma": 0.65} | bad))
 
 
 def test_delay_model_validation():
@@ -53,6 +58,10 @@ def test_delay_model_validation():
                          DelayBin(20.0, math.inf, 1, 1, 1, 1)))
     with pytest.raises(DelayBinError, match="infinity"):
         DelayModel(bins=(DelayBin(0.0, 10.0, 1, 1, 1, 1),))
+    with pytest.raises(DelayBinError, match="finite"):
+        DelayBin(0.0, math.inf, math.nan, 1, 1, 1)
+    with pytest.raises(DelayBinError, match="non-negative"):
+        DelayBin(0.0, math.inf, 1, 1, 1, -0.5)
 
 
 def test_delay_model_bin_selection_and_sampling():
@@ -73,14 +82,24 @@ def test_truncated_normal_rates():
     assert rates.mean() > 1.0
 
 
-def test_assign_rates_inflow_is_followee_sum():
-    g = SocialGraph([("a", "b"), ("a", "c"), ("b", "c")])
-    lam_out, lam_in = assign_rates(g, mu=5.0, sigma=1.0, seed=3)
-    assert lam_in["a"] == pytest.approx(lam_out["b"] + lam_out["c"])
-    assert lam_in["b"] == pytest.approx(lam_out["c"])
-    assert lam_in["c"] == 0.0
+def test_node_rates_inflow_is_followee_sum():
+    view = FollowView(SocialGraph([("a", "b"), ("a", "c"), ("b", "c")]))
+    assert view.nodes == ["a", "b", "c"]
+    lam_out, lam_in = node_rates(view, np.random.default_rng(3), mu=5.0, sigma=1.0)
+    assert lam_in[0] == pytest.approx(lam_out[1] + lam_out[2])
+    assert lam_in[1] == pytest.approx(lam_out[2])
+    assert lam_in[2] == 0.0
     with pytest.raises(ValueError):
-        assign_rates(SocialGraph([]), mu=5.0, sigma=1.0, seed=3)
+        node_rates(FollowView(SocialGraph([])), np.random.default_rng(3), mu=5.0, sigma=1.0)
+
+
+def test_follow_view_matches_graph():
+    g = small_graph()
+    view = FollowView(g)
+    assert view.nodes == sorted(g.nodes)
+    for i, u in enumerate(view.nodes):
+        assert [view.nodes[j] for j in view.followers(i)] == sorted(g.followers(u))
+        assert [view.nodes[j] for j in view.followees(i)] == sorted(g.followees(u))
 
 
 def small_graph():
@@ -91,11 +110,13 @@ def small_graph():
 
 def test_ic_all_activations_fire_gives_reachable_set():
     g = small_graph()
-    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=20, seed=9)
-    records = simulate_ic_bg(g, cfg, activation=lambda i, j: True)
-    for r in records:
-        assert r.adopters == reachable_followers(g, {r.seed_node})
-        assert r.size == len(r.adopters)
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=20, seed=9,
+                    delay_model=WIDE_BIN)
+    for simulate in (simulate_ic_bg, simulate_ct_bg):
+        records = simulate(g, cfg, activation=lambda i, j: True)
+        for r in records:
+            assert r.adopters == reachable_followers(g, {r.seed_node})
+            assert r.size == len(r.adopters)
 
 
 def test_ic_no_activation_gives_singletons():
@@ -139,24 +160,30 @@ def test_ct_times_are_consistent():
         assert all(t >= 0 for t in r.times.values())
 
 
+def test_ct_times_are_hop_distances_with_fixed_delays():
+    # Every edge live and every delay exactly 2 s: an adoption time is twice
+    # the follower-edge hop distance from the seed.
+    g = small_graph()
+    fixed = DelayModel(bins=(DelayBin(0.0, math.inf, 0.0, 0.0, 0.0, 0.0),))
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=20, seed=3,
+                    delay_model=fixed)
+    for r in simulate_ct_bg(g, cfg, activation=lambda i, j: True):
+        hops, frontier = {r.seed_node: 0}, [r.seed_node]
+        while frontier:
+            u = frontier.pop(0)
+            for w in g.followers(u):
+                if w not in hops:
+                    hops[w] = hops[u] + 1
+                    frontier.append(w)
+        assert r.times == {u: 2.0 * h for u, h in hops.items()}
+
+
 def test_ct_max_time_truncates():
     g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 1.0, 0.0),
                     n_cascades=20, seed=2, delay_model=WIDE_BIN, max_time=0.0)
     for r in simulate_ct_bg(g, cfg):
         assert r.size == 1 and r.duration == 0.0
-
-
-def test_worker_count_does_not_change_results():
-    g = small_graph()
-    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.3, 0.3),
-                    n_cascades=50, seed=7, delay_model=WIDE_BIN)
-    ic1 = simulate_ic_bg(g, cfg, workers=1)
-    ic4 = simulate_ic_bg(g, cfg, workers=4)
-    assert ic1 == ic4
-    ct1 = simulate_ct_bg(g, cfg, workers=1)
-    ct3 = simulate_ct_bg(g, cfg, workers=3)
-    assert ct1 == ct3
 
 
 def test_sim_config_validation():
@@ -166,6 +193,13 @@ def test_sim_config_validation():
         SimConfig(mu=1.0, sigma=-0.1, beta_curve=CURVE, n_cascades=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(mu=1.0, sigma=0.1, beta_curve=CURVE, n_cascades=0, seed=0)
+    for bad in ({"mu": math.nan}, {"mu": math.inf}, {"sigma": math.nan},
+                {"sigma": math.inf}, {"max_time": math.nan}, {"max_time": -1.0}):
+        with pytest.raises(ValueError):
+            SimConfig(**({"mu": 1.0, "sigma": 0.1, "beta_curve": CURVE,
+                           "n_cascades": 1, "seed": 0} | bad))
+    assert SimConfig(mu=1.0, sigma=0.1, beta_curve=CURVE, n_cascades=1, seed=0,
+                     max_time=math.inf).max_time == math.inf
 
 
 def test_distribution_report():
