@@ -5,6 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from feedflow.cli import main
+from feedflow.events import SocialGraph
+from feedflow.simulate import BetaCurve, DelayBin, DelayModel
+from feedflow.synth import WorkloadSpec, generate_workload
 
 SYNTH_CONFIG = """
 initiator = 0.9, 0.5, 0.5, 0.3
@@ -116,6 +119,58 @@ SYNTH_GOLDEN = {
 def test_synth_outputs_match_golden_digests(workspace):
     for name, digest in SYNTH_GOLDEN.items():
         assert hashlib.sha256((workspace / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the analysis commands' outputs on the same synth log, and of
+# `queues --source root` on a log with forward chains (see chain_log). A change
+# to these bytes is an output change and must be declared.
+ANALYSIS_GOLDEN = {
+    "flows.csv": "84c7b13270f02b25147559300163291d1f4915cdd1c6dff7de01f838000f6f49",
+    "curve.csv": "7de836573157d471cb92ab6b46dd07852ebfc825a5b609e3da2057806cc9ff1c",
+    "flows_orig.csv": "990141a15608421485af85fa1cc196b190c70c76b31837c60fcf0dd9c3229bc3",
+    "queues.csv": "ce05ed422da3bfa5315751f5d586e2b1ab2c33ef02c771f61ff29649b5bb3aa9",
+    "sources.csv": "10c43cea044cef76b79c2ea50c593fa1c46d3b69a570c0ecea298f2e816a7098",
+    "exposure.csv": "29d68e75f16e04b2a8df3c88f5595c88a9c09541420c2574ca8b2508374aae29",
+    "chain_immediate.csv": "7f916b789373906f8f3ddfddc3856652d2ac32f0f362e1cf57c193ca260adaf1",
+    "chain_root.csv": "2cc101697666bbe0a6762c76702b7055f6bfab2060216a59f701ec3502d411f6",
+}
+
+
+def chain_log(workspace):
+    """A log on the workspace graph in which retweets also forward retweets."""
+    with open(workspace / "graph.tsv", encoding="utf-8") as fh:
+        graph = SocialGraph.from_tsv(fh)
+    spec = WorkloadSpec(
+        graph=graph, beta_curve=BetaCurve(lambda_c=30.0, beta0=0.1, gamma=0.65),
+        delay_model=DelayModel(bins=(DelayBin(0.0, float("inf"), 3.0, 0.5, 2.0, 0.5),)),
+        horizon_hours=6.0, seed=5, mu=2.0, sigma=0.5, forward_retweets=True,
+    )
+    log, _ = generate_workload(spec)
+    path = workspace / "chain_log.tsv"
+    path.write_text(log.to_tsv())
+    return path
+
+
+def test_analysis_outputs_match_golden_digests(workspace, runner):
+    log, graph = str(workspace / "log.tsv"), str(workspace / "graph.tsv")
+    chain = str(chain_log(workspace))
+    runs = [
+        ["flows", "--log", log, "--out", "flows.csv", "--curve-out", "curve.csv"],
+        ["flows", "--log", log, "--out", "flows_orig.csv", "--originals-only"],
+        ["queues", "--log", log, "--out", "queues.csv"],
+        ["sources", "--log", log, "--out", "sources.csv"],
+        ["exposure", "--log", log, "--out", "exposure.csv", "--token", "tok"],
+        ["queues", "--log", chain, "--out", "chain_immediate.csv"],
+        ["queues", "--log", chain, "--out", "chain_root.csv", "--source", "root"],
+    ]
+    for args in runs:
+        args = [str(workspace / a) if a.endswith(".csv") else a for a in args]
+        result = runner.invoke(main, args + ["--graph", graph])
+        assert result.exit_code == 0, result.output
+    read = lambda name: (workspace / name).read_bytes()  # noqa: E731
+    assert read("chain_immediate.csv") != read("chain_root.csv")
+    for name, digest in ANALYSIS_GOLDEN.items():
+        assert hashlib.sha256(read(name)).hexdigest() == digest, name
 
 
 def test_validate(workspace, runner):
