@@ -7,11 +7,12 @@ are never rendered here; commands emit CSV for external plotting.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import math
 import os
-from typing import Optional, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import click
 
@@ -25,7 +26,7 @@ from .config import (
     initiator_from,
     parse_config,
 )
-from .events import EventLog, LogFormatError, SocialGraph, parse_event_log
+from .events import EventLog, FeedIndex, LogFormatError, SocialGraph, parse_event_log
 from .exposure import aggregate_curves, build_trace, exposure_curve, group_users_by_inflow
 from .flows import compute_flow_stats, log_binned_curve
 from .graphgen import KroneckerParams, kronecker_generate
@@ -105,6 +106,13 @@ class _Outputs:
         self._staged.append((tmp, path))
         return fh
 
+    def write_csv(self, path: str, header: str, rows: Iterable[Sequence]) -> None:
+        """A CSV file; fields holding a comma or a quote are quoted."""
+        with self.open(path) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header.split(","))
+            writer.writerows(rows)
+
     def commit(self, command: str, cfg: dict, inputs: list[str], seed,
                fit: Optional[dict] = None) -> None:
         for tmp, path in self._staged:
@@ -172,16 +180,13 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
     graph = _load_graph(graph_path)
     win = _parse_window(window, log)
     hours = (win[1] - win[0]) / 3600.0
-    stats = [
-        compute_flow_stats(u, log, graph, win, include_retweets=not originals_only)
-        for u in sorted(graph.nodes)
-    ]
+    feeds = FeedIndex(log, graph, win, include_retweets=not originals_only)
+    stats = [compute_flow_stats(u, feeds) for u in sorted(graph.nodes)]
     with _Outputs() as out:
-        with out.open(out_path) as fh:
-            fh.write("user,lambda,lambda_r,beta_r,F\n")
-            for st in stats:
-                fh.write(f"{st.user},{st.lam:.10g},{st.lam_r:.10g},{st.beta_r:.10g},"
-                         f"{st.followees}\n")
+        out.write_csv(out_path, "user,lambda,lambda_r,beta_r,F", (
+            [st.user, f"{st.lam:.10g}", f"{st.lam_r:.10g}", f"{st.beta_r:.10g}", st.followees]
+            for st in stats
+        ))
         if curve_path:
             eligible = [st for st in stats if st.lam * hours >= min_received]
             curve = log_binned_curve(
@@ -189,13 +194,11 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
                 [st.beta_r for st in eligible],
                 bins_per_decade=bins_per_decade,
             )
-            with out.open(curve_path) as fh:
-                fh.write("bin_lo,bin_hi,n,mean,median,p10,p90\n")
-                for b in curve:
-                    fh.write(
-                        f"{b.lo:.10g},{b.hi:.10g},{b.n},{b.mean:.10g},"
-                        f"{b.median:.10g},{b.p10:.10g},{b.p90:.10g}\n"
-                    )
+            out.write_csv(curve_path, "bin_lo,bin_hi,n,mean,median,p10,p90", (
+                [f"{b.lo:.10g}", f"{b.hi:.10g}", b.n, f"{b.mean:.10g}",
+                 f"{b.median:.10g}", f"{b.p10:.10g}", f"{b.p90:.10g}"]
+                for b in curve
+            ))
         out.commit("flows", {"window": list(win), "min_received": min_received},
                    [log_path, graph_path], None)
 
@@ -215,18 +218,18 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
     log = _load_log(log_path)
     graph = _load_graph(graph_path)
     win = _parse_window(window, log)
+    feeds = FeedIndex(log, graph, win)
     all_records = []
     n_out_of_feed = 0
     for u in sorted(graph.nodes):
-        records, report = queue_positions(u, log, graph, win, source=source)
+        records, report = queue_positions(u, feeds, source=source)
         all_records.extend(records)
         n_out_of_feed += report.n_out_of_feed
     click.echo(f"{len(all_records)} queue records, {n_out_of_feed} out-of-feed forwards")
     with _Outputs() as out:
-        with out.open(out_path) as fh:
-            fh.write("user,retweet_id,orig_id,q,delay_s\n")
-            for r in all_records:
-                fh.write(f"{r.user},{r.retweet_id},{r.orig_id},{r.q},{r.delay_s}\n")
+        out.write_csv(out_path, "user,retweet_id,orig_id,q,delay_s", (
+            [r.user, r.retweet_id, r.orig_id, r.q, r.delay_s] for r in all_records
+        ))
         report = None
         if fit_path:
             fit = fit_lognormal_convolution([r.delay_s for r in all_records])
@@ -253,12 +256,11 @@ def sources(log_path, graph_path, window, out_path):
     graph = _load_graph(graph_path)
     win = _parse_window(window, log)
     with _Outputs() as out:
-        with out.open(out_path) as fh:
-            fh.write("user,F,S_r,p_src,out_of_feed\n")
-            for u in sorted(graph.nodes):
-                st = source_stats(u, log, graph, win)
-                fh.write(f"{st.user},{st.followees},{st.source_set},"
-                         f"{st.p_src:.10g},{st.out_of_feed}\n")
+        stats = (source_stats(u, log, graph, win) for u in sorted(graph.nodes))
+        out.write_csv(out_path, "user,F,S_r,p_src,out_of_feed", (
+            [st.user, st.followees, st.source_set, f"{st.p_src:.10g}", st.out_of_feed]
+            for st in stats
+        ))
         out.commit("sources", {"window": list(win)}, [log_path, graph_path], None)
 
 
@@ -285,24 +287,23 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
         ]
     except ValueError:
         raise _fail(f"--ranges must look like '1:10,10:100', got {ranges!r}")
-    stats = [compute_flow_stats(u, log, graph, win) for u in sorted(graph.nodes)]
+    feeds = FeedIndex(log, graph, win)
+    stats = [compute_flow_stats(u, feeds) for u in sorted(graph.nodes)]
     groups = group_users_by_inflow(stats, bounds)
+    traces = [build_trace(token, log, graph, win) for token in tokens]
+    rows = []
+    for (lo, hi) in bounds:
+        users = groups[(lo, hi)]
+        if not users:
+            continue
+        curves = [exposure_curve(trace, users, label=trace.token) for trace in traces]
+        agg = aggregate_curves(curves, mode=aggregate)
+        for k in range(agg.k_max + 1):
+            p = agg.p[k]
+            rows.append([f"{lo:.10g}", f"{hi:.10g}", k, f"{agg.e[k]:.10g}",
+                         f"{agg.i[k]:.10g}", "" if p != p else format(p, ".10g")])
     with _Outputs() as out:
-        with out.open(out_path) as fh:
-            fh.write("group_lo,group_hi,k,E,I,P\n")
-            for (lo, hi) in bounds:
-                users = groups[(lo, hi)]
-                if not users:
-                    continue
-                curves = []
-                for token in tokens:
-                    trace = build_trace(token, log, graph, win)
-                    curves.append(exposure_curve(trace, users, label=token))
-                agg = aggregate_curves(curves, mode=aggregate)
-                for k in range(agg.k_max + 1):
-                    p = agg.p[k]
-                    fh.write(f"{lo:.10g},{hi:.10g},{k},{agg.e[k]:.10g},{agg.i[k]:.10g},"
-                             f"{'' if p != p else format(p, '.10g')}\n")
+        out.write_csv(out_path, "group_lo,group_hi,k,E,I,P", rows)
         out.commit("exposure", {"window": list(win), "tokens": list(tokens),
                                 "ranges": ranges, "aggregate": aggregate},
                    [log_path, graph_path], None)
@@ -370,18 +371,16 @@ def simulate(model, graph_path, config_path, seed, workers, out_path, report_pat
     run = simulate_ic_bg if model == "ic" else simulate_ct_bg
     records = run(graph, sim_cfg)
     with _Outputs() as out:
-        with out.open(out_path) as fh:
-            fh.write("cascade_id,seed_node,size,duration\n")
-            for r in records:
-                fh.write(f"{r.cascade_id},{r.seed_node},{r.size},{r.duration:.10g}\n")
+        out.write_csv(out_path, "cascade_id,seed_node,size,duration", (
+            [r.cascade_id, r.seed_node, r.size, f"{r.duration:.10g}"] for r in records
+        ))
         if report_path:
             rep = distribution_report(records)
-            with out.open(report_path) as fh:
-                fh.write("metric,value,ccdf\n")
-                for v, c in rep.size_ccdf:
-                    fh.write(f"size,{v:.10g},{c:.10g}\n")
-                for v, c in rep.duration_ccdf:
-                    fh.write(f"duration,{v:.10g},{c:.10g}\n")
+            out.write_csv(report_path, "metric,value,ccdf", [
+                [metric, f"{v:.10g}", f"{c:.10g}"]
+                for metric, table in (("size", rep.size_ccdf), ("duration", rep.duration_ccdf))
+                for v, c in table
+            ])
             if rep.duration_empty:
                 click.echo("note: no cascades with 2+ nodes; duration table empty", err=True)
         out.commit("simulate", dict(cfg) | {"model": model, "workers": workers},

@@ -1,4 +1,4 @@
-"""Event log and follow graph: parsing, validation, indexing, in-flow streams.
+"""Event log and follow graph: parsing, validation and the feed index.
 
 The on-disk formats are tab-separated text (see docs/formats.md). Events are
 kept in a single global order by (ts, event_id) so that every downstream
@@ -8,10 +8,11 @@ same deterministic timeline.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 
 class EventKind(Enum):
@@ -177,21 +178,6 @@ class EventLog:
         return "".join(e.to_tsv() + "\n" for e in self._events)
 
 
-@dataclass(frozen=True)
-class InFlowStream:
-    """Events authored by a user's followees inside a closed [start, end] window."""
-
-    user: str
-    window: tuple[int, int]
-    events: tuple[Event, ...]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
-
 def _parse_line(line_no: int, line: str) -> Event:
     parts = line.split("\t")
     if len(parts) < 4:
@@ -295,31 +281,66 @@ def parse_event_log(lines: Iterable[str]) -> tuple[EventLog, ParseReport]:
     return EventLog(kept), report
 
 
-def in_flow_stream(
-    user: str,
-    log: EventLog,
-    graph: SocialGraph,
-    window: tuple[int, int],
-    include_retweets: bool = True,
-) -> InFlowStream:
-    """Events authored by the user's followees inside the closed window, in log order.
+class FeedIndex:
+    """Every user's feed over a closed window, as sorted rows of the log.
 
-    Retweets posted by followees count toward the in-flow by default (a retweet
-    is a post like any other); pass include_retweets=False to restrict to
-    original tweets.
+    A row is an event's position in log.events. The log is sorted by
+    (ts, event_id), so rows compare as those keys do. A user's feed holds the
+    in-window events of her followees; with include_retweets=False only their
+    original tweets. The in-flow, the forwards of feed items and the queue
+    positions all read the feed from here.
     """
-    if user not in graph:
-        raise UnknownUserError(user)
-    start, end = window
-    out: list[Event] = []
-    for v in graph.followees(user):
-        evs = log.by_author(v)
-        lo = bisect.bisect_left(evs, (start, -1), key=lambda e: e.key)
-        for e in evs[lo:]:
-            if e.ts > end:
-                break
-            if not include_retweets and e.kind is EventKind.RETWEET:
-                continue
-            out.append(e)
-    out.sort(key=lambda e: e.key)
-    return InFlowStream(user=user, window=window, events=tuple(out))
+
+    def __init__(
+        self,
+        log: EventLog,
+        graph: SocialGraph,
+        window: tuple[int, int],
+        include_retweets: bool = True,
+    ):
+        self.log = log
+        self.graph = graph
+        self.window = window
+        events = log.events
+        ids = np.fromiter((e.event_id for e in events), dtype=np.int64, count=len(events))
+        self._row_by_id = np.argsort(ids)
+        self._sorted_ids = ids[self._row_by_id]
+        ts = np.fromiter((e.ts for e in events), dtype=np.int64, count=len(events))
+        lo, hi = np.searchsorted(ts, window[0]), np.searchsorted(ts, window[1], "right")
+        by_author: dict[str, list[int]] = {}
+        for row, e in enumerate(events[lo:hi], start=lo):
+            if include_retweets or e.kind is EventKind.TWEET:
+                by_author.setdefault(e.author, []).append(row)
+        self._rows = {a: np.array(rows, dtype=np.int64) for a, rows in by_author.items()}
+
+    def _followee_rows(self, user: str) -> list[np.ndarray]:
+        return [self._rows[v] for v in self.graph.followees(user) if v in self._rows]
+
+    def count(self, user: str) -> int:
+        """Number of events in the user's feed."""
+        return sum(len(rows) for rows in self._followee_rows(user))
+
+    def rows(self, user: str) -> np.ndarray:
+        """The user's feed as sorted log rows."""
+        parts = self._followee_rows(user)
+        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+
+    def rows_of(self, event_ids: Sequence[int]) -> np.ndarray:
+        """Log rows of the given event ids; -1 for an id not in the log."""
+        ids = np.asarray(event_ids, dtype=np.int64)
+        at = np.searchsorted(self._sorted_ids, ids)
+        found = at < np.searchsorted(self._sorted_ids, ids, "right")
+        return np.where(found, self._row_by_id[np.where(found, at, 0)], -1)
+
+    def locate(self, user: str, event_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The user's feed rows, and each event's index in them (-1 if not in the feed)."""
+        feed = self.rows(user)
+        rows = self.rows_of(event_ids)
+        at = np.searchsorted(feed, rows)
+        return feed, np.where(at < np.searchsorted(feed, rows, "right"), at, -1)
+
+    def forwards(self, user: str) -> list[Event]:
+        """The user's own retweets inside the window, in log order."""
+        start, end = self.window
+        return [e for e in self.log.by_author(user)
+                if e.kind is EventKind.RETWEET and start <= e.ts <= end]

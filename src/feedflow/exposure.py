@@ -66,16 +66,15 @@ def build_trace(
         and (adopter_filter is None or adopter_filter(u))
     }
 
-    exposures: dict[str, tuple[int, ...]] = {}
+    times: dict[str, list[int]] = {}
     for v, t in adopted_at.items():
         if v not in graph:
             continue
         for u in graph.followers(v):
             if u in pre or (adopter_filter is not None and not adopter_filter(u)):
                 continue
-            exposures.setdefault(u, ())
-            exposures[u] = exposures[u] + (t,)
-    exposures = {u: tuple(sorted(ts)) for u, ts in exposures.items()}
+            times.setdefault(u, []).append(t)
+    exposures = {u: tuple(sorted(ts)) for u, ts in times.items()}
     return ContagionTrace(
         token=token,
         window=window,

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .events import EventKind, EventLog, InFlowStream, SocialGraph, in_flow_stream
+from .events import FeedIndex
 
 SECONDS_PER_HOUR = 3600.0
 HOURS_PER_DAY = 24.0
@@ -42,47 +42,18 @@ def _window_hours(window: tuple[int, int]) -> float:
     return hours
 
 
-def retweets_of_received(
-    user: str,
-    log: EventLog,
-    graph: SocialGraph,
-    window: tuple[int, int],
-) -> list:
-    """The user's retweets (inside window) whose original sits in her in-flow."""
-    start, end = window
-    followees = graph.followees(user)
-    out = []
-    for e in log.by_author(user):
-        if e.ts < start or e.ts > end or e.kind is not EventKind.RETWEET:
-            continue
-        orig = log.get(e.orig_event_id)
-        if orig is None:
-            continue
-        if orig.author in followees and start <= orig.ts <= end:
-            out.append(e)
-    return out
+def compute_flow_stats(user: str, feeds: FeedIndex) -> FlowStats:
+    """Rates and retweet probability for one user over the index's window.
 
-
-def compute_flow_stats(
-    user: str,
-    log: EventLog,
-    graph: SocialGraph,
-    window: tuple[int, int],
-    include_retweets: bool = True,
-    in_flow: Optional[InFlowStream] = None,
-) -> FlowStats:
-    """Rates and retweet probability for one user over the window.
-
-    Pass a precomputed in_flow stream to avoid recomputing it when several
-    statistics for the same user are needed.
+    The retweets counted in lam_r and beta_r are the user's in-window forwards
+    of items in her feed, under the index's retweet filter.
     """
-    hours = _window_hours(window)
-    if in_flow is None:
-        in_flow = in_flow_stream(user, log, graph, window, include_retweets=include_retweets)
-    received = len(in_flow)
-    start, end = window
-    out_count = sum(1 for e in log.by_author(user) if start <= e.ts <= end)
-    n_rt = len(retweets_of_received(user, log, graph, window))
+    hours = _window_hours(feeds.window)
+    received = feeds.count(user)
+    start, end = feeds.window
+    out_count = sum(1 for e in feeds.log.by_author(user) if start <= e.ts <= end)
+    _, at = feeds.locate(user, [e.orig_event_id for e in feeds.forwards(user)])
+    n_rt = int((at >= 0).sum())
     lam = received / hours
     lam_r = n_rt / hours
     beta_r = n_rt / received if received > 0 else 0.0
@@ -93,7 +64,7 @@ def compute_flow_stats(
         lam_r=lam_r,
         lam_nr=lam - lam_r,
         beta_r=beta_r,
-        followees=len(graph.followees(user)),
+        followees=len(feeds.graph.followees(user)),
     )
 
 

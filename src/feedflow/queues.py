@@ -8,24 +8,19 @@ in the user's feed are excluded and surfaced in a coverage report.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from .events import Event, EventKind, EventLog, InFlowStream, SocialGraph, in_flow_stream
+from .events import EventKind, FeedIndex
 from .flows import EmpiricalDistribution
 
 SECONDS_PER_HOUR = 3600.0
-
-
-class OriginalNotInFeedError(ValueError):
-    pass
 
 
 class FitConvergenceError(RuntimeError):
@@ -54,37 +49,10 @@ class CoverageReport:
         return self.n_records / total if total else 0.0
 
 
-def queue_position_at_retweet(retweet: Event, in_flow: InFlowStream) -> QueuePositionRecord:
-    """Queue position and delay for one forward against the user's in-flow.
-
-    The forwarded original must itself be in the in-flow; otherwise the user
-    found it outside her feed and the record is not a queue observation.
-    """
-    keys = [e.key for e in in_flow.events]
-    ids = {e.event_id for e in in_flow.events}
-    if retweet.orig_event_id not in ids:
-        raise OriginalNotInFeedError(
-            f"event {retweet.orig_event_id} is not in the in-flow of {in_flow.user!r}"
-        )
-    orig = next(e for e in in_flow.events if e.event_id == retweet.orig_event_id)
-    lo = bisect.bisect_right(keys, orig.key)
-    hi = bisect.bisect_left(keys, retweet.key)
-    return QueuePositionRecord(
-        user=in_flow.user,
-        retweet_id=retweet.event_id,
-        orig_id=orig.event_id,
-        q=max(0, hi - lo),
-        delay_s=retweet.ts - orig.ts,
-    )
-
-
 def queue_positions(
     user: str,
-    log: EventLog,
-    graph: SocialGraph,
-    window: tuple[int, int],
+    feeds: FeedIndex,
     source: str = "immediate",
-    in_flow: Optional[InFlowStream] = None,
 ) -> tuple[list[QueuePositionRecord], CoverageReport]:
     """All queue-position records for one user's forwards inside the window.
 
@@ -94,16 +62,10 @@ def queue_positions(
     """
     if source not in ("immediate", "root"):
         raise ValueError(f"source must be 'immediate' or 'root', got {source!r}")
-    if in_flow is None:
-        in_flow = in_flow_stream(user, log, graph, window)
-    keys = [e.key for e in in_flow.events]
-    by_id = {e.event_id: e for e in in_flow.events}
-    start, end = window
-    records: list[QueuePositionRecord] = []
-    report = CoverageReport()
-    for e in log.by_author(user):
-        if e.kind is not EventKind.RETWEET or e.ts < start or e.ts > end:
-            continue
+    log = feeds.log
+    forwards = feeds.forwards(user)
+    targets = []
+    for e in forwards:
         target_id = e.orig_event_id
         if source == "root":
             seen = set()
@@ -113,23 +75,23 @@ def queue_positions(
                 cur = log.get(cur.orig_event_id)
             if cur is not None:
                 target_id = cur.event_id
-        orig = by_id.get(target_id)
-        if orig is None:
-            report.n_out_of_feed += 1
-            continue
-        lo = bisect.bisect_right(keys, orig.key)
-        hi = bisect.bisect_left(keys, e.key)
-        records.append(
-            QueuePositionRecord(
-                user=user,
-                retweet_id=e.event_id,
-                orig_id=orig.event_id,
-                q=max(0, hi - lo),
-                delay_s=e.ts - orig.ts,
-            )
+        targets.append(target_id)
+    feed, at = feeds.locate(user, targets)
+    # Feed items strictly between the original (at index `at`) and the forward.
+    q = np.searchsorted(feed, feeds.rows_of([e.event_id for e in forwards])) - at - 1
+    records = [
+        QueuePositionRecord(
+            user=user,
+            retweet_id=e.event_id,
+            orig_id=target_id,
+            q=max(0, q_i),
+            delay_s=e.ts - log.get(target_id).ts,
         )
-        report.n_records += 1
-    return records, report
+        for e, target_id, at_i, q_i in zip(forwards, targets, at.tolist(), q.tolist())
+        if at_i >= 0
+    ]
+    return records, CoverageReport(n_records=len(records),
+                                   n_out_of_feed=len(forwards) - len(records))
 
 
 @dataclass(frozen=True)
@@ -177,52 +139,6 @@ class LognormalConvolutionFit:
     se_mu2: float
     se_sigma2: float
     identifiable: bool     # information positive definite and every se <= 0.15
-
-
-def _lognormal_pdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    out = np.zeros_like(x)
-    pos = x > 0
-    xv = x[pos]
-    out[pos] = np.exp(-((np.log(xv) - mu) ** 2) / (2 * sigma**2)) / (
-        xv * sigma * math.sqrt(2 * math.pi)
-    )
-    return out
-
-
-def lognormal_sum_density(
-    z,
-    mu1: float,
-    sigma1: float,
-    mu2: float,
-    sigma2: float,
-    n_grid: int = 1 << 16,
-    zmax: Optional[float] = None,
-) -> np.ndarray:
-    """Density of exp(N(mu1,sigma1)) + exp(N(mu2,sigma2)).
-
-    Evaluated by FFT convolution of the two component densities on a fine
-    uniform grid; beyond the grid the far tail is approximated by the sum of
-    the component tails, which is the exact leading-order behavior for sums
-    of heavy-tailed variables.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if zmax is None:
-        zmax = float(z.max()) * 1.05 if z.size else 1.0
-    dz = zmax / n_grid
-    xs = (np.arange(n_grid) + 0.5) * dz
-    fx = _lognormal_pdf(xs, mu1, sigma1) * dz
-    fy = _lognormal_pdf(xs, mu2, sigma2) * dz
-    conv = np.fft.irfft(np.fft.rfft(fx, 2 * n_grid) * np.fft.rfft(fy, 2 * n_grid))
-    # Mass at index m corresponds to z = (m + 1) * dz (midpoint grid sums).
-    grid_z = (np.arange(2 * n_grid) + 1.0) * dz
-    dens_grid = np.maximum(conv, 0.0) / dz
-    out = np.interp(z, grid_z, dens_grid, left=0.0)
-    tail = z > zmax
-    if tail.any():
-        out[tail] = _lognormal_pdf(z[tail], mu1, sigma1) + _lognormal_pdf(
-            z[tail], mu2, sigma2
-        )
-    return out
 
 
 # Whole-second delay model. A delay of d seconds is the event

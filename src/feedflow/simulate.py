@@ -94,10 +94,6 @@ class DelayModel:
                 return b
         raise DelayBinError(f"no delay bin covers in-flow rate {lam_in}")
 
-    def sample(self, rng: np.random.Generator, lam_in: float) -> float:
-        b = self.bin_for(lam_in)
-        return float(rng.lognormal(b.mu1, b.sigma1) + rng.lognormal(b.mu2, b.sigma2))
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from feedflow.cli import main as cli_main
+from feedflow.events import FeedIndex
 from feedflow.exposure import build_trace, exposure_curve, group_users_by_inflow
 from feedflow.flows import (
     compute_flow_stats,
@@ -61,10 +62,8 @@ def test_criterion_1_beta_curve_round_trip(capsys):
     log, _ = generate_workload(spec)
     window = log.span()
     hours = (window[1] - window[0]) / 3600.0
-    stats = [
-        compute_flow_stats(u, log, graph, window, include_retweets=False)
-        for u in sorted(graph.nodes)
-    ]
+    feeds = FeedIndex(log, graph, window, include_retweets=False)
+    stats = [compute_flow_stats(u, feeds) for u in sorted(graph.nodes)]
     eligible = [s for s in stats if s.lam * hours >= 50]
     bins = log_binned_curve([s.lam for s in eligible],
                             [s.beta_r for s in eligible], bins_per_decade=10)
@@ -89,9 +88,10 @@ def test_criterion_2_queue_position_oracle(capsys):
         n_events = int(rng.integers(50, 600)) if i % 20 else 1000
         log = random_log(rng, graph, n_events)
         window = (0, 10_000)
+        feeds = FeedIndex(log, graph, window)
         for user in sorted(graph.nodes):
             expected, expected_oof = naive_queue_positions(user, log, graph, window)
-            records, rep = queue_positions(user, log, graph, window)
+            records, rep = queue_positions(user, feeds)
             got = {r.retweet_id: r.q for r in records}
             n_records += len(expected)
             if got != expected or rep.n_out_of_feed != expected_oof:
@@ -222,10 +222,8 @@ def test_criterion_7_exposure_curves(capsys):
     log_b, truth_b = generate_workload(spec_b)
     window_b = log_b.span()
     seeds_b = set(truth_b["contagions"][0]["seeds"])
-    stats = [
-        compute_flow_stats(u, log_b, dense, window_b, include_retweets=False)
-        for u in sorted(dense.nodes) if u not in seeds_b
-    ]
+    feeds_b = FeedIndex(log_b, dense, window_b, include_retweets=False)
+    stats = [compute_flow_stats(u, feeds_b) for u in sorted(dense.nodes) if u not in seeds_b]
     groups = group_users_by_inflow(stats, [(0.0, 25.0), (35.0, 1e9)])
     trace_b = build_trace("ovl", log_b, dense, window_b)
     low = exposure_curve(trace_b, groups[(0.0, 25.0)], min_e=200)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -167,10 +168,10 @@ def test_analysis_outputs_match_golden_digests(workspace, runner):
         args = [str(workspace / a) if a.endswith(".csv") else a for a in args]
         result = runner.invoke(main, args + ["--graph", graph])
         assert result.exit_code == 0, result.output
-    read = lambda name: (workspace / name).read_bytes()  # noqa: E731
-    assert read("chain_immediate.csv") != read("chain_root.csv")
+    outputs = {name: (workspace / name).read_bytes() for name in ANALYSIS_GOLDEN}
+    assert outputs["chain_immediate.csv"] != outputs["chain_root.csv"]
     for name, digest in ANALYSIS_GOLDEN.items():
-        assert hashlib.sha256(read(name)).hexdigest() == digest, name
+        assert hashlib.sha256(outputs[name]).hexdigest() == digest, name
 
 
 def test_validate(workspace, runner):
@@ -420,3 +421,45 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "feedflow" in result.output
+
+
+def test_originals_only_forward_of_a_forward_is_not_counted(tmp_path, runner):
+    # c forwards b's forward of a's tweet. With followee retweets out of the
+    # in-flow, c receives nothing, so nothing c forwards came from the in-flow.
+    (tmp_path / "log.tsv").write_text(
+        "0\ta\tT\t1\n100\tb\tR\t2\t1\ta\n200\tc\tR\t3\t2\tb\n"
+    )
+    (tmp_path / "graph.tsv").write_text("b\ta\nc\tb\n")
+    out = tmp_path / "flows.csv"
+    result = runner.invoke(main, [
+        "flows", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+        "--out", str(out), "--originals-only",
+    ])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(out.open()))
+    assert [r["user"] for r in rows] == ["a", "b", "c"]
+    for r in rows:
+        assert float(r["lambda_r"]) <= float(r["lambda"]), r
+
+
+def test_user_name_with_comma_reads_back(tmp_path, runner):
+    (tmp_path / "log.tsv").write_text("0\tv\tT\t1\n100\ta,x\tR\t2\t1\tv\n")
+    (tmp_path / "graph.tsv").write_text("a,x\tv\n")
+    (tmp_path / "sim.cfg").write_text(SIM_CONFIG)
+    inputs = ["--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv")]
+    runs = {
+        "flows": ["flows", *inputs],
+        "queues": ["queues", *inputs],
+        "sources": ["sources", *inputs],
+        "simulate": ["simulate", "--model", "ic", "--graph", str(tmp_path / "graph.tsv"),
+                     "--config", str(tmp_path / "sim.cfg"), "--seed", "1"],
+    }
+    for name, args in runs.items():
+        out = tmp_path / f"{name}.csv"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.DictReader(out.open()))
+        assert rows, name
+        assert all(None not in r and None not in r.values() for r in rows), name
+        names = {r.get("user", r.get("seed_node")) for r in rows}
+        assert "a,x" in names, name

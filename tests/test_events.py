@@ -7,10 +7,10 @@ from feedflow.events import (
     Event,
     EventKind,
     EventLog,
+    FeedIndex,
     LogFormatError,
     SocialGraph,
     UnknownUserError,
-    in_flow_stream,
     parse_event_log,
 )
 from helpers import random_graph, random_log
@@ -148,14 +148,15 @@ def test_in_flow_stream_window_and_filter():
         Event(4, 400, "c", EventKind.TWEET),       # not followed
         Event(5, 500, "a", EventKind.TWEET),       # outside window
     ])
-    flow = in_flow_stream("u", log, g, (100, 400))
-    assert [e.event_id for e in flow] == [1, 2, 3]
-    flow = in_flow_stream("u", log, g, (100, 400), include_retweets=False)
-    assert [e.event_id for e in flow] == [1, 2]
-    flow = in_flow_stream("u", log, g, (150, 250))
-    assert [e.event_id for e in flow] == [2]
+    def feed_ids(window, include_retweets=True):
+        rows = FeedIndex(log, g, window, include_retweets).rows("u")
+        return [log.events[r].event_id for r in rows]
+
+    assert feed_ids((100, 400)) == [1, 2, 3]
+    assert feed_ids((100, 400), include_retweets=False) == [1, 2]
+    assert feed_ids((150, 250)) == [2]
     with pytest.raises(UnknownUserError):
-        in_flow_stream("ghost", log, g, (0, 1000))
+        FeedIndex(log, g, (0, 1000)).rows("ghost")
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,14 +165,16 @@ def test_in_flow_stream_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, 6)
     log = random_log(rng, graph, 60)
-    user = sorted(graph.nodes)[0]
     lo, hi = sorted(rng.integers(0, 10_000, size=2).tolist())
-    flow = in_flow_stream(user, log, graph, (lo, hi))
-    expected = [
-        e for e in log
-        if e.author in graph.followees(user) and lo <= e.ts <= hi
-    ]
-    assert list(flow) == expected
+    feeds = FeedIndex(log, graph, (lo, hi))
+    for user in sorted(graph.nodes):
+        rows = feeds.rows(user)
+        expected = [
+            e for e in log
+            if e.author in graph.followees(user) and lo <= e.ts <= hi
+        ]
+        assert [log.events[r] for r in rows] == expected
+        assert feeds.count(user) == len(rows)
 
 
 def test_event_log_span_and_indices():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedflow.events import Event, EventKind, EventLog, SocialGraph
+from feedflow.events import Event, EventKind, EventLog, FeedIndex, SocialGraph
 from feedflow.flows import (
     DegenerateFitError,
     EmpiricalDistribution,
@@ -13,7 +13,6 @@ from feedflow.flows import (
     fit_power_law_mle,
     fit_two_regime,
     log_binned_curve,
-    retweets_of_received,
 )
 
 HOUR = 3600
@@ -36,7 +35,7 @@ def small_fixture():
 def test_compute_flow_stats_hand_counts():
     g, log = small_fixture()
     window = (0, 12 * HOUR)
-    st_ = compute_flow_stats("u", log, g, window)
+    st_ = compute_flow_stats("u", FeedIndex(log, g, window))
     # u receives events 1,2,3 over 12 h; retweets one of them (event 4).
     assert st_.lam == pytest.approx(3 / 12)
     assert st_.lam_r == pytest.approx(1 / 12)
@@ -49,21 +48,21 @@ def test_compute_flow_stats_hand_counts():
 
 def test_retweet_of_non_followee_not_counted():
     g, log = small_fixture()
-    rts = retweets_of_received("u", log, g, (0, 12 * HOUR))
-    assert [e.event_id for e in rts] == [4]  # event 7 forwards a non-followee
+    st_ = compute_flow_stats("u", FeedIndex(log, g, (0, 12 * HOUR)))
+    assert st_.lam_r == pytest.approx(1 / 12)  # only event 4; event 7 forwards a non-followee
 
 
 def test_retweet_of_out_of_window_original_not_counted():
     g, log = small_fixture()
     # Window starts after event 1 was posted, so its retweet has no in-window source.
-    rts = retweets_of_received("u", log, g, (HOUR, 12 * HOUR))
-    assert rts == []
+    st_ = compute_flow_stats("u", FeedIndex(log, g, (HOUR, 12 * HOUR)))
+    assert st_.lam_r == 0.0
 
 
 def test_flow_stats_bad_window():
     g, log = small_fixture()
     with pytest.raises(ValueError):
-        compute_flow_stats("u", log, g, (5, 5))
+        compute_flow_stats("u", FeedIndex(log, g, (5, 5)))
 
 
 def test_empirical_distribution_ccdf():

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate
 
-from feedflow.events import Event, EventKind, EventLog, InFlowStream, SocialGraph
+from feedflow.events import Event, EventKind, EventLog, FeedIndex, SocialGraph
 from feedflow.queues import (
     FitConvergenceError,
     LittleBound,
-    OriginalNotInFeedError,
     delay_histogram,
     fit_lognormal_convolution,
     little_bounds,
     lognormal_sum_bin_masses,
-    lognormal_sum_density,
-    queue_position_at_retweet,
     queue_positions,
     sample_lognormal_sum,
 )
@@ -32,25 +29,26 @@ def feed_fixture():
         Event(4, 400, "b", EventKind.TWEET),
         Event(5, 500, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a"),
     ]
-    log = EventLog(events)
-    flow = InFlowStream("u", (0, 1000), tuple(events[:4]))
-    return g, log, flow
+    return g, events
 
 
 def test_queue_position_hand_example():
-    g, log, flow = feed_fixture()
-    rec = queue_position_at_retweet(log.get(5), flow)
+    g, events = feed_fixture()
+    records, report = queue_positions("u", FeedIndex(EventLog(events), g, (0, 1000)))
+    (rec,) = records
     # Events 2, 3, 4 arrived between the original (1) and the forward.
     assert rec.q == 3
     assert rec.delay_s == 400
     assert rec.user == "u" and rec.orig_id == 1
+    assert report.n_out_of_feed == 0
 
 
 def test_queue_position_original_not_in_feed():
-    _, log, flow = feed_fixture()
+    g, events = feed_fixture()
     stranger = Event(9, 600, "u", EventKind.RETWEET, orig_event_id=42, orig_author="x")
-    with pytest.raises(OriginalNotInFeedError):
-        queue_position_at_retweet(stranger, flow)
+    records, report = queue_positions("u", FeedIndex(EventLog(events + [stranger]), g, (0, 1000)))
+    assert [r.retweet_id for r in records] == [5]
+    assert report.n_out_of_feed == 1
 
 
 def test_queue_positions_batch_and_coverage():
@@ -62,7 +60,7 @@ def test_queue_positions_batch_and_coverage():
         Event(4, 300, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a"),
         Event(5, 400, "u", EventKind.RETWEET, orig_event_id=2, orig_author="x"),
     ])
-    records, report = queue_positions("u", log, g, (0, 1000))
+    records, report = queue_positions("u", FeedIndex(log, g, (0, 1000)))
     assert len(records) == 1 and records[0].q == 1
     assert report.n_records == 1 and report.n_out_of_feed == 1
     assert report.coverage == pytest.approx(0.5)
@@ -78,12 +76,13 @@ def test_queue_positions_root_mode_follows_chains():
         Event(3, 300, "b", EventKind.RETWEET, orig_event_id=1, orig_author="a"),
         Event(4, 400, "u", EventKind.RETWEET, orig_event_id=3, orig_author="b"),
     ])
-    immediate, _ = queue_positions("u", log, g, (0, 1000), source="immediate")
-    root, _ = queue_positions("u", log, g, (0, 1000), source="root")
+    feeds = FeedIndex(log, g, (0, 1000))
+    immediate, _ = queue_positions("u", feeds, source="immediate")
+    root, _ = queue_positions("u", feeds, source="root")
     assert immediate[0].orig_id == 3 and immediate[0].q == 0
     assert root[0].orig_id == 1 and root[0].q == 2
     with pytest.raises(ValueError):
-        queue_positions("u", log, g, (0, 1000), source="chain")
+        queue_positions("u", feeds, source="chain")
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,9 +92,10 @@ def test_queue_positions_match_naive_oracle(seed):
     graph = random_graph(rng, int(rng.integers(4, 8)))
     log = random_log(rng, graph, int(rng.integers(30, 120)))
     window = (0, 10_000)
+    feeds = FeedIndex(log, graph, window)
     for user in sorted(graph.nodes):
         expected, expected_oof = naive_queue_positions(user, log, graph, window)
-        records, report = queue_positions(user, log, graph, window)
+        records, report = queue_positions(user, feeds)
         assert {r.retweet_id: r.q for r in records} == expected
         assert report.n_out_of_feed == expected_oof
 
@@ -108,36 +108,6 @@ def test_delay_histogram_summary():
     assert summary.bottom90_mean_s == pytest.approx(np.mean(range(1, 10)))
     with pytest.raises(ValueError):
         delay_histogram([])
-
-
-def quad_sum_density(z, mu1, s1, mu2, s2):
-    """Independent numerical-integration oracle for the convolution density."""
-    def integrand(x):
-        return stats.lognorm.pdf(x, s1, scale=math.exp(mu1)) * \
-               stats.lognorm.pdf(z - x, s2, scale=math.exp(mu2))
-    val, _ = integrate.quad(integrand, 0, z, limit=200)
-    return val
-
-
-@pytest.mark.parametrize("params", [(4.0, 0.5, 3.0, 0.8), (2.0, 1.0, 1.0, 0.3)])
-def test_lognormal_sum_density_matches_quadrature(params):
-    mu1, s1, mu2, s2 = params
-    zs = np.array([5.0, 20.0, 60.0, 150.0, 400.0])
-    got = lognormal_sum_density(zs, mu1, s1, mu2, s2, zmax=2000.0)
-    want = np.array([quad_sum_density(z, mu1, s1, mu2, s2) for z in zs])
-    assert np.allclose(got, want, rtol=2e-3)
-
-
-def test_lognormal_sum_density_integrates_to_one():
-    zmax = 5000.0
-    z = np.linspace(0.01, zmax, 20000)
-    dens = lognormal_sum_density(z, 4.0, 0.5, 3.0, 0.8, zmax=zmax)
-    assert np.trapezoid(dens, z) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_lognormal_sum_density_far_tail_positive():
-    d = lognormal_sum_density(np.array([1e5]), 4.0, 0.5, 3.0, 0.8, zmax=2000.0)
-    assert d[0] > 0
 
 
 def test_sample_lognormal_sum_moments():

@@ -70,8 +70,6 @@ def test_delay_model_bin_selection_and_sampling():
     assert dm.bin_for(0.0).hi == 100.0
     assert dm.bin_for(99.9).hi == 100.0
     assert dm.bin_for(100.0).lo == 100.0   # boundary belongs to the upper bin
-    rng = np.random.default_rng(0)
-    assert all(dm.sample(rng, 5.0) > 0 for _ in range(100))
 
 
 def test_truncated_normal_rates():
