@@ -20,6 +20,7 @@ from . import __version__
 from .config import (
     ConfigError,
     beta_curve_from,
+    check_known_keys,
     delay_model_from,
     get_float,
     get_int,
@@ -129,11 +130,14 @@ class _Outputs:
         manifest.write(manifest_path_for(outputs[0]))
 
 
-def _read_config(path: Optional[str]) -> dict[str, str]:
+def _read_config(path: Optional[str], command: str) -> dict[str, str]:
     if path is None:
-        return parse_config("")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        cfg = parse_config("")
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+    check_known_keys(cfg, command)
+    return cfg
 
 
 @click.group()
@@ -320,7 +324,7 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
 @command_errors
 def graphgen(config_path, initiator, power, target_edges, seed, out_path):
     """Generate a stochastic Kronecker follow graph as graph TSV."""
-    cfg = _read_config(config_path)
+    cfg = _read_config(config_path, "graphgen")
     if initiator is not None:
         cfg["initiator"] = initiator
     if power is not None:
@@ -354,7 +358,7 @@ def graphgen(config_path, initiator, power, target_edges, seed, out_path):
 @command_errors
 def simulate(model, graph_path, config_path, seed, workers, out_path, report_path):
     """Simulate cascades under background traffic on a follow graph."""
-    cfg = _read_config(config_path)
+    cfg = _read_config(config_path, "simulate")
     graph = _load_graph(graph_path)
     delay_model = None
     if model == "ct" or any(k.startswith("delay_bin.") for k in cfg):
@@ -400,7 +404,7 @@ def simulate(model, graph_path, config_path, seed, workers, out_path, report_pat
 @command_errors
 def synth(config_path, graph_path, seed, out_path, graph_out, truth_path):
     """Generate a synthetic event log with known ground truth."""
-    cfg = _read_config(config_path)
+    cfg = _read_config(config_path, "synth")
     if graph_path:
         graph = _load_graph(graph_path)
     else:

@@ -3,13 +3,15 @@
 Format: one `key = value` per line, `#` starts a comment. Keys use dots for
 grouping (delay_bin.0.mu1). Environment variables with the FEEDFLOW_ prefix
 override file values; dots map to double underscores and the key is
-uppercased (delay_bin.0.mu1 -> FEEDFLOW_DELAY_BIN__0__MU1).
+uppercased (delay_bin.0.mu1 -> FEEDFLOW_DELAY_BIN__0__MU1). A command
+rejects any key, from the file or the environment, that it does not know.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from typing import Optional
 
 from .simulate import BetaCurve, DelayBin, DelayModel
@@ -19,6 +21,22 @@ ENV_PREFIX = "FEEDFLOW_"
 
 class ConfigError(ValueError):
     pass
+
+
+# The keys each config-reading command knows, as regular expressions that must
+# match a whole key. Static lists, not the keys a run happens to read: synth
+# --graph ignores the Kronecker keys but still accepts them.
+_KRONECKER = ("initiator", "k", "target_edges")
+_BETA_CURVE = ("lambda_c", "beta0", "gamma")
+_DELAY_BIN = r"delay_bin\.\d+\.(lo|hi|mu1|sigma1|mu2|sigma2)"
+_CONTAGION = (r"contagion\.\d+\."
+              r"(token|n_seeds|hazard|overload_hazard|overload_threshold|adopt_jitter_s)")
+KNOWN_KEYS = {
+    "graphgen": _KRONECKER,
+    "simulate": ("mu", "sigma", *_BETA_CURVE, "n_cascades", "max_time", _DELAY_BIN),
+    "synth": (*_KRONECKER, "graph_seed", "mu", "sigma", *_BETA_CURVE, "horizon_hours",
+              _DELAY_BIN, _CONTAGION),
+}
 
 
 def parse_config(text: str, environ: Optional[dict] = None) -> dict[str, str]:
@@ -40,6 +58,14 @@ def parse_config(text: str, environ: Optional[dict] = None) -> dict[str, str]:
         key = env_key[len(ENV_PREFIX):].lower().replace("__", ".")
         cfg[key] = value
     return cfg
+
+
+def check_known_keys(cfg: dict[str, str], command: str) -> None:
+    """Raise ConfigError on the first key the command does not know."""
+    known = re.compile("|".join(KNOWN_KEYS[command]))
+    for key in cfg:
+        if not known.fullmatch(key):
+            raise ConfigError(f"unknown config key {key!r}")
 
 
 def get_float(cfg: dict[str, str], key: str, default: Optional[float] = None) -> float:

@@ -258,16 +258,15 @@ def parse_event_log(lines: Iterable[str]) -> tuple[EventLog, ParseReport]:
         if ev.kind is EventKind.RETWEET:
             orig = accepted.get(ev.orig_event_id)
             if orig is None:
-                report.rejects.append(
-                    LineReject(line_no, line, f"retweet {ev.event_id} references unknown "
-                                              f"or rejected event {ev.orig_event_id}")
-                )
-                continue
-            if orig.key >= ev.key:
-                report.rejects.append(
-                    LineReject(line_no, line, f"retweet {ev.event_id} precedes its "
-                                              f"original {orig.event_id} in time order")
-                )
+                # An original that sorts earlier was already accepted or rejected.
+                parsed = candidates.get(ev.orig_event_id)
+                if parsed is not None and parsed[2].key >= ev.key:
+                    reason = (f"retweet {ev.event_id} precedes its original "
+                              f"{ev.orig_event_id} in time order")
+                else:
+                    reason = (f"retweet {ev.event_id} references unknown or rejected "
+                              f"event {ev.orig_event_id}")
+                report.rejects.append(LineReject(line_no, line, reason))
                 continue
             if orig.author != ev.orig_author:
                 report.rejects.append(

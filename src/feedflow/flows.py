@@ -30,7 +30,7 @@ class FlowStats:
     out_total: float    # out-flow rate, tweets/day (originals + retweets)
     lam_r: float        # in-flow rate due to tweets the user retweeted, tweets/hour
     lam_nr: float       # lam - lam_r
-    beta_r: float       # retweets made / tweets received
+    beta_r: float       # distinct feed items retweeted / tweets received
     followees: int
 
 
@@ -45,15 +45,16 @@ def _window_hours(window: tuple[int, int]) -> float:
 def compute_flow_stats(user: str, feeds: FeedIndex) -> FlowStats:
     """Rates and retweet probability for one user over the index's window.
 
-    The retweets counted in lam_r and beta_r are the user's in-window forwards
-    of items in her feed, under the index's retweet filter.
+    lam_r and beta_r count the distinct items of the user's feed, under the
+    index's retweet filter, that the user forwarded inside the window; a second
+    forward of one item does not count again.
     """
     hours = _window_hours(feeds.window)
     received = feeds.count(user)
     start, end = feeds.window
     out_count = sum(1 for e in feeds.log.by_author(user) if start <= e.ts <= end)
     _, at = feeds.locate(user, [e.orig_event_id for e in feeds.forwards(user)])
-    n_rt = int((at >= 0).sum())
+    n_rt = len(np.unique(at[at >= 0]))
     lam = received / hours
     lam_r = n_rt / hours
     beta_r = n_rt / received if received > 0 else 0.0

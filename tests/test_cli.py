@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -415,6 +419,56 @@ def test_missing_config_key_is_a_clean_error(workspace, tmp_path, runner):
     ])
     assert result.exit_code == 1
     assert "error:" in all_output(result)
+
+
+# (command, config text, environment, arguments, the unknown key). The synth
+# case passes --graph with Kronecker keys in the config: those stay known.
+UNKNOWN_KEY_CASES = [
+    ("simulate", SIM_CONFIG + "max_tim = 0\n", {},
+     ["simulate", "--model", "ct", "--graph", "{graph}", "--seed", "1"], "max_tim"),
+    ("synth", SYNTH_CONFIG, {"FEEDFLOW_CONTAGION__0__OVERLOAD_HAZZARD": "0.1"},
+     ["synth", "--graph", "{graph}", "--seed", "1"], "contagion.0.overload_hazzard"),
+    ("graphgen", "initiator = 0.9,0.5,0.5,0.3\nk = 6\ntarget_edges = 300\ntarget_edge = 30\n",
+     {}, ["graphgen", "--seed", "1"], "target_edge"),
+]
+
+
+@pytest.mark.parametrize("command,text,env,args,key", UNKNOWN_KEY_CASES,
+                         ids=[case[0] for case in UNKNOWN_KEY_CASES])
+def test_unknown_config_key_is_rejected(workspace, tmp_path, runner, command, text, env,
+                                        args, key):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o.out"
+    args = [a.format(graph=workspace / "graph.tsv") for a in args]
+    result = runner.invoke(main, [*args, "--config", str(cfg), "--out", str(out)], env=env)
+    assert result.exit_code == 1
+    assert f"error: unknown config key '{key}'" in all_output(result)
+    assert list(tmp_path.glob("o.out*")) == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    script = (
+        "import json, sys\n"
+        "import feedflow.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import numpy as np\n"
+        "from feedflow.queues import fit_lognormal_convolution, sample_lognormal_sum\n"
+        "d = sample_lognormal_sum(np.random.default_rng(3), 4.0, 0.3, 3.0, 1.2, 2000)\n"
+        "fit = fit_lognormal_convolution(d)\n"
+        "print(json.dumps({'loaded': loaded, 'n': fit.n, 'nfev': fit.nfev,\n"
+        "                  'mu1': fit.mu1, 'mu2': fit.mu2}))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert out["n"] == 2000 and out["nfev"] > 0
+    assert abs(out["mu1"] - 4.0) < 0.5 and abs(out["mu2"] - 3.0) < 1.0
 
 
 def test_version_flag(runner):

@@ -5,6 +5,7 @@ import pytest
 from feedflow.config import (
     ConfigError,
     beta_curve_from,
+    check_known_keys,
     delay_model_from,
     get_float,
     get_int,
@@ -57,6 +58,21 @@ def test_parse_config_bad_lines():
         parse_config("this is not a pair", environ={})
     with pytest.raises(ConfigError, match="empty key"):
         parse_config("= value", environ={})
+
+
+def test_check_known_keys_patterns():
+    cfg = parse_config(SAMPLE + "n_cascades = 5\nmax_time = 9\n", environ={})
+    with pytest.raises(ConfigError, match="unknown config key 'initiator'"):
+        check_known_keys(cfg, "simulate")
+    del cfg["initiator"]
+    check_known_keys(cfg, "simulate")
+    check_known_keys({"delay_bin.12.hi": "inf", "contagion.3.adopt_jitter_s": "0",
+                      "graph_seed": "1", "k": "4"}, "synth")
+    for command, key in [("simulate", "delay_bin.0.sigm1"), ("simulate", "delay_bin.x.lo"),
+                         ("simulate", "delay_bin.0.lo.x"), ("simulate", "horizon_hours"),
+                         ("synth", "contagion.0"), ("synth", "n_cascades"), ("graphgen", "mu")]:
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            check_known_keys({key: "1"}, command)
 
 
 def test_environment_overrides():

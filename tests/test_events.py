@@ -70,6 +70,12 @@ def test_retweet_reference_validation():
     log, report = parse_event_log(lines)
     assert {e.event_id for e in log} == {1, 5}
     assert report.n_rejected == 3
+    reasons = {rej.line_no: rej.reason for rej in report.rejects}
+    assert reasons == {
+        2: "retweet 2 references unknown or rejected event 99",
+        3: "retweet 3 names author 'carol' but event 1 was posted by 'alice'",
+        4: "retweet 4 precedes its original 1 in time order",
+    }
 
 
 def test_retweet_of_rejected_line_is_rejected():

@@ -14,6 +14,7 @@ from feedflow.flows import (
     fit_two_regime,
     log_binned_curve,
 )
+from feedflow.queues import queue_positions
 
 HOUR = 3600
 
@@ -44,6 +45,22 @@ def test_compute_flow_stats_hand_counts():
     # u posts events 4, 5, 7 -> 3 posts per half day = 6/day.
     assert st_.out_total == pytest.approx(6.0)
     assert st_.followees == 2
+
+
+def test_repeated_forwards_of_one_item_count_once():
+    g = SocialGraph([("u", "a")])
+    log = EventLog([
+        Event(1, 0, "a", EventKind.TWEET),
+        Event(2, 600, "a", EventKind.TWEET),
+        *(Event(i, 600 * i, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a")
+          for i in (3, 4, 5)),
+    ])
+    feeds = FeedIndex(log, g, (0, HOUR))
+    st_ = compute_flow_stats("u", feeds)
+    assert (st_.lam, st_.lam_r, st_.lam_nr, st_.beta_r) == (2.0, 1.0, 1.0, 0.5)
+    # Queue positions still give one record per forward.
+    records, _ = queue_positions("u", feeds)
+    assert [r.retweet_id for r in records] == [3, 4, 5]
 
 
 def test_retweet_of_non_followee_not_counted():
