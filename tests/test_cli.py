@@ -198,6 +198,79 @@ def test_validate_reports_rejects(tmp_path, runner):
     assert "1 lines rejected" in result.output
 
 
+# A log that holds every reject reason: each malformed-line kind, an unknown
+# reference, forwards that precede their original (earlier ts, and equal ts
+# with a smaller id), an author mismatch, and forwards of rejected lines. Line 11
+# is empty and skipped. The reference checks run in (ts, event_id) order, which
+# is the order of their report lines.
+VALIDATE_LOG = (
+    "100\talice\tT\t1\n"
+    "abc\talice\tT\t2\n"
+    "100\t\tT\t3\n"
+    "100\talice\tX\t4\n"
+    "100\talice\tT\n"
+    "100\talice\tR\t5\n"
+    "100\talice\tR\t6\tzz\tbob\n"
+    "100\talice\tR\t7\t1\t\n"
+    "100\talice\tT\t8\tmark\textra\n"
+    "100\talice\tT\t9\t\n"
+    "\n"
+    "100\talice\tT\t10\ta,,b\n"
+    "100\talice\tT\tx11\n"
+    "200\tbob\tR\t12\t99\talice\n"
+    "50\tbob\tR\t13\t1\talice\n"
+    "100\tbob\tR\t0\t1\talice\n"
+    "200\tcarol\tR\t14\t1\tcarol\n"
+    "300\tdave\tR\t15\t12\tbob\n"
+    "300\tdave\tR\t16\t14\tcarol\n"
+    "500\terin\tR\t19\t4\talice\n"
+    "400\tbob\tR\t17\t1\talice\tviral\n"
+    "400\terin\tR\t18\t17\tbob\n"
+)
+
+VALIDATE_GOLDEN = """\
+3 events
+18 lines rejected:
+  line 2: bad timestamp 'abc'
+  line 3: empty author
+  line 4: bad kind 'X', expected T or R
+  line 5: expected at least 4 tab-separated fields
+  line 6: retweet line needs orig_event_id and orig_author
+  line 7: bad orig_event_id 'zz'
+  line 8: empty orig_author
+  line 9: too many fields (6)
+  line 10: empty marks field (omit the field instead)
+  line 12: empty mark token
+  line 13: bad event_id 'x11'
+  line 15: retweet 13 precedes its original 1 in time order
+  line 16: retweet 0 precedes its original 1 in time order
+  line 14: retweet 12 references unknown or rejected event 99
+  line 17: retweet 14 names author 'carol' but event 1 was posted by 'alice'
+  line 18: retweet 15 references unknown or rejected event 12
+  line 19: retweet 16 references unknown or rejected event 14
+  line 20: retweet 19 references unknown or rejected event 4
+3 users, 2 follow edges
+"""
+
+
+def test_validate_output_matches_golden(tmp_path, runner):
+    (tmp_path / "log.tsv").write_text(VALIDATE_LOG)
+    (tmp_path / "graph.tsv").write_text("bob\talice\nerin\tbob\n")
+    result = runner.invoke(main, [
+        "validate", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+    ])
+    assert result.exit_code == 0
+    assert result.stdout == VALIDATE_GOLDEN
+
+
+def test_validate_duplicate_id_names_both_lines(tmp_path, runner):
+    (tmp_path / "log.tsv").write_text("100\ta\tT\t1\n\n200\tb\tT\t2\n300\tc\tT\t1\n")
+    result = runner.invoke(main, ["validate", "--log", str(tmp_path / "log.tsv")])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "error: duplicate event_id 1 at lines 1 and 4\n" in all_output(result)
+
+
 def test_flows_and_curve(workspace, runner):
     result = runner.invoke(main, [
         "flows", "--log", str(workspace / "log.tsv"),
