@@ -21,6 +21,7 @@ from .config import (
     ConfigError,
     beta_curve_from,
     check_known_keys,
+    contagions_from,
     delay_model_from,
     get_float,
     get_int,
@@ -35,7 +36,7 @@ from .manifest import RunManifest, file_digest, manifest_path_for
 from .queues import fit_lognormal_convolution, queue_positions
 from .simulate import SimConfig, distribution_report, simulate_ct_bg, simulate_ic_bg
 from .sources import source_stats
-from .synth import ContagionPlan, WorkloadSpec, generate_workload, ground_truth_text
+from .synth import WorkloadSpec, generate_workload, ground_truth_text
 
 
 def _fail(message: str) -> "click.exceptions.Exit":
@@ -226,9 +227,9 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
     all_records = []
     n_out_of_feed = 0
     for u in sorted(graph.nodes):
-        records, report = queue_positions(u, feeds, source=source)
+        records, n = queue_positions(u, feeds, source=source)
         all_records.extend(records)
-        n_out_of_feed += report.n_out_of_feed
+        n_out_of_feed += n
     click.echo(f"{len(all_records)} queue records, {n_out_of_feed} out-of-feed forwards")
     with _Outputs() as out:
         out.write_csv(out_path, "user,retweet_id,orig_id,q,delay_s", (
@@ -300,7 +301,7 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
         users = groups[(lo, hi)]
         if not users:
             continue
-        curves = [exposure_curve(trace, users, label=trace.token) for trace in traces]
+        curves = [exposure_curve(trace, users) for trace in traces]
         agg = aggregate_curves(curves, mode=aggregate)
         for k in range(agg.k_max + 1):
             p = agg.p[k]
@@ -415,25 +416,6 @@ def synth(config_path, graph_path, seed, out_path, graph_out, truth_path):
             seed=get_int(cfg, "graph_seed", seed),
         )
         graph = kronecker_generate(params)
-    plans = []
-    idx = 0
-    while f"contagion.{idx}.token" in cfg:
-        p = f"contagion.{idx}."
-        over_h = cfg.get(p + "overload_hazard")
-        plans.append(
-            ContagionPlan(
-                token=cfg[p + "token"],
-                n_seeds=get_int(cfg, p + "n_seeds"),
-                hazard=get_float(cfg, p + "hazard"),
-                overload_hazard=float(over_h) if over_h is not None else None,
-                overload_threshold=(
-                    get_float(cfg, p + "overload_threshold")
-                    if over_h is not None else None
-                ),
-                adopt_jitter_s=get_int(cfg, p + "adopt_jitter_s", 600),
-            )
-        )
-        idx += 1
     spec = WorkloadSpec(
         graph=graph,
         beta_curve=beta_curve_from(cfg),
@@ -442,7 +424,7 @@ def synth(config_path, graph_path, seed, out_path, graph_out, truth_path):
         seed=seed,
         mu=get_float(cfg, "mu"),
         sigma=get_float(cfg, "sigma", get_float(cfg, "mu") / 4.0),
-        contagions=tuple(plans),
+        contagions=contagions_from(cfg),
     )
     log, truth = generate_workload(spec)
     with _Outputs() as out:

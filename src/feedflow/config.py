@@ -15,6 +15,7 @@ import re
 from typing import Optional
 
 from .simulate import BetaCurve, DelayBin, DelayModel
+from .synth import ContagionPlan
 
 ENV_PREFIX = "FEEDFLOW_"
 
@@ -98,26 +99,24 @@ def beta_curve_from(cfg: dict[str, str]) -> BetaCurve:
     )
 
 
+def _group_indices(cfg: dict[str, str], group: str) -> list[int]:
+    """The indices i of the keys <group>.<i>.*, ascending."""
+    return sorted({int(k.split(".")[1]) for k in cfg
+                   if k.startswith(group + ".") and k.split(".")[1].isdigit()})
+
+
 def delay_model_from(cfg: dict[str, str]) -> DelayModel:
     """Collect delay_bin.<i>.{lo,hi,mu1,sigma1,mu2,sigma2}; hi may be 'inf'."""
-    indices = sorted(
-        {
-            int(k.split(".")[1])
-            for k in cfg
-            if k.startswith("delay_bin.") and k.split(".")[1].isdigit()
-        }
-    )
+    indices = _group_indices(cfg, "delay_bin")
     if not indices:
         raise ConfigError("no delay_bin.<i>.* keys in config")
     bins = []
     for i in indices:
         p = f"delay_bin.{i}."
-        hi_raw = cfg.get(p + "hi", "inf")
-        hi = math.inf if hi_raw in ("inf", "Inf", "INF") else float(hi_raw)
         bins.append(
             DelayBin(
                 lo=get_float(cfg, p + "lo"),
-                hi=hi,
+                hi=get_float(cfg, p + "hi", math.inf),
                 mu1=get_float(cfg, p + "mu1"),
                 sigma1=get_float(cfg, p + "sigma1"),
                 mu2=get_float(cfg, p + "mu2"),
@@ -125,6 +124,29 @@ def delay_model_from(cfg: dict[str, str]) -> DelayModel:
             )
         )
     return DelayModel(bins=tuple(bins))
+
+
+def contagions_from(cfg: dict[str, str]) -> tuple[ContagionPlan, ...]:
+    """Collect contagion.<i>.{token,n_seeds,hazard,...} for every index present, ascending."""
+    plans = []
+    for i in _group_indices(cfg, "contagion"):
+        p = f"contagion.{i}."
+        if p + "token" not in cfg:
+            raise ConfigError(f"missing config key {p + 'token'!r}")
+        overload = p + "overload_hazard" in cfg
+        plans.append(
+            ContagionPlan(
+                token=cfg[p + "token"],
+                n_seeds=get_int(cfg, p + "n_seeds"),
+                hazard=get_float(cfg, p + "hazard"),
+                overload_hazard=get_float(cfg, p + "overload_hazard") if overload else None,
+                overload_threshold=(
+                    get_float(cfg, p + "overload_threshold") if overload else None
+                ),
+                adopt_jitter_s=get_int(cfg, p + "adopt_jitter_s", 600),
+            )
+        )
+    return tuple(plans)
 
 
 def initiator_from(cfg: dict[str, str]) -> tuple[tuple[float, float], tuple[float, float]]:

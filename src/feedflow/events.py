@@ -8,11 +8,15 @@ same deterministic timeline.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class EventKind(Enum):
@@ -134,20 +138,24 @@ class SocialGraph:
 
 
 class EventLog:
-    """Immutable, globally sorted event collection with author/id indices."""
+    """Immutable event collection in the global (ts, event_id) order: the log's row index.
+
+    A row is an event's position in that order, so rows compare as the
+    (ts, event_id) keys do. Every analysis reads the log through rows: the
+    columns ts, ids, forward and orig_row, each author's rows, and rows_of.
+    Only the id column is built with the log; the others are built on first
+    use, so a command that never reads them does not pay for them.
+    """
 
     def __init__(self, events: Iterable[Event]):
-        evs = sorted(events, key=lambda e: e.key)
-        by_id: dict[int, Event] = {}
-        by_author: dict[str, list[Event]] = {}
-        for e in evs:
-            if e.event_id in by_id:
-                raise LogFormatError(f"duplicate event_id {e.event_id}")
-            by_id[e.event_id] = e
-            by_author.setdefault(e.author, []).append(e)
-        self._events = evs
-        self._by_id = by_id
-        self._by_author = by_author
+        self._events = sorted(events, key=operator.attrgetter("ts", "event_id"))
+        self.ids = np.fromiter((e.event_id for e in self._events), np.int64, len(self._events))
+        self._id_order = np.argsort(self.ids, kind="stable")
+        sorted_ids = self.ids[self._id_order]
+        dup = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if dup.size:
+            raise LogFormatError(f"duplicate event_id {dup[0]}")
+        self._sorted_ids = sorted_ids
 
     def __len__(self) -> int:
         return len(self._events)
@@ -159,15 +167,52 @@ class EventLog:
     def events(self) -> list[Event]:
         return self._events
 
+    @functools.cached_property
+    def ts(self) -> np.ndarray:
+        return np.fromiter((e.ts for e in self._events), np.int64, len(self._events))
+
+    @functools.cached_property
+    def forward(self) -> np.ndarray:
+        """True at the rows of forwards."""
+        retweet = EventKind.RETWEET
+        return np.fromiter((e.kind is retweet for e in self._events), bool, len(self._events))
+
+    @functools.cached_property
+    def orig_row(self) -> np.ndarray:
+        """Each forward's original row; -1 for an original, and for a forward
+        whose original is absent or does not sort before it."""
+        orig = self.rows_of(np.fromiter(
+            (0 if e.orig_event_id is None else e.orig_event_id for e in self._events),
+            np.int64, len(self._events)))
+        return np.where(self.forward & (orig < np.arange(len(orig))), orig, -1)
+
+    @functools.cached_property
+    def _author_rows(self) -> dict[str, np.ndarray]:
+        codes: dict[str, int] = {}
+        code = np.fromiter((codes.setdefault(e.author, len(codes)) for e in self._events),
+                           np.int64, len(self._events))
+        rows = np.argsort(code, kind="stable")
+        return dict(zip(codes, np.split(rows, np.cumsum(np.bincount(code))[:-1])))
+
+    def rows(self, author: str, window: tuple[int, int]) -> np.ndarray:
+        """The author's rows with ts inside the closed window, ascending."""
+        rows = self._author_rows.get(author, _NO_ROWS)
+        ts = self.ts[rows]
+        return rows[np.searchsorted(ts, window[0]):np.searchsorted(ts, window[1], "right")]
+
+    def rows_of(self, event_ids: Sequence[int]) -> np.ndarray:
+        """Rows of the given event ids; -1 for an id not in the log."""
+        ids = np.asarray(event_ids, dtype=np.int64)
+        at = np.searchsorted(self._sorted_ids, ids)
+        found = at < np.searchsorted(self._sorted_ids, ids, "right")
+        return np.where(found, self._id_order[np.where(found, at, 0)], -1)
+
     def get(self, event_id: int) -> Optional[Event]:
-        return self._by_id.get(event_id)
+        row = int(self.rows_of([event_id])[0])
+        return self._events[row] if row >= 0 else None
 
     def by_author(self, author: str) -> list[Event]:
-        return self._by_author.get(author, [])
-
-    @property
-    def authors(self) -> Iterable[str]:
-        return self._by_author.keys()
+        return [self._events[r] for r in self._author_rows.get(author, _NO_ROWS).tolist()]
 
     def span(self) -> tuple[int, int]:
         if not self._events:
@@ -283,11 +328,9 @@ def parse_event_log(lines: Iterable[str]) -> tuple[EventLog, ParseReport]:
 class FeedIndex:
     """Every user's feed over a closed window, as sorted rows of the log.
 
-    A row is an event's position in log.events. The log is sorted by
-    (ts, event_id), so rows compare as those keys do. A user's feed holds the
-    in-window events of her followees; with include_retweets=False only their
-    original tweets. The in-flow, the forwards of feed items and the queue
-    positions all read the feed from here.
+    A user's feed holds the in-window rows of her followees; with
+    include_retweets=False only their original tweets. The in-flow, the
+    forwards of feed items and the queue positions all read the feed from here.
     """
 
     def __init__(
@@ -300,20 +343,13 @@ class FeedIndex:
         self.log = log
         self.graph = graph
         self.window = window
-        events = log.events
-        ids = np.fromiter((e.event_id for e in events), dtype=np.int64, count=len(events))
-        self._row_by_id = np.argsort(ids)
-        self._sorted_ids = ids[self._row_by_id]
-        ts = np.fromiter((e.ts for e in events), dtype=np.int64, count=len(events))
-        lo, hi = np.searchsorted(ts, window[0]), np.searchsorted(ts, window[1], "right")
-        by_author: dict[str, list[int]] = {}
-        for row, e in enumerate(events[lo:hi], start=lo):
-            if include_retweets or e.kind is EventKind.TWEET:
-                by_author.setdefault(e.author, []).append(row)
-        self._rows = {a: np.array(rows, dtype=np.int64) for a, rows in by_author.items()}
+        rows = {v: log.rows(v, window) for v in graph.nodes}
+        if not include_retweets:
+            rows = {v: r[~log.forward[r]] for v, r in rows.items()}
+        self._rows = rows
 
     def _followee_rows(self, user: str) -> list[np.ndarray]:
-        return [self._rows[v] for v in self.graph.followees(user) if v in self._rows]
+        return [self._rows[v] for v in self.graph.followees(user)]
 
     def count(self, user: str) -> int:
         """Number of events in the user's feed."""
@@ -322,24 +358,15 @@ class FeedIndex:
     def rows(self, user: str) -> np.ndarray:
         """The user's feed as sorted log rows."""
         parts = self._followee_rows(user)
-        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+        return np.sort(np.concatenate(parts)) if parts else _NO_ROWS
 
-    def rows_of(self, event_ids: Sequence[int]) -> np.ndarray:
-        """Log rows of the given event ids; -1 for an id not in the log."""
-        ids = np.asarray(event_ids, dtype=np.int64)
-        at = np.searchsorted(self._sorted_ids, ids)
-        found = at < np.searchsorted(self._sorted_ids, ids, "right")
-        return np.where(found, self._row_by_id[np.where(found, at, 0)], -1)
-
-    def locate(self, user: str, event_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The user's feed rows, and each event's index in them (-1 if not in the feed)."""
+    def locate(self, user: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The user's feed rows, and each given row's index in them (-1 if not in the feed)."""
         feed = self.rows(user)
-        rows = self.rows_of(event_ids)
         at = np.searchsorted(feed, rows)
         return feed, np.where(at < np.searchsorted(feed, rows, "right"), at, -1)
 
-    def forwards(self, user: str) -> list[Event]:
-        """The user's own retweets inside the window, in log order."""
-        start, end = self.window
-        return [e for e in self.log.by_author(user)
-                if e.kind is EventKind.RETWEET and start <= e.ts <= end]
+    def forwards(self, user: str) -> np.ndarray:
+        """Rows of the user's own forwards inside the window."""
+        rows = self.log.rows(user, self.window)
+        return rows[self.log.forward[rows]]

@@ -8,7 +8,7 @@ after their k-th exposure and strictly before their (k+1)-th; P(k) = I(k)/E(k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ def build_trace(
     log: EventLog,
     graph: SocialGraph,
     window: tuple[int, int],
-    adopter_filter: Optional[Callable[[str], bool]] = None,
 ) -> ContagionTrace:
     """Per-user adoption and exposure timeline for one contagion token.
 
@@ -49,31 +48,22 @@ def build_trace(
     """
     start, end = window
     first_use: dict[str, int] = {}
-    seen = False
     for e in log:
-        if token in e.marks:
-            seen = True
-            if e.author not in first_use:
-                first_use[e.author] = e.ts
-    if not seen:
+        if token in e.marks and e.author not in first_use:
+            first_use[e.author] = e.ts
+    if not first_use:
         raise TokenNotFoundError(token)
 
     pre = {u for u, t in first_use.items() if t < start}
-    adopted_at = {
-        u: t
-        for u, t in first_use.items()
-        if start <= t <= end and u not in pre
-        and (adopter_filter is None or adopter_filter(u))
-    }
+    adopted_at = {u: t for u, t in first_use.items() if start <= t <= end}
 
     times: dict[str, list[int]] = {}
     for v, t in adopted_at.items():
         if v not in graph:
             continue
         for u in graph.followers(v):
-            if u in pre or (adopter_filter is not None and not adopter_filter(u)):
-                continue
-            times.setdefault(u, []).append(t)
+            if u not in pre:
+                times.setdefault(u, []).append(t)
     exposures = {u: tuple(sorted(ts)) for u, ts in times.items()}
     return ContagionTrace(
         token=token,
@@ -86,7 +76,6 @@ def build_trace(
 
 @dataclass(frozen=True)
 class ExposureCurve:
-    label: str
     e: np.ndarray  # users ever k-exposed before adopting, k = 0..k_max
     i: np.ndarray  # users adopting while k-exposed
     p: np.ndarray  # i / e where defined, else nan
@@ -125,7 +114,6 @@ def _user_exposure_path(
 def exposure_curve(
     trace: ContagionTrace,
     users: Sequence[str],
-    label: str = "",
     min_e: int = 50,
     k_max: Optional[int] = None,
 ) -> ExposureCurve:
@@ -153,7 +141,7 @@ def exposure_curve(
     i = np.array([i_counts.get(k, 0) for k in range(k_max + 1)], dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(e > 0, i / e, np.nan)
-    return ExposureCurve(label=label, e=e, i=i, p=p)
+    return ExposureCurve(e=e, i=i, p=p)
 
 
 def group_users_by_inflow(
@@ -201,4 +189,4 @@ def aggregate_curves(curves: Sequence[ExposureCurve], mode: str = "mean") -> Exp
         total = np.where(defined, stack, 0.0).sum(axis=0)
         with np.errstate(invalid="ignore"):
             p = np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
-    return ExposureCurve(label=f"{mode} of {len(curves)} curves", e=e, i=i, p=p)
+    return ExposureCurve(e=e, i=i, p=p)

@@ -51,9 +51,8 @@ def compute_flow_stats(user: str, feeds: FeedIndex) -> FlowStats:
     """
     hours = _window_hours(feeds.window)
     received = feeds.count(user)
-    start, end = feeds.window
-    out_count = sum(1 for e in feeds.log.by_author(user) if start <= e.ts <= end)
-    _, at = feeds.locate(user, [e.orig_event_id for e in feeds.forwards(user)])
+    out_count = len(feeds.log.rows(user, feeds.window))
+    _, at = feeds.locate(user, feeds.log.orig_row[feeds.forwards(user)])
     n_rt = len(np.unique(at[at >= 0]))
     lam = received / hours
     lam_r = n_rt / hours
@@ -116,11 +115,10 @@ def log_binned_curve(
     x: Sequence[float],
     y: Sequence[float],
     bins_per_decade: int = 10,
-    min_count: int = 1,
 ) -> list[BinStat]:
     """Bin (x, y) pairs into logarithmic x-bins and summarize y per bin.
 
-    Pairs with x <= 0 are dropped. Bin edges are aligned to powers of ten so
+    Pairs with x <= 0 are dropped, and so are empty bins. Bin edges are aligned to powers of ten so
     the binning does not depend on the sample order or range jitter.
     """
     x = np.asarray(x, dtype=float)
@@ -137,7 +135,7 @@ def log_binned_curve(
     for b in range(lo_exp, hi_exp + 1):
         mask = idx == b
         n = int(mask.sum())
-        if n < min_count:
+        if n == 0:
             continue
         lo = 10 ** (b / bins_per_decade)
         hi = 10 ** ((b + 1) / bins_per_decade)

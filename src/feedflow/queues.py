@@ -3,7 +3,7 @@
 The feed is modeled as a LIFO queue ordered by the global (ts, event_id)
 order. The position of a post at the moment it was forwarded counts the
 in-flow items that arrived strictly in between; forwards whose source is not
-in the user's feed are excluded and surfaced in a coverage report.
+in the user's feed are excluded and counted.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import EventKind, FeedIndex
+from .events import FeedIndex
 from .flows import EmpiricalDistribution
 
 SECONDS_PER_HOUR = 3600.0
@@ -34,62 +34,44 @@ class QueuePositionRecord:
     delay_s: int    # ts(forward) - ts(original)
 
 
-@dataclass
-class CoverageReport:
-    """How many forwards could be mapped onto the feed."""
-
-    n_records: int = 0
-    n_out_of_feed: int = 0
-
-    @property
-    def coverage(self) -> float:
-        total = self.n_records + self.n_out_of_feed
-        return self.n_records / total if total else 0.0
-
-
 def queue_positions(
     user: str,
     feeds: FeedIndex,
     source: str = "immediate",
-) -> tuple[list[QueuePositionRecord], CoverageReport]:
-    """All queue-position records for one user's forwards inside the window.
+) -> tuple[list[QueuePositionRecord], int]:
+    """Queue-position records for one user's forwards inside the window, and
+    the number of those forwards whose source is not in her feed.
 
     source="immediate" measures against the event the user actually forwarded
     (her feed item); source="root" follows forward chains back to the original
-    post and measures against that.
+    post and measures against that, or against the feed item where a chain
+    breaks.
     """
     if source not in ("immediate", "root"):
         raise ValueError(f"source must be 'immediate' or 'root', got {source!r}")
     log = feeds.log
     forwards = feeds.forwards(user)
-    targets = []
-    for e in forwards:
-        target_id = e.orig_event_id
-        if source == "root":
-            seen = set()
-            cur = log.get(target_id)
-            while cur is not None and cur.kind is EventKind.RETWEET and cur.event_id not in seen:
-                seen.add(cur.event_id)
-                cur = log.get(cur.orig_event_id)
-            if cur is not None:
-                target_id = cur.event_id
-        targets.append(target_id)
+    targets = log.orig_row[forwards]
+    if source == "root":
+        # orig_row points only to earlier rows, so every chain ends.
+        root = targets
+        hop = (root >= 0) & log.forward[root]
+        while hop.any():
+            root = np.where(hop, log.orig_row[root], root)
+            hop = (root >= 0) & log.forward[root]
+        targets = np.where(root >= 0, root, targets)
     feed, at = feeds.locate(user, targets)
+    kept = at >= 0
+    forwards, targets = forwards[kept], targets[kept]
     # Feed items strictly between the original (at index `at`) and the forward.
-    q = np.searchsorted(feed, feeds.rows_of([e.event_id for e in forwards])) - at - 1
+    q = np.searchsorted(feed, forwards) - at[kept] - 1
     records = [
-        QueuePositionRecord(
-            user=user,
-            retweet_id=e.event_id,
-            orig_id=target_id,
-            q=max(0, q_i),
-            delay_s=e.ts - log.get(target_id).ts,
-        )
-        for e, target_id, at_i, q_i in zip(forwards, targets, at.tolist(), q.tolist())
-        if at_i >= 0
+        QueuePositionRecord(user, retweet_id, orig_id, q_i, delay_s)
+        for retweet_id, orig_id, q_i, delay_s in zip(
+            log.ids[forwards].tolist(), log.ids[targets].tolist(), q.tolist(),
+            (log.ts[forwards] - log.ts[targets]).tolist())
     ]
-    return records, CoverageReport(n_records=len(records),
-                                   n_out_of_feed=len(forwards) - len(records))
+    return records, len(kept) - len(forwards)
 
 
 @dataclass(frozen=True)
@@ -149,6 +131,8 @@ _EDGE_BLOCK = 256       # edges per quadrature block: bounds the working set
 _MASS_FLOOR = 1e-300
 _LOG_SIGMA_BOUNDS = (math.log(0.01), math.log(10.0))
 _IDENTIFIABLE_SE = 0.15
+_MIN_SAMPLES = 100
+_MAX_ITER = 4000        # L-BFGS-B iterations per start
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -315,11 +299,7 @@ def _standard_errors(theta, bins, counts, step: float = 1e-4) -> tuple[np.ndarra
     return np.sqrt(np.diag(np.linalg.inv(info))), True
 
 
-def fit_lognormal_convolution(
-    delays: Sequence[float],
-    min_samples: int = 100,
-    max_iter: int = 4000,
-) -> LognormalConvolutionFit:
+def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFit:
     """Maximum-likelihood fit of a sum of two lognormals to delay samples.
 
     Delays are whole seconds: each positive delay is rounded to the nearest
@@ -331,9 +311,9 @@ def fit_lognormal_convolution(
     d = np.asarray(delays, dtype=float)
     n_rejected = int((d <= 0).sum())
     d = d[d > 0]
-    if len(d) < min_samples:
+    if len(d) < _MIN_SAMPLES:
         raise ValueError(
-            f"need at least {min_samples} positive samples, got {len(d)} "
+            f"need at least {_MIN_SAMPLES} positive samples, got {len(d)} "
             f"({n_rejected} non-positive rejected)"
         )
     values, counts = np.unique(np.rint(d), return_counts=True)
@@ -359,7 +339,7 @@ def fit_lognormal_convolution(
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": max_iter},
+            options={"maxiter": _MAX_ITER},
         )
         nfev += int(res.nfev)
         if best is None or res.fun < best.fun:
@@ -383,17 +363,6 @@ def fit_lognormal_convolution(
         se_mu2=float(se_mu2), se_sigma2=float(se_s2),
         identifiable=positive_definite and all(e <= _IDENTIFIABLE_SE for e in ses),
     )
-
-
-def sample_lognormal_sum(
-    rng: np.random.Generator,
-    mu1: float,
-    sigma1: float,
-    mu2: float,
-    sigma2: float,
-    size: int,
-) -> np.ndarray:
-    return rng.lognormal(mu1, sigma1, size) + rng.lognormal(mu2, sigma2, size)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import EventKind, EventLog, SocialGraph, UnknownUserError
+from .events import EventLog, SocialGraph, UnknownUserError
 from .flows import fit_interior_breakpoint
 
 
@@ -35,16 +35,11 @@ def source_stats(
     if user not in graph:
         raise UnknownUserError(user)
     followees = graph.followees(user)
-    start, end = window
-    sources: set[str] = set()
-    out_of_feed = 0
-    for e in log.by_author(user):
-        if e.kind is not EventKind.RETWEET or e.ts < start or e.ts > end:
-            continue
-        if e.orig_author in followees:
-            sources.add(e.orig_author)
-        else:
-            out_of_feed += 1
+    rows, events = log.rows(user, window), log.events
+    cited = [events[r].orig_author for r in rows[log.forward[rows]].tolist()]
+    followed = [a for a in cited if a in followees]
+    sources = set(followed)
+    out_of_feed = len(cited) - len(followed)
     f = len(followees)
     return SourceStats(
         user=user,

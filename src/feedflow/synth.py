@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,20 +63,6 @@ class WorkloadSpec:
             raise ValueError("specify exactly one of mu or explicit rates")
 
 
-@dataclass
-class _Raw:
-    """Event under construction; final ids are assigned after the global sort."""
-
-    ts: int
-    depth: int  # originals sort before forwards at equal timestamps
-    seq: int
-    author: int
-    kind: EventKind
-    orig: Optional["_Raw"] = None
-    marks: frozenset[str] = frozenset()
-    event_id: int = -1
-
-
 def _hazard_for(plan: ContagionPlan, lam_in: float) -> float:
     if plan.overload_threshold is not None and lam_in > plan.overload_threshold:
         return plan.overload_hazard
@@ -102,34 +88,39 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     else:
         lam_out, lam_in = node_rates(view, rng, spec.mu, spec.sigma)
 
-    raw: list[_Raw] = []
-    seq = 0
+    # Events under construction, one row each in creation order. Final ids are
+    # assigned after the global sort.
+    raw_ts: list[int] = []
+    raw_depth: list[int] = []  # originals sort before forwards at equal timestamps
+    raw_author: list[int] = []
+    raw_orig: list[int] = []   # row of the forwarded event, -1 for an original
+    raw_marks: list[frozenset[str]] = []
 
-    def push(ts, depth, author, kind, orig=None, marks=frozenset()) -> _Raw:
-        nonlocal seq
-        r = _Raw(ts=ts, depth=depth, seq=seq, author=author, kind=kind,
-                 orig=orig, marks=marks)
-        seq += 1
-        raw.append(r)
-        return r
+    def push(ts, depth, author, orig=-1, marks=frozenset()) -> int:
+        raw_ts.append(ts)
+        raw_depth.append(depth)
+        raw_author.append(author)
+        raw_orig.append(orig)
+        raw_marks.append(marks)
+        return len(raw_ts) - 1
 
     # Poisson posting per node.
-    tweets_by_author: list[list[_Raw]] = [[] for _ in range(n)]
+    tweets_by_author: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         count = rng.poisson(lam_out[i] * spec.horizon_hours)
         ts = np.sort(rng.integers(0, horizon_s + 1, size=count))
         for t in ts.tolist():
-            tweets_by_author[i].append(push(t, 0, i, EventKind.TWEET))
+            tweets_by_author[i].append(push(t, 0, i))
 
     # Forwarding: each received post is forwarded with the beta-curve
     # probability after a delay from the receiver's in-flow bin.
-    frontier: list[list[_Raw]] = tweets_by_author
+    frontier: list[list[int]] = tweets_by_author
     depth = 1
     while True:
-        produced: list[list[_Raw]] = [[] for _ in range(n)]
+        produced: list[list[int]] = [[] for _ in range(n)]
         any_forward = False
         for u in range(n):
-            incoming: list[_Raw] = []
+            incoming: list[int] = []
             for v in view.followees(u).tolist():
                 incoming.extend(frontier[v])
             if not incoming:
@@ -144,10 +135,10 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
                 b.mu2, b.sigma2, len(hits)
             )
             for e, d in zip(hits, delays.tolist()):
-                rt_ts = e.ts + int(round(d))
+                rt_ts = raw_ts[e] + int(round(d))
                 if rt_ts > horizon_s:
                     continue
-                produced[u].append(push(rt_ts, depth, u, EventKind.RETWEET, orig=e))
+                produced[u].append(push(rt_ts, depth, u, orig=e))
                 any_forward = True
         if not spec.forward_retweets or not any_forward:
             break
@@ -176,7 +167,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
             if u in adopted or t > horizon_s:
                 continue
             adopted.add(u)
-            push(t, 1, u, EventKind.TWEET, marks=frozenset({plan.token}))
+            push(t, 1, u, marks=frozenset({plan.token}))
             for w in view.followers(u).tolist():
                 if w in adopted:
                     continue
@@ -195,21 +186,23 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
             }
         )
 
-    raw.sort(key=lambda r: (r.ts, r.depth, r.seq))
-    for event_id, r in enumerate(raw):
-        r.event_id = event_id
-    events = [
-        Event(
-            event_id=r.event_id,
-            ts=r.ts,
-            author=view.nodes[r.author],
-            kind=r.kind,
-            orig_event_id=r.orig.event_id if r.orig is not None else None,
-            orig_author=view.nodes[r.orig.author] if r.orig is not None else None,
-            marks=r.marks,
-        )
-        for r in raw
-    ]
+    # Event ids follow (ts, depth, row); lexsort is stable, so rows break ties.
+    order = np.lexsort((raw_depth, raw_ts))
+    event_id = np.empty(len(order), dtype=np.int64)
+    event_id[order] = np.arange(len(order))
+    event_id = event_id.tolist()
+    events = []
+    for r in order.tolist():
+        o = raw_orig[r]
+        events.append(Event(
+            event_id=event_id[r],
+            ts=raw_ts[r],
+            author=view.nodes[raw_author[r]],
+            kind=EventKind.TWEET if o < 0 else EventKind.RETWEET,
+            orig_event_id=None if o < 0 else event_id[o],
+            orig_author=None if o < 0 else view.nodes[raw_author[o]],
+            marks=raw_marks[r],
+        ))
 
     truth = {
         "seed": spec.seed,

@@ -52,16 +52,27 @@ def random_log(
     return EventLog(events)
 
 
-def naive_queue_positions(
+def naive_root(log: EventLog, event_id: int) -> int:
+    """The root of an event's forward chain, walked with log.get; the event
+    itself when the chain breaks."""
+    cur = log.get(event_id)
+    while cur is not None and cur.kind is EventKind.RETWEET:
+        cur = log.get(cur.orig_event_id)
+    return event_id if cur is None else cur.event_id
+
+
+def naive_queue_records(
     user: str,
     log: EventLog,
     graph: SocialGraph,
     window: tuple[int, int],
-) -> tuple[dict[int, int], int]:
-    """O(n^2) queue positions for a user's forwards; oracle for the fast path.
+    source: str = "immediate",
+) -> tuple[dict[int, tuple[int, int, int]], int]:
+    """O(n^2) queue records for a user's forwards; oracle for the fast path.
 
-    Returns ({retweet_id: q}, n_out_of_feed) under the immediate-source rule
-    with retweets included in the in-flow.
+    Returns ({retweet_id: (orig_id, q, delay_s)}, n_out_of_feed), with
+    retweets included in the in-flow. source="root" measures against the
+    chain root (naive_root) instead of the forwarded event.
     """
     start, end = window
     followees = graph.followees(user)
@@ -69,18 +80,80 @@ def naive_queue_positions(
         e for e in log
         if e.author in followees and start <= e.ts <= end
     ]
-    positions: dict[int, int] = {}
+    records: dict[int, tuple[int, int, int]] = {}
     out_of_feed = 0
     for r in log.by_author(user):
         if r.kind is not EventKind.RETWEET or r.ts < start or r.ts > end:
             continue
-        orig = next((e for e in feed if e.event_id == r.orig_event_id), None)
+        target = r.orig_event_id if source == "immediate" else naive_root(log, r.orig_event_id)
+        orig = next((e for e in feed if e.event_id == target), None)
         if orig is None:
             out_of_feed += 1
             continue
         q = sum(1 for e in feed if orig.key < e.key < r.key)
-        positions[r.event_id] = q
-    return positions, out_of_feed
+        records[r.event_id] = (orig.event_id, q, r.ts - orig.ts)
+    return records, out_of_feed
+
+
+def naive_queue_positions(
+    user: str,
+    log: EventLog,
+    graph: SocialGraph,
+    window: tuple[int, int],
+) -> tuple[dict[int, int], int]:
+    """({retweet_id: q}, n_out_of_feed) under the immediate-source rule."""
+    records, out_of_feed = naive_queue_records(user, log, graph, window)
+    return {rid: q for rid, (_, q, _) in records.items()}, out_of_feed
+
+
+def naive_flow_counts(
+    user: str,
+    log: EventLog,
+    graph: SocialGraph,
+    window: tuple[int, int],
+    originals_only: bool = False,
+) -> tuple[int, int]:
+    """(feed items received, distinct feed items forwarded) inside the window."""
+    start, end = window
+    followees = graph.followees(user)
+    feed = {
+        e.event_id for e in log
+        if e.author in followees and start <= e.ts <= end
+        and not (originals_only and e.kind is EventKind.RETWEET)
+    }
+    forwarded = {
+        r.orig_event_id for r in log
+        if r.author == user and r.kind is EventKind.RETWEET and start <= r.ts <= end
+        and r.orig_event_id in feed
+    }
+    return len(feed), len(forwarded)
+
+
+def naive_source_set(
+    user: str,
+    log: EventLog,
+    graph: SocialGraph,
+    window: tuple[int, int],
+) -> tuple[set[str], int]:
+    """(followees the user forwarded from, forwards of non-followees) inside the window."""
+    start, end = window
+    followees = graph.followees(user)
+    cited = [
+        r.orig_author for r in log
+        if r.author == user and r.kind is EventKind.RETWEET and start <= r.ts <= end
+    ]
+    return {a for a in cited if a in followees}, sum(a not in followees for a in cited)
+
+
+def sample_lognormal_sum(
+    rng: np.random.Generator,
+    mu1: float,
+    sigma1: float,
+    mu2: float,
+    sigma2: float,
+    size: int,
+) -> np.ndarray:
+    return rng.lognormal(mu1, sigma1, size) + rng.lognormal(mu2, sigma2, size)
 
 
 def reachable_followers(graph: SocialGraph, seeds: set[str]) -> set[str]:

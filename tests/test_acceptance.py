@@ -27,7 +27,6 @@ from feedflow.queues import (
     fit_lognormal_convolution,
     little_bounds,
     queue_positions,
-    sample_lognormal_sum,
 )
 from feedflow.simulate import (
     BetaCurve,
@@ -38,7 +37,7 @@ from feedflow.simulate import (
     simulate_ic_bg,
 )
 from feedflow.synth import ContagionPlan, WorkloadSpec, generate_workload
-from helpers import naive_queue_positions, random_graph, random_log
+from helpers import naive_queue_positions, random_graph, random_log, sample_lognormal_sum
 
 PAPER_INITIATOR = ((0.9, 0.5), (0.5, 0.3))
 NARROW_DELAYS = DelayModel(bins=(DelayBin(0.0, math.inf, 3.0, 0.5, 2.0, 0.5),))
@@ -91,10 +90,10 @@ def test_criterion_2_queue_position_oracle(capsys):
         feeds = FeedIndex(log, graph, window)
         for user in sorted(graph.nodes):
             expected, expected_oof = naive_queue_positions(user, log, graph, window)
-            records, rep = queue_positions(user, feeds)
+            records, n_out_of_feed = queue_positions(user, feeds)
             got = {r.retweet_id: r.q for r in records}
             n_records += len(expected)
-            if got != expected or rep.n_out_of_feed != expected_oof:
+            if got != expected or n_out_of_feed != expected_oof:
                 mismatches += 1
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed <= 60

@@ -520,14 +520,45 @@ def test_unknown_config_key_is_rejected(workspace, tmp_path, runner, command, te
     assert list(tmp_path.glob("o.out*")) == []
 
 
+@pytest.mark.parametrize("groups", [(1,), (0, 2)])
+def test_synth_reads_every_contagion_group(tmp_path, runner, groups):
+    base = SYNTH_CONFIG.split("contagion.0.")[0]
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(base + "".join(
+        f"contagion.{i}.token = tok{i}\ncontagion.{i}.n_seeds = 3\ncontagion.{i}.hazard = 0.3\n"
+        for i in groups))
+    out = tmp_path / "log.tsv"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--seed", "11",
+                                  "--out", str(out), "--truth-out", str(tmp_path / "t.txt")])
+    assert result.exit_code == 0, result.output
+    marks = {line.split("\t")[-1] for line in out.read_text().splitlines()
+             if line.split("\t")[-1].startswith("tok")}
+    assert marks == {f"tok{i}" for i in groups}
+    truth = (tmp_path / "t.txt").read_text()
+    for k, i in enumerate(groups):
+        assert f"contagions.{k}.token = tok{i}\n" in truth
+
+
+def test_bad_delay_bin_hi_names_the_key(workspace, tmp_path, runner):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CONFIG.replace("delay_bin.0.hi = inf", "delay_bin.0.hi = infinity?"))
+    out = tmp_path / "bad.tsv"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--seed", "1",
+                                  "--graph", str(workspace / "graph.tsv"), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "error: config key 'delay_bin.0.hi': not a number: 'infinity?'" in all_output(result)
+    assert list(tmp_path.glob("bad.tsv*")) == []
+
+
 def test_cli_import_leaves_scipy_unloaded():
     script = (
         "import json, sys\n"
         "import feedflow.cli\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import numpy as np\n"
-        "from feedflow.queues import fit_lognormal_convolution, sample_lognormal_sum\n"
-        "d = sample_lognormal_sum(np.random.default_rng(3), 4.0, 0.3, 3.0, 1.2, 2000)\n"
+        "from feedflow.queues import fit_lognormal_convolution\n"
+        "rng = np.random.default_rng(3)\n"
+        "d = rng.lognormal(4.0, 0.3, 2000) + rng.lognormal(3.0, 1.2, 2000)\n"
         "fit = fit_lognormal_convolution(d)\n"
         "print(json.dumps({'loaded': loaded, 'n': fit.n, 'nfev': fit.nfev,\n"
         "                  'mu1': fit.mu1, 'mu2': fit.mu2}))\n"

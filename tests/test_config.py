@@ -6,6 +6,7 @@ from feedflow.config import (
     ConfigError,
     beta_curve_from,
     check_known_keys,
+    contagions_from,
     delay_model_from,
     get_float,
     get_int,
@@ -102,6 +103,21 @@ def test_delay_model_from():
     assert dm.bins[1].mu1 == 4.0
     with pytest.raises(ConfigError, match="delay_bin"):
         delay_model_from({"mu": "1"})
+
+
+def test_contagions_from_reads_every_index_in_order():
+    cfg = {"contagion.2.token": "late", "contagion.2.n_seeds": "1", "contagion.2.hazard": "0.5",
+           "contagion.1.token": "early", "contagion.1.n_seeds": "2", "contagion.1.hazard": "0.1",
+           "contagion.1.overload_hazard": "0", "contagion.1.overload_threshold": "40"}
+    plans = contagions_from(cfg)
+    assert [p.token for p in plans] == ["early", "late"]
+    assert (plans[0].overload_hazard, plans[0].overload_threshold) == (0.0, 40.0)
+    assert plans[1].overload_hazard is None and plans[1].adopt_jitter_s == 600
+    assert contagions_from({"mu": "1"}) == ()
+    with pytest.raises(ConfigError, match="missing config key 'contagion.3.token'"):
+        contagions_from({"contagion.3.hazard": "0.1"})
+    with pytest.raises(ConfigError, match="'contagion.1.overload_hazard': not a number"):
+        contagions_from(dict(cfg, **{"contagion.1.overload_hazard": "high"}))
 
 
 def test_initiator_from():

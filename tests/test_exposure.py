@@ -69,14 +69,6 @@ def test_build_trace_pre_window_adopters_excluded():
     assert "w" not in trace.exposures
 
 
-def test_build_trace_adopter_filter():
-    g, log = contagion_fixture()
-    trace = build_trace("tok", log, g, (0, 1000), adopter_filter=lambda u: u != "b")
-    assert set(trace.adopted_at) == {"a", "u"}
-    assert trace.exposures["u"] == (100,)
-    assert "b" not in trace.exposures
-
-
 def test_exposure_curve_hand_counts():
     g, log = contagion_fixture()
     trace = build_trace("tok", log, g, (0, 1000))

@@ -15,9 +15,8 @@ from feedflow.queues import (
     little_bounds,
     lognormal_sum_bin_masses,
     queue_positions,
-    sample_lognormal_sum,
 )
-from helpers import naive_queue_positions, random_graph, random_log
+from helpers import naive_queue_positions, random_graph, random_log, sample_lognormal_sum
 
 
 def feed_fixture():
@@ -34,21 +33,22 @@ def feed_fixture():
 
 def test_queue_position_hand_example():
     g, events = feed_fixture()
-    records, report = queue_positions("u", FeedIndex(EventLog(events), g, (0, 1000)))
+    records, n_out_of_feed = queue_positions("u", FeedIndex(EventLog(events), g, (0, 1000)))
     (rec,) = records
     # Events 2, 3, 4 arrived between the original (1) and the forward.
     assert rec.q == 3
     assert rec.delay_s == 400
     assert rec.user == "u" and rec.orig_id == 1
-    assert report.n_out_of_feed == 0
+    assert n_out_of_feed == 0
 
 
 def test_queue_position_original_not_in_feed():
     g, events = feed_fixture()
     stranger = Event(9, 600, "u", EventKind.RETWEET, orig_event_id=42, orig_author="x")
-    records, report = queue_positions("u", FeedIndex(EventLog(events + [stranger]), g, (0, 1000)))
+    records, n_out_of_feed = queue_positions(
+        "u", FeedIndex(EventLog(events + [stranger]), g, (0, 1000)))
     assert [r.retweet_id for r in records] == [5]
-    assert report.n_out_of_feed == 1
+    assert n_out_of_feed == 1
 
 
 def test_queue_positions_batch_and_coverage():
@@ -60,10 +60,9 @@ def test_queue_positions_batch_and_coverage():
         Event(4, 300, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a"),
         Event(5, 400, "u", EventKind.RETWEET, orig_event_id=2, orig_author="x"),
     ])
-    records, report = queue_positions("u", FeedIndex(log, g, (0, 1000)))
+    records, n_out_of_feed = queue_positions("u", FeedIndex(log, g, (0, 1000)))
     assert len(records) == 1 and records[0].q == 1
-    assert report.n_records == 1 and report.n_out_of_feed == 1
-    assert report.coverage == pytest.approx(0.5)
+    assert n_out_of_feed == 1
 
 
 def test_queue_positions_root_mode_follows_chains():
@@ -95,9 +94,9 @@ def test_queue_positions_match_naive_oracle(seed):
     feeds = FeedIndex(log, graph, window)
     for user in sorted(graph.nodes):
         expected, expected_oof = naive_queue_positions(user, log, graph, window)
-        records, report = queue_positions(user, feeds)
+        records, n_out_of_feed = queue_positions(user, feeds)
         assert {r.retweet_id: r.q for r in records} == expected
-        assert report.n_out_of_feed == expected_oof
+        assert n_out_of_feed == expected_oof
 
 
 def test_delay_histogram_summary():
