@@ -106,7 +106,7 @@ def _group_indices(cfg: dict[str, str], group: str) -> list[int]:
 
 
 def delay_model_from(cfg: dict[str, str]) -> DelayModel:
-    """Collect delay_bin.<i>.{lo,hi,mu1,sigma1,mu2,sigma2}; hi may be 'inf'."""
+    """Collect delay_bin.<i>.{lo,hi,mu1,sigma1,mu2,sigma2}; hi defaults to inf."""
     indices = _group_indices(cfg, "delay_bin")
     if not indices:
         raise ConfigError("no delay_bin.<i>.* keys in config")

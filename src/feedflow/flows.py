@@ -118,7 +118,7 @@ def log_binned_curve(
 ) -> list[BinStat]:
     """Bin (x, y) pairs into logarithmic x-bins and summarize y per bin.
 
-    Pairs with x <= 0 are dropped, and so are empty bins. Bin edges are aligned to powers of ten so
+    Pairs with x <= 0 are dropped. Bin edges are aligned to powers of ten so
     the binning does not depend on the sample order or range jitter.
     """
     x = np.asarray(x, dtype=float)

@@ -192,3 +192,25 @@ def test_event_log_span_and_indices():
     assert [e.event_id for e in log.by_author("a")] == [1]
     assert log.get(99) is None
     assert EventLog([]).span() == (0, 0)
+    with pytest.raises(LogFormatError, match="duplicate event_id 1"):
+        EventLog([Event(1, 100, "a", EventKind.TWEET), Event(1, 200, "b", EventKind.TWEET)])
+
+
+def test_event_log_row_columns():
+    log = EventLog([
+        Event(4, 300, "b", EventKind.RETWEET, orig_event_id=2, orig_author="a"),
+        Event(2, 100, "a", EventKind.TWEET),
+        Event(3, 100, "b", EventKind.RETWEET, orig_event_id=2, orig_author="a"),
+        Event(5, 300, "a", EventKind.RETWEET, orig_event_id=4, orig_author="b"),
+        Event(6, 50, "a", EventKind.RETWEET, orig_event_id=3, orig_author="b"),  # sorts first
+        Event(7, 400, "b", EventKind.RETWEET, orig_event_id=99, orig_author="x"),
+    ])
+    assert log.ids.tolist() == [6, 2, 3, 4, 5, 7]
+    assert log.ts.tolist() == [50, 100, 100, 300, 300, 400]
+    assert log.forward.tolist() == [True, False, True, True, True, True]
+    # -1 for the tweet, for an original that sorts after its forward, and for an absent one.
+    assert log.orig_row.tolist() == [-1, -1, 1, 1, 3, -1]
+    assert log.rows_of([5, 99, 6]).tolist() == [4, -1, 0]
+    assert log.rows("a", (0, 1000)).tolist() == [0, 1, 4]
+    assert log.rows("b", (100, 300)).tolist() == [2, 3]
+    assert log.rows("nobody", (0, 1000)).tolist() == []

@@ -51,6 +51,18 @@ def test_queue_position_original_not_in_feed():
     assert n_out_of_feed == 1
 
 
+def test_original_sorting_after_its_forward_is_out_of_feed():
+    # Only a hand-built log can hold this: parsing rejects such a forward.
+    g = SocialGraph([("u", "a")])
+    log = EventLog([
+        Event(1, 100, "a", EventKind.TWEET),
+        Event(2, 150, "u", EventKind.RETWEET, orig_event_id=3, orig_author="a"),
+        Event(3, 200, "a", EventKind.TWEET),
+    ])
+    records, n_out_of_feed = queue_positions("u", FeedIndex(log, g, (0, 1000)))
+    assert records == [] and n_out_of_feed == 1
+
+
 def test_queue_positions_batch_and_coverage():
     g = SocialGraph([("u", "a")], nodes=["x"])
     log = EventLog([
