@@ -57,12 +57,14 @@ def command_errors(fn):
     return wrapper
 
 
-def _load_log(path: str) -> EventLog:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_inputs(log_path: str, graph_path: str,
+                 window: Optional[str]) -> tuple[EventLog, SocialGraph, tuple[int, int]]:
+    """The log (its rejects warned on stderr), the graph and the window."""
+    with open(log_path, "r", encoding="utf-8") as fh:
         log, report = parse_event_log(fh)
     for rej in report.rejects:
         click.echo(f"warning: line {rej.line_no} rejected: {rej.reason}", err=True)
-    return log
+    return log, _load_graph(graph_path), _parse_window(window, log)
 
 
 def _load_graph(path: str) -> SocialGraph:
@@ -181,9 +183,7 @@ def validate(log_path, graph_path):
 def flows(log_path, graph_path, window, out_path, curve_path, min_received,
           bins_per_decade, originals_only):
     """Per-user rate statistics and the population retweet-probability curve."""
-    log = _load_log(log_path)
-    graph = _load_graph(graph_path)
-    win = _parse_window(window, log)
+    log, graph, win = _load_inputs(log_path, graph_path, window)
     hours = (win[1] - win[0]) / 3600.0
     feeds = FeedIndex(log, graph, win, include_retweets=not originals_only)
     stats = [compute_flow_stats(u, feeds) for u in sorted(graph.nodes)]
@@ -220,9 +220,7 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
 @command_errors
 def queues(log_path, graph_path, window, out_path, source, fit_path):
     """Queue positions and delays for every forward in the window."""
-    log = _load_log(log_path)
-    graph = _load_graph(graph_path)
-    win = _parse_window(window, log)
+    log, graph, win = _load_inputs(log_path, graph_path, window)
     feeds = FeedIndex(log, graph, win)
     all_records = []
     n_out_of_feed = 0
@@ -257,9 +255,7 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
 @command_errors
 def sources(log_path, graph_path, window, out_path):
     """Retweet source-set statistics per user."""
-    log = _load_log(log_path)
-    graph = _load_graph(graph_path)
-    win = _parse_window(window, log)
+    log, graph, win = _load_inputs(log_path, graph_path, window)
     with _Outputs() as out:
         stats = (source_stats(u, log, graph, win) for u in sorted(graph.nodes))
         out.write_csv(out_path, "user,F,S_r,p_src,out_of_feed", (
@@ -282,9 +278,7 @@ def sources(log_path, graph_path, window, out_path):
 @command_errors
 def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
     """Ordinal-time exposure curves per in-flow group, aggregated across tokens."""
-    log = _load_log(log_path)
-    graph = _load_graph(graph_path)
-    win = _parse_window(window, log)
+    log, graph, win = _load_inputs(log_path, graph_path, window)
     try:
         bounds = [
             (float(lo), float(hi))

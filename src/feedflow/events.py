@@ -8,8 +8,11 @@ same deterministic timeline.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import operator
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
@@ -53,18 +56,20 @@ class Event:
         return (self.ts, self.event_id)
 
     def to_tsv(self) -> str:
-        fields = [str(self.ts), self.author, self.kind.value, str(self.event_id)]
-        if self.kind is EventKind.RETWEET:
-            fields += [str(self.orig_event_id), self.orig_author]
-        if self.marks:
-            fields.append(",".join(sorted(self.marks)))
-        return "\t".join(fields)
+        orig_author = self.orig_author if self.kind is EventKind.RETWEET else None
+        return _tsv_line(self.event_id, self.ts, self.author, self.orig_event_id, orig_author,
+                         sorted(self.marks))
+
+
+def _tsv_line(event_id, ts, author, orig_id, orig_author, marks) -> str:
+    """A log line; orig_author None for an original, marks sorted."""
+    ids = f"T\t{event_id}" if orig_author is None else f"R\t{event_id}\t{orig_id}\t{orig_author}"
+    return f"{ts}\t{author}\t{ids}" + ("\t" + ",".join(marks) if marks else "")
 
 
 @dataclass(frozen=True)
 class LineReject:
     line_no: int
-    line: str
     reason: str
 
 
@@ -140,63 +145,82 @@ class SocialGraph:
 class EventLog:
     """Immutable event collection in the global (ts, event_id) order: the log's row index.
 
-    A row is an event's position in that order, so rows compare as the
-    (ts, event_id) keys do. Every analysis reads the log through rows: the
-    columns ts, ids, forward and orig_row, each author's rows, and rows_of.
-    Only the id column is built with the log; the others are built on first
-    use, so a command that never reads them does not pay for them.
+    A row is an event's position in that order. The log is columns over rows:
+    ts, ids, author and orig_author (codes into names, -1 for an original),
+    forward, orig_ids (0 for an original), orig_row and each token's rows.
+    Event objects exist only in the views kept for tests and the naive
+    oracles: EventLog(events), events, iteration, get and by_author.
     """
 
-    def __init__(self, events: Iterable[Event]):
-        self._events = sorted(events, key=operator.attrgetter("ts", "event_id"))
-        self.ids = np.fromiter((e.event_id for e in self._events), np.int64, len(self._events))
-        self._id_order = np.argsort(self.ids, kind="stable")
-        sorted_ids = self.ids[self._id_order]
-        dup = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    def __init__(self, events: Iterable[Event] = ()):
+        events = sorted(events, key=operator.attrgetter("ts", "event_id"))
+        names: dict[str, int] = collections.defaultdict(lambda: len(names))
+        self._fill(
+            np.array([e.ts for e in events], np.int64),
+            np.array([e.event_id for e in events], np.int64),
+            np.array([names[e.author] for e in events], np.int32),
+            np.array([-1 if e.kind is EventKind.TWEET else names[e.orig_author] for e in events],
+                     np.int32),
+            np.array([e.orig_event_id or 0 for e in events], np.int64),
+            list(names),
+            _token_rows((row, e.marks) for row, e in enumerate(events)),
+        )
+
+    @classmethod
+    def from_columns(cls, ts, ids, author, orig_author, orig_ids, names, marks) -> "EventLog":
+        """The log of columns whose rows are in (ts, event_id) order; marks maps
+        each token to its ascending rows."""
+        log = cls.__new__(cls)
+        log._fill(ts, ids, author, orig_author, orig_ids, names, marks)
+        return log
+
+    def _fill(self, ts, ids, author, orig_author, orig_ids, names, marks) -> None:
+        self.ts, self.ids, self.author, self.orig_author = ts, ids, author, orig_author
+        self.forward = orig_author >= 0
+        self.orig_ids, self.names, self._marks = orig_ids, names, marks
+        self._code = {name: code for code, name in enumerate(names)}
+        self._id_order = np.argsort(ids, kind="stable")
+        self._sorted_ids = ids[self._id_order]
+        dup = self._sorted_ids[1:][self._sorted_ids[1:] == self._sorted_ids[:-1]]
         if dup.size:
             raise LogFormatError(f"duplicate event_id {dup[0]}")
-        self._sorted_ids = sorted_ids
+        # -1 also for a forward whose original is absent or does not sort before it.
+        orig = self.rows_of(orig_ids)
+        self.orig_row = np.where(self.forward & (orig < np.arange(len(ids))), orig, -1)
+        self._by_author = np.argsort(author, kind="stable")
+        self._author_start = np.searchsorted(author[self._by_author], np.arange(len(names) + 1))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.ts)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return iter(self.events)
 
-    @property
+    def _records(self) -> Iterator[tuple]:
+        """Each row's event_id, ts, author, orig_event_id, orig_author (None
+        for an original) and sorted marks."""
+        marks: list[list[str]] = [[] for _ in range(len(self))]
+        for token in sorted(self._marks):
+            for r in self._marks[token].tolist():
+                marks[r].append(token)
+        names = [*self.names, None]  # code -1 reads None
+        return zip(self.ids.tolist(), self.ts.tolist(), map(names.__getitem__, self.author.tolist()),
+                   np.where(self.forward, self.orig_ids, -1).tolist(),
+                   map(names.__getitem__, self.orig_author.tolist()), marks)
+
+    @functools.cached_property
     def events(self) -> list[Event]:
-        return self._events
-
-    @functools.cached_property
-    def ts(self) -> np.ndarray:
-        return np.fromiter((e.ts for e in self._events), np.int64, len(self._events))
-
-    @functools.cached_property
-    def forward(self) -> np.ndarray:
-        """True at the rows of forwards."""
-        retweet = EventKind.RETWEET
-        return np.fromiter((e.kind is retweet for e in self._events), bool, len(self._events))
-
-    @functools.cached_property
-    def orig_row(self) -> np.ndarray:
-        """Each forward's original row; -1 for an original, and for a forward
-        whose original is absent or does not sort before it."""
-        orig = self.rows_of(np.fromiter(
-            (0 if e.orig_event_id is None else e.orig_event_id for e in self._events),
-            np.int64, len(self._events)))
-        return np.where(self.forward & (orig < np.arange(len(orig))), orig, -1)
-
-    @functools.cached_property
-    def _author_rows(self) -> dict[str, np.ndarray]:
-        codes: dict[str, int] = {}
-        code = np.fromiter((codes.setdefault(e.author, len(codes)) for e in self._events),
-                           np.int64, len(self._events))
-        rows = np.argsort(code, kind="stable")
-        return dict(zip(codes, np.split(rows, np.cumsum(np.bincount(code))[:-1])))
+        """Every row as an Event, built on first use."""
+        return [Event(i, t, a, EventKind.TWEET if o is None else EventKind.RETWEET,
+                      None if o is None else oid, o, frozenset(m))
+                for i, t, a, oid, o, m in self._records()]
 
     def rows(self, author: str, window: tuple[int, int]) -> np.ndarray:
         """The author's rows with ts inside the closed window, ascending."""
-        rows = self._author_rows.get(author, _NO_ROWS)
+        code = self._code.get(author)
+        if code is None:
+            return _NO_ROWS
+        rows = self._by_author[self._author_start[code]:self._author_start[code + 1]]
         ts = self.ts[rows]
         return rows[np.searchsorted(ts, window[0]):np.searchsorted(ts, window[1], "right")]
 
@@ -207,122 +231,178 @@ class EventLog:
         found = at < np.searchsorted(self._sorted_ids, ids, "right")
         return np.where(found, self._id_order[np.where(found, at, 0)], -1)
 
+    def token_rows(self, token: str) -> np.ndarray:
+        """Rows of the events marked with the token, ascending."""
+        return self._marks.get(token, _NO_ROWS)
+
     def get(self, event_id: int) -> Optional[Event]:
         row = int(self.rows_of([event_id])[0])
-        return self._events[row] if row >= 0 else None
+        return self.events[row] if row >= 0 else None
 
     def by_author(self, author: str) -> list[Event]:
-        return [self._events[r] for r in self._author_rows.get(author, _NO_ROWS).tolist()]
+        return [self.events[r] for r in self.rows(author, (_I64_MIN, _I64_MAX)).tolist()]
 
     def span(self) -> tuple[int, int]:
-        if not self._events:
-            return (0, 0)
-        return (self._events[0].ts, self._events[-1].ts)
+        return (int(self.ts[0]), int(self.ts[-1])) if len(self) else (0, 0)
 
     def to_tsv(self) -> str:
-        return "".join(e.to_tsv() + "\n" for e in self._events)
+        return "".join(_tsv_line(*record) + "\n" for record in self._records())
 
 
-def _parse_line(line_no: int, line: str) -> Event:
+def _token_rows(marked: Iterable[tuple[int, set[str]]]) -> dict[str, np.ndarray]:
+    """Each token's ascending rows, from (row, tokens) pairs with distinct rows."""
+    rows: dict[str, list[int]] = {}
+    for row, tokens in marked:
+        for token in tokens:
+            rows.setdefault(token, []).append(row)
+    # np.sort, not np.unique: the first np.unique call imports numpy.ma (10-30 ms).
+    return {token: np.sort(np.array(r, np.int64)) for token, r in rows.items()}
+
+
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+_CHUNK = 1 << 10  # lines matched at once; bounds the parse's transient memory
+# A well-formed line whose integers are plain decimals of at most 18 digits,
+# so inside int64. Groups: ts, author, "R" for a forward, event_id,
+# orig_event_id, orig_author, marks. Any other line goes through _parse_line.
+# Compiled on first parse (re caches it), not at import.
+_LINE = (r"(-?\d{1,18})\t([^\t\n]+)\t(?:T|(R))\t(-?\d{1,18})"
+         r"(?(3)\t(-?\d{1,18})\t([^\t\n]+))(?:\t([^\t\n,]+(?:,[^\t\n,]+)*))?\n?")
+
+
+def _int64(text: str, field_name: str) -> str:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"bad {field_name} {text!r}")
+    if not _I64_MIN <= value <= _I64_MAX:
+        raise ValueError(f"{field_name} {text!r} is outside signed 64-bit")
+    return text
+
+
+def _parse_line(line: str) -> tuple:
+    """The line's fields as _LINE groups them, or ValueError naming the first
+    rule the line breaks."""
     parts = line.split("\t")
     if len(parts) < 4:
         raise ValueError("expected at least 4 tab-separated fields")
-    try:
-        ts = int(parts[0])
-    except ValueError:
-        raise ValueError(f"bad timestamp {parts[0]!r}")
-    author = parts[1]
+    ts, author, kind, event_id = _int64(parts[0], "timestamp"), *parts[1:4]
     if not author:
         raise ValueError("empty author")
-    kind_token = parts[2]
-    if kind_token == "T":
-        base = 4
-        kind = EventKind.TWEET
-        orig_id = orig_author = None
-    elif kind_token == "R":
-        base = 6
-        kind = EventKind.RETWEET
+    if kind not in ("T", "R"):
+        raise ValueError(f"bad kind {kind!r}, expected T or R")
+    base, orig_id, orig_author = 4, None, None
+    if kind == "R":
         if len(parts) < 6:
             raise ValueError("retweet line needs orig_event_id and orig_author")
-        try:
-            orig_id = int(parts[4])
-        except ValueError:
-            raise ValueError(f"bad orig_event_id {parts[4]!r}")
-        orig_author = parts[5]
+        base, orig_id, orig_author = 6, _int64(parts[4], "orig_event_id"), parts[5]
         if not orig_author:
             raise ValueError("empty orig_author")
-    else:
-        raise ValueError(f"bad kind {kind_token!r}, expected T or R")
-    try:
-        event_id = int(parts[3])
-    except ValueError:
-        raise ValueError(f"bad event_id {parts[3]!r}")
+    _int64(event_id, "event_id")
     if len(parts) > base + 1:
         raise ValueError(f"too many fields ({len(parts)})")
-    marks: frozenset[str] = frozenset()
-    if len(parts) == base + 1:
-        if not parts[base]:
-            raise ValueError("empty marks field (omit the field instead)")
-        tokens = parts[base].split(",")
-        if any(not t for t in tokens):
-            raise ValueError("empty mark token")
-        marks = frozenset(tokens)
-    return Event(event_id, ts, author, kind, orig_id, orig_author, marks)
+    marks = parts[base] if len(parts) == base + 1 else None
+    if marks == "":
+        raise ValueError("empty marks field (omit the field instead)")
+    if marks and not all(marks.split(",")):
+        raise ValueError("empty mark token")
+    return ts, author, kind == "R" or None, event_id, orig_id, orig_author, marks
 
 
 def parse_event_log(lines: Iterable[str]) -> tuple[EventLog, ParseReport]:
     """Parse event TSV lines into a validated, sorted EventLog.
 
-    Malformed lines and retweets with bad references are rejected individually
-    and collected in the report; a duplicate event_id anywhere rejects the
-    whole log with LogFormatError.
+    Malformed lines and retweets with bad references are rejected one by one
+    into the report: per-line rejects in line order, then reference rejects in
+    (ts, event_id) order. A duplicate event_id rejects the whole log.
     """
     report = ParseReport()
-    candidates: dict[int, tuple[int, str, Event]] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
+    names: dict[str, int] = collections.defaultdict(lambda: len(names))  # name -> code
+    # Per chunk: line_no, ts, ids, orig_ids, author and orig_author.
+    blocks = [[np.empty(0, np.int64)] * 4 + [np.empty(0, np.int32)] * 2]
+    marks: list[tuple[int, str]] = []  # (index into the joined blocks, marks field)
+    n = 0
+    lines = iter(lines)
+    first = 1  # the chunk's first line number
+    well_formed = re.compile(_LINE).fullmatch
+    while chunk := list(itertools.islice(lines, _CHUNK)):
+        matches = list(map(well_formed, chunk))
+        rows = [m.groups() for m in matches if m]
+        matched = np.fromiter(map(bool, matches), bool, len(chunk))
+        line_no = [np.flatnonzero(matched) + first]
+        for i in np.flatnonzero(~matched).tolist():
+            if line := chunk[i].rstrip("\n"):
+                try:
+                    rows.append(_parse_line(line))
+                    line_no.append([first + i])
+                except ValueError as exc:
+                    report.rejects.append(LineReject(first + i, str(exc)))
+        first += len(chunk)
+        if not rows:
             continue
-        try:
-            ev = _parse_line(line_no, line)
-        except ValueError as exc:
-            report.rejects.append(LineReject(line_no, line, str(exc)))
-            continue
-        if ev.event_id in candidates:
-            raise LogFormatError(
-                f"duplicate event_id {ev.event_id} at lines "
-                f"{candidates[ev.event_id][0]} and {line_no}"
-            )
-        candidates[ev.event_id] = (line_no, line, ev)
+        ts, author, kind, ids, orig, orig_author, mark = zip(*rows)
+        forward = np.fromiter(map(bool, kind), bool, len(rows))
+        orig_ids = np.zeros(len(rows), np.int64)
+        orig_ids[forward] = list(map(int, filter(None, orig)))
+        orig_code = np.full(len(rows), -1, np.int32)
+        orig_code[forward] = list(map(names.__getitem__, filter(None, orig_author)))
+        blocks.append((np.concatenate(line_no), np.fromiter(map(int, ts), np.int64, len(rows)),
+                       np.fromiter(map(int, ids), np.int64, len(rows)), orig_ids,
+                       np.fromiter(map(names.__getitem__, author), np.int32, len(rows)), orig_code))
+        marks += [(n + k, m) for k, m in enumerate(mark) if m]
+        n += len(rows)
+    return EventLog.from_columns(*_check_references(blocks, list(names), marks, report)), report
 
-    # Retweet references are validated in global order so that a retweet of a
-    # rejected line is itself rejected.
-    accepted: dict[int, Event] = {}
-    kept: list[Event] = []
-    for line_no, line, ev in sorted(candidates.values(), key=lambda t: t[2].key):
-        if ev.kind is EventKind.RETWEET:
-            orig = accepted.get(ev.orig_event_id)
-            if orig is None:
-                # An original that sorts earlier was already accepted or rejected.
-                parsed = candidates.get(ev.orig_event_id)
-                if parsed is not None and parsed[2].key >= ev.key:
-                    reason = (f"retweet {ev.event_id} precedes its original "
-                              f"{ev.orig_event_id} in time order")
-                else:
-                    reason = (f"retweet {ev.event_id} references unknown or rejected "
-                              f"event {ev.orig_event_id}")
-                report.rejects.append(LineReject(line_no, line, reason))
-                continue
-            if orig.author != ev.orig_author:
-                report.rejects.append(
-                    LineReject(line_no, line, f"retweet {ev.event_id} names author "
-                                              f"{ev.orig_author!r} but event "
-                                              f"{orig.event_id} was posted by {orig.author!r}")
-                )
-                continue
-        accepted[ev.event_id] = ev
-        kept.append(ev)
-    return EventLog(kept), report
+
+def _originals(ids, line_no, orig_ids) -> np.ndarray:
+    """The index of the parsed line holding each orig_id, -1 for none;
+    LogFormatError naming both lines of a repeated id."""
+    by_id = np.lexsort((line_no, ids))
+    sorted_ids = ids[by_id]
+    dup = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+    if dup.size:
+        # The repeat met first in line order, and the line of the id's first use.
+        j = dup[np.argmin(line_no[by_id[dup + 1]])]
+        raise LogFormatError(f"duplicate event_id {sorted_ids[j]} at lines "
+                             f"{line_no[by_id[j]]} and {line_no[by_id[j + 1]]}")
+    at = np.searchsorted(sorted_ids, orig_ids).clip(0, max(len(ids) - 1, 0))
+    return np.where(sorted_ids[at] == orig_ids, by_id[at], -1)
+
+
+def _check_references(blocks, names, marks, report: ParseReport) -> tuple:
+    """The EventLog columns of the parsed lines whose forward references
+    hold; each other forward goes to the report, in (ts, event_id) order."""
+    line_no, ts, ids, orig_ids, author, orig_author = map(np.concatenate, zip(*blocks))
+    blocks.clear()  # the chunks' arrays are joined: free them
+    forward = orig_author >= 0
+    orig = _originals(ids, line_no, orig_ids)
+    found = forward & (orig >= 0)
+    before = found & ((ts[orig] < ts) | (ts[orig] == ts) & (ids[orig] < ids))
+    # A forward of a rejected forward is rejected too: pointer jumping over
+    # the originals ORs each chain's own rejects, doubling its reach a pass.
+    rejected = (forward & ~before) | (before & (author[orig] != orig_author))
+    jump = np.where(before, orig, np.arange(len(ids)))
+    while True:
+        rejected |= rejected[jump]
+        if np.array_equal(jump[jump], jump):
+            break
+        jump = jump[jump]
+    order = np.lexsort((ids, ts))
+    for i in order[rejected[order]].tolist():
+        rid, oid = ids[i], orig_ids[i]
+        if not found[i] or rejected[orig[i]] and before[i]:
+            reason = f"retweet {rid} references unknown or rejected event {oid}"
+        elif not before[i]:
+            reason = f"retweet {rid} precedes its original {oid} in time order"
+        else:
+            reason = (f"retweet {rid} names author {names[orig_author[i]]!r} but event "
+                      f"{oid} was posted by {names[author[orig[i]]]!r}")
+        report.rejects.append(LineReject(int(line_no[i]), reason))
+
+    kept = order[~rejected[order]]
+    row = np.empty(len(ids), np.int64)
+    row[kept] = np.arange(len(kept))
+    return (ts[kept], ids[kept], author[kept], orig_author[kept], orig_ids[kept], names,
+            _token_rows((row[i], set(field.split(","))) for i, field in marks if not rejected[i]))
 
 
 class FeedIndex:

@@ -47,12 +47,13 @@ def build_trace(
     requires an in-window first adoption in the follower's feed).
     """
     start, end = window
-    first_use: dict[str, int] = {}
-    for e in log:
-        if token in e.marks and e.author not in first_use:
-            first_use[e.author] = e.ts
-    if not first_use:
+    rows = log.token_rows(token)
+    if not rows.size:
         raise TokenNotFoundError(token)
+    # Each author's first use is the first of its rows among the token's.
+    first = rows[np.sort(np.unique(log.author[rows], return_index=True)[1])]
+    first_use = dict(zip([log.names[c] for c in log.author[first].tolist()],
+                         log.ts[first].tolist()))
 
     pre = {u for u, t in first_use.items() if t < start}
     adopted_at = {u: t for u, t in first_use.items() if start <= t <= end}

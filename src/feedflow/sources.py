@@ -35,8 +35,8 @@ def source_stats(
     if user not in graph:
         raise UnknownUserError(user)
     followees = graph.followees(user)
-    rows, events = log.rows(user, window), log.events
-    cited = [events[r].orig_author for r in rows[log.forward[rows]].tolist()]
+    rows = log.rows(user, window)
+    cited = [log.names[c] for c in log.orig_author[rows[log.forward[rows]]].tolist()]
     followed = [a for a in cited if a in followees]
     sources = set(followed)
     out_of_feed = len(cited) - len(followed)

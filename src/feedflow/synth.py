@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .events import Event, EventKind, EventLog, SocialGraph
+from .events import EventLog, SocialGraph
 from .simulate import BetaCurve, DelayModel, FollowView, beta_of_inflow, node_rates
 
 SECONDS_PER_HOUR = 3600
@@ -94,14 +94,13 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     raw_depth: list[int] = []  # originals sort before forwards at equal timestamps
     raw_author: list[int] = []
     raw_orig: list[int] = []   # row of the forwarded event, -1 for an original
-    raw_marks: list[frozenset[str]] = []
+    token_rows: dict[str, list[int]] = {}
 
-    def push(ts, depth, author, orig=-1, marks=frozenset()) -> int:
+    def push(ts, depth, author, orig=-1) -> int:
         raw_ts.append(ts)
         raw_depth.append(depth)
         raw_author.append(author)
         raw_orig.append(orig)
-        raw_marks.append(marks)
         return len(raw_ts) - 1
 
     # Poisson posting per node.
@@ -167,7 +166,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
             if u in adopted or t > horizon_s:
                 continue
             adopted.add(u)
-            push(t, 1, u, marks=frozenset({plan.token}))
+            token_rows.setdefault(plan.token, []).append(push(t, 1, u))
             for w in view.followers(u).tolist():
                 if w in adopted:
                     continue
@@ -187,47 +186,30 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
         )
 
     # Event ids follow (ts, depth, row); lexsort is stable, so rows break ties.
+    # An event's id is its row in the log.
     order = np.lexsort((raw_depth, raw_ts))
-    event_id = np.empty(len(order), dtype=np.int64)
+    event_id = np.empty_like(order)
     event_id[order] = np.arange(len(order))
-    event_id = event_id.tolist()
-    events = []
-    for r in order.tolist():
-        o = raw_orig[r]
-        events.append(Event(
-            event_id=event_id[r],
-            ts=raw_ts[r],
-            author=view.nodes[raw_author[r]],
-            kind=EventKind.TWEET if o < 0 else EventKind.RETWEET,
-            orig_event_id=None if o < 0 else event_id[o],
-            orig_author=None if o < 0 else view.nodes[raw_author[o]],
-            marks=raw_marks[r],
-        ))
+    author, orig = np.array(raw_author, dtype=np.int32), np.array(raw_orig, dtype=np.int64)[order]
+    forward, orig = orig >= 0, np.maximum(orig, 0)
+    log = EventLog.from_columns(
+        np.array(raw_ts, dtype=np.int64)[order], np.arange(len(order), dtype=np.int64),
+        author[order], np.where(forward, author[orig], -1), np.where(forward, event_id[orig], 0),
+        list(view.nodes), {token: np.sort(event_id[rows]) for token, rows in token_rows.items()})
 
     truth = {
         "seed": spec.seed,
         "horizon_hours": spec.horizon_hours,
         "n_nodes": n,
         "n_edges": spec.graph.n_edges(),
-        "n_events": len(events),
-        "beta_curve": {
-            "lambda_c": spec.beta_curve.lambda_c,
-            "beta0": spec.beta_curve.beta0,
-            "gamma": spec.beta_curve.gamma,
-        },
-        "delay_bins": [
-            {
-                "lo": b.lo, "hi": b.hi,
-                "mu1": b.mu1, "sigma1": b.sigma1,
-                "mu2": b.mu2, "sigma2": b.sigma2,
-            }
-            for b in spec.delay_model.bins
-        ],
+        "n_events": len(log),
+        "beta_curve": asdict(spec.beta_curve),
+        "delay_bins": [asdict(b) for b in spec.delay_model.bins],
         "contagions": truth_contagions,
         "lam_out": {u: float(lam_out[i]) for i, u in enumerate(view.nodes)},
         "lam_in": {u: float(lam_in[i]) for i, u in enumerate(view.nodes)},
     }
-    return EventLog(events), truth
+    return log, truth
 
 
 def ground_truth_text(truth: dict) -> str:

@@ -145,6 +145,70 @@ def naive_source_set(
     return {a for a in cited if a in followees}, sum(a not in followees for a in cited)
 
 
+def _naive_int64(text: str) -> bool:
+    try:
+        return -(2 ** 63) <= int(text) < 2 ** 63
+    except ValueError:
+        return False
+
+
+def naive_line_fields(line: str):
+    """(ts, author, event_id, orig_event_id, orig_author) of a well-formed log
+    line, read by the rules of docs/formats.md; None for any other line."""
+    f = line.split("\t")
+    n = {"T": 4, "R": 6}.get(f[2] if len(f) > 2 else "")
+    if n is None or len(f) not in (n, n + 1) or not f[1]:
+        return None
+    if not all(_naive_int64(f[i]) for i in ((0, 3) if n == 4 else (0, 3, 4))):
+        return None
+    if n == 6 and not f[5]:
+        return None
+    if len(f) == n + 1 and not all(f[n].split(",")):
+        return None
+    if n == 4:
+        return int(f[0]), f[1], int(f[3]), None, None
+    return int(f[0]), f[1], int(f[3]), int(f[4]), f[5]
+
+
+def naive_validate(lines: list[str]) -> tuple[list[int], list[int]]:
+    """(accepted event ids, rejected line numbers in report order) for a log
+    without duplicate ids: malformed lines in line order, then forwards with a
+    bad reference in (ts, event_id) order."""
+    candidates = []
+    malformed = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        fields = naive_line_fields(line)
+        if fields is None:
+            malformed.append(line_no)
+        else:
+            candidates.append((fields, line_no))
+    accepted: dict[int, str] = {}  # id -> author, of events accepted so far in time order
+    bad_reference = []
+    for (ts, author, event_id, orig_id, orig_author), line_no in sorted(
+            candidates, key=lambda c: (c[0][0], c[0][2])):
+        if orig_id is not None and accepted.get(orig_id) != orig_author:
+            bad_reference.append(line_no)
+        else:
+            accepted[event_id] = author
+    return list(accepted), malformed + bad_reference
+
+
+def naive_duplicate(lines: list[str]):
+    """(event_id, first line, repeating line) of the first id that a
+    well-formed line repeats, in line order; None if no id repeats."""
+    seen: dict[int, int] = {}
+    for line_no, line in enumerate(lines, start=1):
+        fields = naive_line_fields(line) if line else None
+        if fields is None:
+            continue
+        if fields[2] in seen:
+            return fields[2], seen[fields[2]], line_no
+        seen[fields[2]] = line_no
+    return None
+
+
 def sample_lognormal_sum(
     rng: np.random.Generator,
     mu1: float,

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from feedflow.cli import main
-from feedflow.events import SocialGraph
+from feedflow.events import Event, EventKind, SocialGraph
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel
 from feedflow.synth import WorkloadSpec, generate_workload
 
@@ -269,6 +269,52 @@ def test_validate_duplicate_id_names_both_lines(tmp_path, runner):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert "error: duplicate event_id 1 at lines 1 and 4\n" in all_output(result)
+
+
+def test_out_of_range_integer_is_rejected_not_a_crash(tmp_path, runner):
+    (tmp_path / "log.tsv").write_text(
+        "100\ta\tT\t1\n99999999999999999999\ta\tT\t2\n200\tb\tR\t3\t1\ta\n")
+    (tmp_path / "graph.tsv").write_text("b\ta\n")
+    result = runner.invoke(main, ["validate", "--log", str(tmp_path / "log.tsv")])
+    assert result.exit_code == 0
+    assert result.stdout == ("2 events\n1 lines rejected:\n  line 2: timestamp "
+                             "'99999999999999999999' is outside signed 64-bit\n")
+    for command in ("flows", "queues", "sources"):
+        result = runner.invoke(main, [
+            command, "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+            "--out", str(tmp_path / f"{command}.csv"),
+        ])
+        assert result.exit_code == 0, (command, result.output)
+
+
+def test_cli_builds_no_event_objects(workspace, tmp_path, runner, monkeypatch):
+    """Every command reads the log's columns; none builds an Event per line."""
+    def no_events(self, *args, **kwargs):
+        raise AssertionError("an Event object was built")
+
+    monkeypatch.setattr(Event, "__init__", no_events)
+    with pytest.raises(AssertionError):
+        Event(1, 100, "a", EventKind.TWEET)
+    (tmp_path / "rejects.tsv").write_text(VALIDATE_LOG)
+    (tmp_path / "synth.cfg").write_text(SYNTH_CONFIG)
+    log = ["--log", str(workspace / "log.tsv"), "--graph", str(workspace / "graph.tsv")]
+    commands = [
+        ["validate", "--log", str(tmp_path / "rejects.tsv")],
+        ["validate", *log],
+        ["flows", *log, "--out", str(tmp_path / "flows.csv"),
+         "--curve-out", str(tmp_path / "curve.csv"), "--min-received", "5"],
+        ["flows", *log, "--out", str(tmp_path / "flows_oo.csv"), "--originals-only"],
+        ["queues", *log, "--out", str(tmp_path / "queues.csv")],
+        ["queues", *log, "--out", str(tmp_path / "root.csv"), "--source", "root"],
+        ["sources", *log, "--out", str(tmp_path / "sources.csv")],
+        ["exposure", *log, "--token", "tok", "--ranges", "0.001:10000",
+         "--out", str(tmp_path / "exposure.csv")],
+        ["synth", "--config", str(tmp_path / "synth.cfg"), "--seed", "11",
+         "--out", str(tmp_path / "log.tsv")],
+    ]
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args[0], result.output, result.exception)
 
 
 def test_flows_and_curve(workspace, runner):

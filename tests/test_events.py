@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,12 +48,30 @@ def test_parse_valid_lines():
     ("100\talice\tT\t1\tmark\textra", "too many fields"),
     ("100\talice\tT\t1\t", "empty marks"),
     ("100\talice\tT\t1\ta,,b", "empty mark token"),
+    ("99999999999999999999\talice\tT\t1",
+     "timestamp '99999999999999999999' is outside signed 64-bit"),
+    ("100\talice\tT\t9223372036854775808",
+     "event_id '9223372036854775808' is outside signed 64-bit"),
+    ("100\talice\tR\t2\t-9223372036854775809\tbob",
+     "orig_event_id '-9223372036854775809' is outside signed 64-bit"),
 ])
 def test_malformed_lines_rejected(line, reason_part):
     log, report = parse_event_log([line])
     assert len(log) == 0
     assert report.n_rejected == 1
     assert reason_part in report.rejects[0].reason
+
+
+def test_integer_fields_take_python_int_syntax_within_signed_64_bit():
+    log, report = parse_event_log([
+        "9223372036854775807\ta\tT\t-9223372036854775808",
+        " 7\ta\tT\t+5",
+        "1_000\tb\tR\t3\t+5\ta",
+    ])
+    assert report.n_rejected == 0
+    assert log.ts.tolist() == [7, 1000, 9223372036854775807]
+    assert log.ids.tolist() == [5, 3, -9223372036854775808]
+    assert log.orig_row.tolist() == [-1, 0, -1]
 
 
 def test_duplicate_event_id_rejects_whole_log():
@@ -127,10 +147,29 @@ def test_graph_tsv_bad_line():
 def test_log_tsv_round_trip(seed, n_users, n_events):
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, n_users)
-    log = random_log(rng, graph, n_events)
-    log2, report = parse_event_log(log.to_tsv().splitlines(keepends=True))
+    events = random_log(rng, graph, n_events).events
+    for e in rng.choice(len(events), size=len(events) // 4, replace=False).tolist():
+        events[e] = dataclasses.replace(events[e], marks=frozenset(
+            rng.choice(["tok", "x", "z"], size=int(rng.integers(1, 3))).tolist()))
+    log = EventLog(events)
+    lines = log.to_tsv().splitlines(keepends=True)
+    rng.shuffle(lines)
+    log2, report = parse_event_log(lines)
     assert report.n_rejected == 0
     assert log2.events == log.events
+    # Every column, not only the Event view: the parser fills them itself.
+    for column in ("ts", "ids", "forward", "orig_row", "orig_ids"):
+        assert getattr(log2, column).tolist() == getattr(log, column).tolist(), column
+    window = (0, 10_000)
+    for user in sorted(graph.nodes):
+        assert log2.rows(user, window).tolist() == log.rows(user, window).tolist()
+    for token in ("tok", "x", "z", "absent"):
+        assert log2.token_rows(token).tolist() == log.token_rows(token).tolist()
+    for column in ("author", "orig_author"):  # codes may differ; the names they read may not
+        named = [[lg.names[c] if c >= 0 else None for c in getattr(lg, column).tolist()]
+                 for lg in (log, log2)]
+        assert named[0] == named[1], column
+    assert log2.to_tsv() == log.to_tsv()
 
 
 @settings(max_examples=40, deadline=None)
