@@ -30,7 +30,7 @@ from .config import (
 )
 from .events import EventLog, FeedIndex, LogFormatError, SocialGraph, parse_event_log
 from .exposure import aggregate_curves, build_trace, exposure_curve, group_users_by_inflow
-from .flows import compute_flow_stats, log_binned_curve
+from .flows import compute_flow_stats, log_binned_curve, window_hours
 from .graphgen import KroneckerParams, kronecker_generate
 from .manifest import RunManifest, file_digest, manifest_path_for
 from .queues import fit_lognormal_convolution, queue_positions
@@ -186,7 +186,7 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
     log, graph, win = _load_inputs(log_path, graph_path, window)
     hours = (win[1] - win[0]) / 3600.0
     feeds = FeedIndex(log, graph, win, include_retweets=not originals_only)
-    stats = [compute_flow_stats(u, feeds) for u in sorted(graph.nodes)]
+    stats = [compute_flow_stats(u, feeds) for u in graph.nodes]
     with _Outputs() as out:
         out.write_csv(out_path, "user,lambda,lambda_r,beta_r,F", (
             [st.user, f"{st.lam:.10g}", f"{st.lam_r:.10g}", f"{st.beta_r:.10g}", st.followees]
@@ -224,7 +224,7 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
     feeds = FeedIndex(log, graph, win)
     all_records = []
     n_out_of_feed = 0
-    for u in sorted(graph.nodes):
+    for u in graph.nodes:
         records, n = queue_positions(u, feeds, source=source)
         all_records.extend(records)
         n_out_of_feed += n
@@ -257,7 +257,7 @@ def sources(log_path, graph_path, window, out_path):
     """Retweet source-set statistics per user."""
     log, graph, win = _load_inputs(log_path, graph_path, window)
     with _Outputs() as out:
-        stats = (source_stats(u, log, graph, win) for u in sorted(graph.nodes))
+        stats = (source_stats(u, log, graph, win) for u in graph.nodes)
         out.write_csv(out_path, "user,F,S_r,p_src,out_of_feed", (
             [st.user, st.followees, st.source_set, f"{st.p_src:.10g}", st.out_of_feed]
             for st in stats
@@ -287,8 +287,8 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
     except ValueError:
         raise _fail(f"--ranges must look like '1:10,10:100', got {ranges!r}")
     feeds = FeedIndex(log, graph, win)
-    stats = [compute_flow_stats(u, feeds) for u in sorted(graph.nodes)]
-    groups = group_users_by_inflow(stats, bounds)
+    lam = {u: feeds.count(u) / window_hours(win) for u in graph.nodes}
+    groups = group_users_by_inflow(lam, bounds)
     traces = [build_trace(token, log, graph, win) for token in tokens]
     rows = []
     for (lo, hi) in bounds:

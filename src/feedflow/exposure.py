@@ -8,12 +8,11 @@ after their k-th exposure and strictly before their (k+1)-th; P(k) = I(k)/E(k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .events import EventLog, SocialGraph
-from .flows import FlowStats
 
 
 class TokenNotFoundError(KeyError):
@@ -146,10 +145,11 @@ def exposure_curve(
 
 
 def group_users_by_inflow(
-    stats: Sequence[FlowStats],
+    lam: Mapping[str, float],
     ranges: Sequence[tuple[float, float]],
 ) -> dict[tuple[float, float], list[str]]:
-    """Partition users into (lo, hi] in-flow ranges; users in no range are dropped."""
+    """Partition users, given as user -> in-flow rate, into (lo, hi] in-flow
+    ranges, each in the mapping's order; users in no range are dropped."""
     bounds = sorted(ranges)
     for (lo, hi) in bounds:
         if hi <= lo:
@@ -158,10 +158,10 @@ def group_users_by_inflow(
         if lo1 < hi0:
             raise ValueError(f"overlapping ranges at {hi0} and {lo1}")
     groups: dict[tuple[float, float], list[str]] = {tuple(r): [] for r in ranges}
-    for st in stats:
+    for user, rate in lam.items():
         for lo, hi in bounds:
-            if lo < st.lam <= hi:
-                groups[(lo, hi)].append(st.user)
+            if lo < rate <= hi:
+                groups[(lo, hi)].append(user)
                 break
     return groups
 

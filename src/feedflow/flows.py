@@ -34,7 +34,7 @@ class FlowStats:
     followees: int
 
 
-def _window_hours(window: tuple[int, int]) -> float:
+def window_hours(window: tuple[int, int]) -> float:
     start, end = window
     hours = (end - start) / SECONDS_PER_HOUR
     if hours <= 0:
@@ -49,7 +49,7 @@ def compute_flow_stats(user: str, feeds: FeedIndex) -> FlowStats:
     index's retweet filter, that the user forwarded inside the window; a second
     forward of one item does not count again.
     """
-    hours = _window_hours(feeds.window)
+    hours = window_hours(feeds.window)
     received = feeds.count(user)
     out_count = len(feeds.log.rows(user, feeds.window))
     _, at = feeds.locate(user, feeds.log.orig_row[feeds.forwards(user)])

@@ -98,7 +98,7 @@ class DelayModel:
 @dataclass(frozen=True)
 class SimConfig:
     mu: float                 # mean node out-flow rate, tweets/hour
-    sigma: float              # out-flow std; defaults to mu/4 when None in helpers
+    sigma: float              # out-flow std
     beta_curve: BetaCurve
     n_cascades: int
     seed: int
@@ -128,46 +128,6 @@ class CascadeRecord:
     duration: float
 
 
-class FollowView:
-    """CSR view of a SocialGraph over its sorted node order.
-
-    The followers of node i are indices[indptr[i]:indptr[i + 1]], and the
-    nodes it follows are followee_indices[followee_indptr[i]:followee_indptr[i + 1]],
-    both in ascending index order.
-    """
-
-    def __init__(self, graph: SocialGraph):
-        self.nodes = sorted(graph.nodes)
-        index = {u: i for i, u in enumerate(self.nodes)}
-        pairs = np.array(
-            [(i, index[v]) for i, u in enumerate(self.nodes) for v in graph.followees(u)],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        n = len(self.nodes)
-        self.indptr, self.indices = _csr(pairs[:, 1], pairs[:, 0], n)
-        self.followee_indptr, self.followee_indices = _csr(pairs[:, 0], pairs[:, 1], n)
-
-    def followers(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def followees(self, i: int) -> np.ndarray:
-        return self.followee_indices[self.followee_indptr[i]:self.followee_indptr[i + 1]]
-
-    def followee_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per node, the sum of values over the nodes it follows.
-
-        One .sum() per node: the rounding of these sums reaches synth's
-        ground-truth report, whose bytes a golden test pins.
-        """
-        return np.array([values[self.followees(i)].sum() for i in range(len(self.nodes))])
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[np.lexsort((cols, rows))]
-
-
 def truncated_normal_rates(
     rng: np.random.Generator, mu: float, sigma: float, size: int
 ) -> np.ndarray:
@@ -181,17 +141,17 @@ def truncated_normal_rates(
 
 
 def node_rates(
-    view: FollowView, rng: np.random.Generator, mu: float, sigma: float
+    graph: SocialGraph, rng: np.random.Generator, mu: float, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node out-flow drawn from Normal(mu, sigma) truncated at 0, and the
-    induced in-flow, both in view.nodes order.
+    induced in-flow, both in graph.nodes order.
 
     A node's in-flow is the sum of the out-flows of the nodes it follows.
     """
-    if not view.nodes:
+    if not graph.nodes:
         raise ValueError("empty graph")
-    lam_out = truncated_normal_rates(rng, mu, sigma, len(view.nodes))
-    return lam_out, view.followee_sums(lam_out)
+    lam_out = truncated_normal_rates(rng, mu, sigma, len(graph.nodes))
+    return lam_out, graph.followee_sums(lam_out)
 
 
 ActivationFn = Callable[[str, str], bool]
@@ -210,13 +170,12 @@ def _simulate(
     cascade is the set reachable over live edges (independent cascade).
     Each cascade owns an RNG stream keyed by [seed, cascade_id].
     """
-    view = FollowView(graph)
-    _, lam_in = node_rates(view, np.random.default_rng(config.seed), config.mu, config.sigma)
+    _, lam_in = node_rates(graph, np.random.default_rng(config.seed), config.mu, config.sigma)
     beta = np.array([beta_of_inflow(l, config.beta_curve) for l in lam_in])
-    ptr, indices, nodes = view.indptr.tolist(), view.indices, view.nodes
+    ptr, indices, nodes = graph.follower_indptr.tolist(), graph.follower_indices, graph.nodes
     live = None
     if activation is not None:
-        sources = np.repeat(np.arange(len(nodes)), np.diff(view.indptr)).tolist()
+        sources = np.repeat(np.arange(len(nodes)), np.diff(graph.follower_indptr)).tolist()
         live = np.array(
             [activation(nodes[i], nodes[j]) for i, j in zip(sources, indices.tolist())],
             dtype=bool,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .events import EventLog, SocialGraph
-from .simulate import BetaCurve, DelayModel, FollowView, beta_of_inflow, node_rates
+from .simulate import BetaCurve, DelayModel, beta_of_inflow, node_rates
 
 SECONDS_PER_HOUR = 3600
 
@@ -74,19 +74,19 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
 
     Identical spec and seed give an identical log, byte for byte.
     """
-    view = FollowView(spec.graph)
-    n = len(view.nodes)
+    graph = spec.graph
+    n = len(graph.nodes)
     rng = np.random.default_rng(spec.seed)
     horizon_s = int(round(spec.horizon_hours * SECONDS_PER_HOUR))
 
     if spec.rates is not None:
-        missing = [u for u in view.nodes if u not in spec.rates]
+        missing = [u for u in graph.nodes if u not in spec.rates]
         if missing:
             raise ValueError(f"rates missing for nodes: {missing[:5]}")
-        lam_out = np.array([spec.rates[u] for u in view.nodes], dtype=float)
-        lam_in = view.followee_sums(lam_out)
+        lam_out = np.array([spec.rates[u] for u in graph.nodes], dtype=float)
+        lam_in = graph.followee_sums(lam_out)
     else:
-        lam_out, lam_in = node_rates(view, rng, spec.mu, spec.sigma)
+        lam_out, lam_in = node_rates(graph, rng, spec.mu, spec.sigma)
 
     # Events under construction, one row each in creation order. Final ids are
     # assigned after the global sort.
@@ -120,7 +120,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
         any_forward = False
         for u in range(n):
             incoming: list[int] = []
-            for v in view.followees(u).tolist():
+            for v in graph.followee_slice(u).tolist():
                 incoming.extend(frontier[v])
             if not incoming:
                 continue
@@ -167,7 +167,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
                 continue
             adopted.add(u)
             token_rows.setdefault(plan.token, []).append(push(t, 1, u))
-            for w in view.followers(u).tolist():
+            for w in graph.follower_slice(u).tolist():
                 if w in adopted:
                     continue
                 if rng.random() < _hazard_for(plan, float(lam_in[w])):
@@ -181,7 +181,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
                 "overload_hazard": plan.overload_hazard,
                 "overload_threshold": plan.overload_threshold,
                 "n_adopters": len(adopted),
-                "seeds": sorted(view.nodes[s] for s in seeds.tolist()),
+                "seeds": sorted(graph.nodes[s] for s in seeds.tolist()),
             }
         )
 
@@ -195,19 +195,19 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     log = EventLog.from_columns(
         np.array(raw_ts, dtype=np.int64)[order], np.arange(len(order), dtype=np.int64),
         author[order], np.where(forward, author[orig], -1), np.where(forward, event_id[orig], 0),
-        list(view.nodes), {token: np.sort(event_id[rows]) for token, rows in token_rows.items()})
+        list(graph.nodes), {token: np.sort(event_id[rows]) for token, rows in token_rows.items()})
 
     truth = {
         "seed": spec.seed,
         "horizon_hours": spec.horizon_hours,
         "n_nodes": n,
-        "n_edges": spec.graph.n_edges(),
+        "n_edges": graph.n_edges(),
         "n_events": len(log),
         "beta_curve": asdict(spec.beta_curve),
         "delay_bins": [asdict(b) for b in spec.delay_model.bins],
         "contagions": truth_contagions,
-        "lam_out": {u: float(lam_out[i]) for i, u in enumerate(view.nodes)},
-        "lam_in": {u: float(lam_in[i]) for i, u in enumerate(view.nodes)},
+        "lam_out": {u: float(lam_out[i]) for i, u in enumerate(graph.nodes)},
+        "lam_in": {u: float(lam_in[i]) for i, u in enumerate(graph.nodes)},
     }
     return log, truth
 

@@ -222,8 +222,8 @@ def test_criterion_7_exposure_curves(capsys):
     window_b = log_b.span()
     seeds_b = set(truth_b["contagions"][0]["seeds"])
     feeds_b = FeedIndex(log_b, dense, window_b, include_retweets=False)
-    stats = [compute_flow_stats(u, feeds_b) for u in sorted(dense.nodes) if u not in seeds_b]
-    groups = group_users_by_inflow(stats, [(0.0, 25.0), (35.0, 1e9)])
+    lam = {u: compute_flow_stats(u, feeds_b).lam for u in dense.nodes if u not in seeds_b}
+    groups = group_users_by_inflow(lam, [(0.0, 25.0), (35.0, 1e9)])
     trace_b = build_trace("ovl", log_b, dense, window_b)
     low = exposure_curve(trace_b, groups[(0.0, 25.0)], min_e=200)
     high = exposure_curve(trace_b, groups[(35.0, 1e9)], min_e=200)

@@ -271,6 +271,40 @@ def test_validate_duplicate_id_names_both_lines(tmp_path, runner):
     assert "error: duplicate event_id 1 at lines 1 and 4\n" in all_output(result)
 
 
+@pytest.mark.parametrize("bad_line,message", [
+    ("a\ta", "graph line 3: self-loop edge for user 'a'"),
+    ("a\tb\tc", "graph line 3: expected 'follower<TAB>followee'"),
+])
+def test_bad_graph_line_is_named(tmp_path, runner, bad_line, message):
+    (tmp_path / "log.tsv").write_text("100\ta\tT\t1\n")
+    (tmp_path / "graph.tsv").write_text(f"b\ta\n\n{bad_line}\n")
+    result = runner.invoke(main, [
+        "flows", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+        "--out", str(tmp_path / "flows.csv"),
+    ])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert f"error: {message}\n" in all_output(result)
+    assert not (tmp_path / "flows.csv").exists()
+
+
+def test_duplicate_graph_edges_collapse(tmp_path, runner):
+    (tmp_path / "log.tsv").write_text("0\ta\tT\t1\n1800\ta\tT\t2\n3600\tb\tT\t3\n")
+    (tmp_path / "graph.tsv").write_text("u\ta\nu\tb\nu\ta\n")
+    with open(tmp_path / "graph.tsv", encoding="utf-8") as fh:
+        graph = SocialGraph.from_tsv(fh)
+    assert graph.n_edges() == 2
+    assert graph.followees("u") == {"a", "b"}
+    assert graph.followee_slice(graph.index("u")).tolist() == [graph.index("a"), graph.index("b")]
+    result = runner.invoke(main, [
+        "flows", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+        "--out", str(tmp_path / "flows.csv"),
+    ])
+    assert result.exit_code == 0, result.output
+    # The log spans one hour and u's feed holds a's two posts and b's one: lambda 3.
+    assert "u,3,0,0,2\n" in (tmp_path / "flows.csv").read_text()
+
+
 def test_out_of_range_integer_is_rejected_not_a_crash(tmp_path, runner):
     (tmp_path / "log.tsv").write_text(
         "100\ta\tT\t1\n99999999999999999999\ta\tT\t2\n200\tb\tR\t3\t1\ta\n")

@@ -120,7 +120,7 @@ def test_equal_ts_tiebreak_by_id():
 
 def test_graph_basics():
     g = SocialGraph([("a", "b"), ("a", "c"), ("b", "c")], nodes=["d"])
-    assert g.nodes == {"a", "b", "c", "d"}
+    assert g.nodes == ("a", "b", "c", "d")
     assert g.followees("a") == {"b", "c"}
     assert g.followers("c") == {"a", "b"}
     assert g.followees("d") == frozenset()
@@ -134,7 +134,7 @@ def test_graph_basics():
 def test_graph_tsv_round_trip():
     g = SocialGraph([("a", "b"), ("c", "a"), ("b", "a")])
     g2 = SocialGraph.from_tsv(g.to_tsv().splitlines(keepends=True))
-    assert list(g.edges()) == list(g2.edges())
+    assert g2.to_tsv() == g.to_tsv() == "a\tb\nb\ta\nc\ta\n"
 
 
 def test_graph_tsv_bad_line():
@@ -176,12 +176,22 @@ def test_log_tsv_round_trip(seed, n_users, n_events):
 @given(st.integers(0, 2**31 - 1))
 def test_graph_follow_relation_is_consistent(seed):
     rng = np.random.default_rng(seed)
-    g = random_graph(rng, int(rng.integers(3, 9)))
-    for u in g.nodes:
+    users = [f"u{i}" for i in range(9)]
+    linked = users[:rng.integers(3, 9)]  # the others, at least u8, are isolated
+    edges = [(a, b) for a in linked for b in linked if a != b and rng.random() < 0.4]
+    g = SocialGraph(edges + edges[:2], nodes=users)  # a repeated edge counts once
+    assert g.nodes == tuple(sorted(users)) and len(g.nodes) == 9
+    for i, u in enumerate(g.nodes):
+        assert g.index(u) == i
+        assert g.followees(u) == {b for a, b in edges if a == u}
+        assert g.followers(u) == {a for a, b in edges if b == u}
+        assert g.followee_slice(i).tolist() == sorted(map(g.index, g.followees(u)))
+        assert g.follower_slice(i).tolist() == sorted(map(g.index, g.followers(u)))
         for v in g.followees(u):
             assert u in g.followers(v)
         for v in g.followers(u):
             assert u in g.followees(v)
+    assert g.n_edges() == len(edges)
 
 
 def test_in_flow_stream_window_and_filter():

@@ -11,12 +11,6 @@ from feedflow.exposure import (
     exposure_curve,
     group_users_by_inflow,
 )
-from feedflow.flows import FlowStats
-
-
-def fs(user, lam):
-    return FlowStats(user=user, lam=lam, out_total=0.0, lam_r=0.0,
-                     lam_nr=lam, beta_r=0.0, followees=0)
 
 
 @pytest.mark.parametrize("transitions,adoption,visited,k_adopt", [
@@ -93,15 +87,15 @@ def test_exposure_curve_k_max_threshold():
 
 
 def test_group_users_by_inflow():
-    stats = [fs("a", 0.5), fs("b", 5.0), fs("c", 10.0), fs("d", 50.0), fs("e", 500.0)]
-    groups = group_users_by_inflow(stats, [(1.0, 10.0), (10.0, 100.0)])
+    lam = {"a": 0.5, "b": 5.0, "c": 10.0, "d": 50.0, "e": 500.0}
+    groups = group_users_by_inflow(lam, [(1.0, 10.0), (10.0, 100.0)])
     # (lo, hi] intervals: 10.0 belongs to the first group, 0.5 and 500 to none.
     assert groups[(1.0, 10.0)] == ["b", "c"]
     assert groups[(10.0, 100.0)] == ["d"]
     with pytest.raises(ValueError, match="overlap"):
-        group_users_by_inflow(stats, [(1.0, 10.0), (5.0, 20.0)])
+        group_users_by_inflow(lam, [(1.0, 10.0), (5.0, 20.0)])
     with pytest.raises(ValueError, match="empty range"):
-        group_users_by_inflow(stats, [(10.0, 10.0)])
+        group_users_by_inflow(lam, [(10.0, 10.0)])
 
 
 def test_aggregate_curves_pooled_and_mean():
