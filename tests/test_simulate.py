@@ -96,6 +96,15 @@ def small_graph():
     )
 
 
+def test_follow_view_matches_graph():
+    # The index slices the simulators read name the same users as the name sets.
+    g = small_graph()
+    assert list(g.nodes) == sorted(g.nodes)
+    for i, u in enumerate(g.nodes):
+        assert [g.nodes[j] for j in g.follower_slice(i)] == sorted(g.followers(u))
+        assert [g.nodes[j] for j in g.followee_slice(i)] == sorted(g.followees(u))
+
+
 def test_ic_all_activations_fire_gives_reachable_set():
     g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=20, seed=9,
