@@ -497,6 +497,35 @@ def test_simulate_cli_models_and_workers(workspace, tmp_path, runner):
     assert rep[0] == "metric,value,ccdf"
 
 
+# sha256 of simulate's CSV and --report outputs for criterion 8's sim.cfg
+# (SIM_CONFIG with 200 cascades) on criterion 8's graphgen graph, at seed 21. A
+# change to these bytes is an output change and must be declared.
+SIMULATE_GOLDEN = {
+    "ic.csv": "98e9de907bb5b8fec06351d6a3bf239fd9c66a687a69ed89ad7527547ec7ddda",
+    "ic_report.csv": "84acea3b73425e7642f7dbc21b5e4b10501b21670642fa9173792190e4236167",
+    "ct.csv": "7920c65d4720213ade9126c9ecec418d602fb8587f96c0a2061961623c767b9d",
+    "ct_report.csv": "34b73ec9067327ed4ed8a37cf3d20c44a8eb832e1cc7de18ae00843df92b0058",
+}
+
+
+def test_simulate_outputs_match_golden_digests(tmp_path, runner):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG.replace("n_cascades = 50", "n_cascades = 200"))
+    graph = tmp_path / "graph.tsv"
+    result = runner.invoke(main, ["graphgen", "--initiator", "0.9,0.5,0.5,0.3", "--k", "6",
+                                  "--target-edges", "300", "--seed", "4", "--out", str(graph)])
+    assert result.exit_code == 0, result.output
+    for model in ("ic", "ct"):
+        result = runner.invoke(main, [
+            "simulate", "--model", model, "--graph", str(graph), "--config", str(cfg),
+            "--seed", "21", "--out", str(tmp_path / f"{model}.csv"),
+            "--report", str(tmp_path / f"{model}_report.csv"),
+        ])
+        assert result.exit_code == 0, result.output
+    for name, digest in SIMULATE_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_worker_count_below_one(workspace, tmp_path, runner, workers):
     cfg = tmp_path / "sim.cfg"
