@@ -25,13 +25,13 @@ from .config import (
     delay_model_from,
     get_float,
     get_int,
-    initiator_from,
+    kronecker_params_from,
     parse_config,
 )
 from .events import EventLog, FeedIndex, LogFormatError, SocialGraph, parse_event_log
 from .exposure import aggregate_curves, build_trace, exposure_curve, group_users_by_inflow
 from .flows import compute_flow_stats, log_binned_curve, window_hours
-from .graphgen import KroneckerParams, kronecker_generate
+from .graphgen import kronecker_generate
 from .manifest import RunManifest, file_digest, manifest_path_for
 from .queues import fit_lognormal_convolution, queue_positions
 from .simulate import SimConfig, distribution_report, simulate_ct_bg, simulate_ic_bg
@@ -314,7 +314,7 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
 @click.option("--initiator", default=None, help="four comma-separated probabilities")
 @click.option("--k", "power", type=int, default=None)
 @click.option("--target-edges", type=int, default=None)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @command_errors
 def graphgen(config_path, initiator, power, target_edges, seed, out_path):
@@ -326,13 +326,7 @@ def graphgen(config_path, initiator, power, target_edges, seed, out_path):
         cfg["k"] = str(power)
     if target_edges is not None:
         cfg["target_edges"] = str(target_edges)
-    params = KroneckerParams(
-        initiator=initiator_from(cfg),
-        k=get_int(cfg, "k"),
-        target_edges=get_int(cfg, "target_edges"),
-        seed=seed,
-    )
-    graph = kronecker_generate(params)
+    graph = kronecker_generate(kronecker_params_from(cfg, seed))
     with _Outputs() as out:
         with out.open(out_path) as fh:
             fh.write(graph.to_tsv())
@@ -344,7 +338,7 @@ def graphgen(config_path, initiator, power, target_edges, seed, out_path):
 @click.option("--model", type=click.Choice(["ic", "ct"]), required=True)
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="accepted for compatibility; results do not depend on it")
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -390,7 +384,7 @@ def simulate(model, graph_path, config_path, seed, workers, out_path, report_pat
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", type=click.Path(exists=True),
               help="follow graph TSV; omit to generate from Kronecker keys in config")
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--graph-out", "graph_out", type=click.Path(),
               help="write the (possibly generated) graph TSV here")
@@ -403,13 +397,7 @@ def synth(config_path, graph_path, seed, out_path, graph_out, truth_path):
     if graph_path:
         graph = _load_graph(graph_path)
     else:
-        params = KroneckerParams(
-            initiator=initiator_from(cfg),
-            k=get_int(cfg, "k"),
-            target_edges=get_int(cfg, "target_edges"),
-            seed=get_int(cfg, "graph_seed", seed),
-        )
-        graph = kronecker_generate(params)
+        graph = kronecker_generate(kronecker_params_from(cfg, get_int(cfg, "graph_seed", seed)))
     spec = WorkloadSpec(
         graph=graph,
         beta_curve=beta_curve_from(cfg),

@@ -14,6 +14,7 @@ import os
 import re
 from typing import Optional
 
+from .graphgen import KroneckerParams
 from .simulate import BetaCurve, DelayBin, DelayModel
 from .synth import ContagionPlan
 
@@ -70,25 +71,22 @@ def check_known_keys(cfg: dict[str, str], command: str) -> None:
 
 
 def get_float(cfg: dict[str, str], key: str, default: Optional[float] = None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: not a number: {cfg[key]!r}")
+    return _get(cfg, key, default, float, "a number")
 
 
 def get_int(cfg: dict[str, str], key: str, default: Optional[int] = None) -> int:
+    return _get(cfg, key, default, int, "an integer")
+
+
+def _get(cfg: dict[str, str], key: str, default, kind: type, what: str):
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        return int(cfg[key])
+        return kind(cfg[key])
     except ValueError:
-        raise ConfigError(f"config key {key!r}: not an integer: {cfg[key]!r}")
+        raise ConfigError(f"config key {key!r}: not {what}: {cfg[key]!r}")
 
 
 def beta_curve_from(cfg: dict[str, str]) -> BetaCurve:
@@ -161,3 +159,8 @@ def initiator_from(cfg: dict[str, str]) -> tuple[tuple[float, float], tuple[floa
     except ValueError:
         raise ConfigError(f"initiator: non-numeric entry in {raw!r}")
     return ((a, b), (c, d))
+
+
+def kronecker_params_from(cfg: dict[str, str], seed: int) -> KroneckerParams:
+    return KroneckerParams(initiator=initiator_from(cfg), k=get_int(cfg, "k"),
+                           target_edges=get_int(cfg, "target_edges"), seed=seed)

@@ -10,10 +10,9 @@ processing-delay distribution.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -154,121 +153,133 @@ def node_rates(
     return lam_out, graph.followee_sums(lam_out)
 
 
-ActivationFn = Callable[[str, str], bool]
+# Every random draw hashes (seed, cascade_id, slot) with SplitMix64's finaliser
+# over uint64 arrays, which wrap on overflow. Edge e of the follower CSR owns slots
+# 3e (its liveness coin) and 3e + 1, 3e + 2 (a Box-Muller pair for its delay); the
+# seed node owns the last slot, 2**64 - 1, which no edge reaches.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_CHUNK_CELLS = 1 << 20  # (cascade, node) cells of the cascades run together
 
 
-def _simulate(
-    graph: SocialGraph,
-    config: SimConfig,
-    activation: Optional[ActivationFn],
-    delay_model: Optional[DelayModel],
-) -> list[CascadeRecord]:
+def _hash(keys: np.ndarray, slots) -> np.ndarray:
+    x = keys + np.asarray(slots, np.uint64) * _GAMMA
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def cascade_keys(seed: int, cascade_ids) -> np.ndarray:
+    """The uint64 stream key of each cascade of a run."""
+    return _hash(np.random.SeedSequence(seed).generate_state(1, np.uint64), cascade_ids)
+
+
+def slot_uniform(keys: np.ndarray, slots) -> np.ndarray:
+    """The draw at each (cascade key, slot), uniform strictly inside (0, 1). It
+    keeps 52 bits, so that adding the half step is exact and stays below 1."""
+    return ((_hash(keys, slots) >> np.uint64(12)) + 0.5) * 2.0**-52
+
+
+def seed_nodes(keys: np.ndarray, n: int) -> np.ndarray:
+    """The seed node of each cascade key, uniform over n node indices."""
+    return (_hash(keys, np.full(len(keys), 2**64 - 1, np.uint64)) % np.uint64(n)).astype(np.int64)
+
+
+def _simulate(graph: SocialGraph, config: SimConfig,
+              delay_model: Optional[DelayModel]) -> list[CascadeRecord]:
     """First-passage cascades over the live follower edges.
 
-    Edge i -> j (j follows i) is live with probability beta[j], drawn when i
-    adopts; without a delay model every live edge takes zero time, so a
-    cascade is the set reachable over live edges (independent cascade).
-    Each cascade owns an RNG stream keyed by [seed, cascade_id].
+    Edge e, i -> j (j follows i), is live in a cascade when its coin is below
+    beta[j]. Without a delay model a cascade is the set reachable over live
+    edges (independent cascade), found for a chunk of cascades at once by one
+    level-synchronous BFS over (cascade, node) keys. With one, adoption times
+    are first-passage times over live edges weighted by their delays, found by
+    label-correcting relaxation and pruned at max_time; the adopter set at
+    max_time = inf is then the independent-cascade one.
     """
     _, lam_in = node_rates(graph, np.random.default_rng(config.seed), config.mu, config.sigma)
     beta = np.array([beta_of_inflow(l, config.beta_curve) for l in lam_in])
-    ptr, indices, nodes = graph.follower_indptr.tolist(), graph.follower_indices, graph.nodes
-    live = None
-    if activation is not None:
-        sources = np.repeat(np.arange(len(nodes)), np.diff(graph.follower_indptr)).tolist()
-        live = np.array(
-            [activation(nodes[i], nodes[j]) for i, j in zip(sources, indices.tolist())],
-            dtype=bool,
-        )
-    if delay_model is not None:
+    ptr, indices, nodes = graph.follower_indptr, graph.follower_indices, graph.nodes
+    n, degree, timed = len(nodes), np.diff(ptr), delay_model is not None
+    if timed:
         bins = [delay_model.bin_for(float(l)) for l in lam_in]
         loc = np.array([(b.mu1, b.mu2) for b in bins])
         scale = np.array([(b.sigma1, b.sigma2) for b in bins])
-
-    when = np.full(len(nodes), np.inf)  # arrival times; reset after each cascade
+    chunk = max(1, _CHUNK_CELLS // n)
     records = []
-    for cascade_id in range(config.n_cascades):
-        rng = np.random.default_rng([config.seed, cascade_id])
-        seed_node = int(rng.integers(len(nodes)))
-        when[seed_node] = 0.0
-        heap = [(0.0, seed_node)]
-        adopted = []
-        while heap:
-            t, i = heapq.heappop(heap)
-            if t > when[i]:
-                continue  # superseded by an earlier arrival
-            adopted.append(i)
-            lo, hi = ptr[i], ptr[i + 1]
-            js = indices[lo:hi]
-            waiting = when[js] > t
-            js = js[waiting]
-            if not js.size:
-                continue
-            if live is None:
-                fired = rng.random(js.size) < beta[js]
+    for first in range(0, config.n_cascades, chunk):
+        ids = np.arange(first, min(first + chunk, config.n_cascades))
+        keys = cascade_keys(config.seed, ids)
+        seeds = seed_nodes(keys, n)
+        frontier = np.arange(ids.size) * n + seeds
+        # Per (cascade, node) key: not yet reached (IC) or the arrival time (CT).
+        state = np.full(ids.size * n, np.inf) if timed else np.ones(ids.size * n, bool)
+        state[frontier] = 0.0 if timed else False
+        while frontier.size:
+            i = frontier % n
+            counts = degree[i]
+            # The CSR edges e of every frontier key, and their (cascade, follower) keys.
+            e = np.repeat(ptr[i] - np.cumsum(counts) + counts, counts)
+            e += np.arange(e.size)
+            target = indices[e]
+            target += np.repeat(frontier - i, counts)
+            # Only a later arrival can be improved on; an edge's coin is fixed.
+            # (flatnonzero and take beat a boolean mask on these random masks.)
+            if timed:
+                t = np.repeat(state[frontier], counts)
+                sel = np.flatnonzero(state.take(target) > t)
+                t = t.take(sel)
             else:
-                fired = live[lo:hi][waiting]
-            js = js[fired]
-            if not js.size:
-                continue
-            if delay_model is None:
-                # Zero delays: arrive == t <= max_time, and when[js] > t above.
-                arrive = t + np.zeros(js.size)
+                sel = np.flatnonzero(state.take(target))
+            e, target = e.take(sel), target.take(sel)
+            c, j = np.divmod(target, n)
+            sel = np.flatnonzero(slot_uniform(keys.take(c), 3 * e) < beta.take(j))
+            target = target.take(sel)
+            if timed:
+                c, slot, j = keys.take(c.take(sel)), 3 * e.take(sel), j.take(sel)
+                # The delay: a lognormal from each normal of the edge's Box-Muller pair.
+                r = np.sqrt(-2.0 * np.log(slot_uniform(c, slot + 1)))
+                theta = 2.0 * np.pi * slot_uniform(c, slot + 2)
+                arrive = t.take(sel) + (np.exp(loc[j, 0] + scale[j, 0] * r * np.cos(theta))
+                                        + np.exp(loc[j, 1] + scale[j, 1] * r * np.sin(theta)))
+                sel = np.flatnonzero((arrive <= config.max_time) & (arrive < state.take(target)))
+                target, arrive = target.take(sel), arrive.take(sel)
+                np.minimum.at(state, target, arrive)
             else:
-                # Sum of the two lognormal components of each follower's bin.
-                z = rng.standard_normal((js.size, 2))
-                arrive = t + np.exp(loc[js] + scale[js] * z).sum(axis=1)
-                keep = (arrive <= config.max_time) & (arrive < when[js])
-                js, arrive = js[keep], arrive[keep]
-            when[js] = arrive
-            for item in zip(arrive.tolist(), js.tolist()):
-                heapq.heappush(heap, item)
-        times = None
-        if delay_model is not None:
-            times = dict(zip([nodes[i] for i in adopted], when[adopted].tolist()))
-        when[adopted] = np.inf
-        records.append(
-            CascadeRecord(
-                cascade_id=cascade_id,
-                seed_node=nodes[seed_node],
-                adopters=frozenset(nodes[i] for i in adopted),
-                times=times,
-                size=len(adopted),
-                duration=0.0 if times is None else max(times.values()),
-            )
-        )
+                state[target] = False
+            # np.sort, not np.unique: the first np.unique call imports numpy.ma.
+            target = np.sort(target)
+            frontier = target[np.diff(target, prepend=-1) != 0]
+        reached = np.flatnonzero(state < np.inf if timed else ~state)
+        bounds = np.searchsorted(reached, np.arange(ids.size + 1) * n).tolist()
+        names = list(map(nodes.__getitem__, (reached % n).tolist()))
+        times = state[reached].tolist() if timed else None
+        for cascade_id, seed, lo, hi in zip(ids.tolist(), seeds.tolist(), bounds, bounds[1:]):
+            records.append(CascadeRecord(
+                cascade_id, nodes[seed], frozenset(names[lo:hi]),
+                dict(zip(names[lo:hi], times[lo:hi])) if timed else None,
+                hi - lo, max(times[lo:hi]) if timed else 0.0))
     return records
 
 
-def simulate_ic_bg(
-    graph: SocialGraph,
-    config: SimConfig,
-    activation: Optional[ActivationFn] = None,
-) -> list[CascadeRecord]:
+def simulate_ic_bg(graph: SocialGraph, config: SimConfig) -> list[CascadeRecord]:
     """Independent-cascade simulation with in-flow-dependent adoption probability.
 
     From a uniform random seed node, each adopting node gives each follower
-    that has not adopted one chance to adopt, with the follower's beta. Pass
-    an activation callable to pin the per-edge outcomes (used by the
-    model-agreement oracle); it is evaluated once per follower edge.
+    that has not adopted one chance to adopt, with the follower's beta.
     """
-    return _simulate(graph, config, activation, None)
+    return _simulate(graph, config, None)
 
 
-def simulate_ct_bg(
-    graph: SocialGraph,
-    config: SimConfig,
-    activation: Optional[ActivationFn] = None,
-) -> list[CascadeRecord]:
+def simulate_ct_bg(graph: SocialGraph, config: SimConfig) -> list[CascadeRecord]:
     """Continuous-time cascade simulation with in-flow-binned processing delays.
 
-    A node's adoption time is the minimum over its adopting parents' activation
+    A node's adoption time is the minimum over its adopting parents' adoption
     times plus a delay drawn from the bin of its in-flow rate; the run is
-    truncated at max_time.
+    truncated at max_time. It draws the same edge coins as simulate_ic_bg.
     """
     if config.delay_model is None:
         raise DelayBinError("continuous model requires a delay_model")
-    return _simulate(graph, config, activation, config.delay_model)
+    return _simulate(graph, config, config.delay_model)
 
 
 @dataclass(frozen=True)
@@ -280,8 +291,7 @@ class DistributionReport:
     duration_empty: bool
 
     def frac_size_at_least(self, size: float) -> float:
-        candidates = [c for v, c in self.size_ccdf if v >= size]
-        return max(candidates) if candidates else 0.0
+        return max((c for v, c in self.size_ccdf if v >= size), default=0.0)
 
 
 def distribution_report(records: Sequence[CascadeRecord]) -> DistributionReport:
@@ -293,12 +303,10 @@ def distribution_report(records: Sequence[CascadeRecord]) -> DistributionReport:
     """
     if not records:
         raise ValueError("no cascade records")
-    sizes = EmpiricalDistribution([r.size for r in records])
-    size_vals, size_cc = sizes.ccdf_points()
+    size_vals, size_cc = EmpiricalDistribution([r.size for r in records]).ccdf_points()
     multi = [r.duration for r in records if r.size >= 2]
     if multi:
-        durs = EmpiricalDistribution(multi)
-        dur_vals, dur_cc = durs.ccdf_points()
+        dur_vals, dur_cc = EmpiricalDistribution(multi).ccdf_points()
         dur_table = tuple(zip(dur_vals.tolist(), dur_cc.tolist()))
     else:
         dur_table = ()

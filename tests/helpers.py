@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import heapq
+import math
+from typing import Optional
+
 import numpy as np
 
 from feedflow.events import Event, EventKind, EventLog, SocialGraph
+from feedflow.simulate import (
+    SimConfig,
+    beta_of_inflow,
+    cascade_keys,
+    node_rates,
+    seed_nodes,
+    slot_uniform,
+)
 
 
 def random_graph(rng: np.random.Generator, n_users: int, p_edge: float = 0.4) -> SocialGraph:
@@ -231,3 +243,51 @@ def reachable_followers(graph: SocialGraph, seeds: set[str]) -> set[str]:
                 seen.add(w)
                 frontier.append(w)
     return seen
+
+
+def naive_cascades(
+    graph: SocialGraph, config: SimConfig, timed: bool = False
+) -> list[tuple[str, dict[str, Optional[float]]]]:
+    """Every cascade walked one follower edge at a time from the engine's draws.
+
+    Edge e reads its coin at slot 3e and its Box-Muller pair at slots 3e + 1
+    and 3e + 2. The walk is a Dijkstra over the live edges: timed, over their
+    delays (config.delay_model), keeping the nodes reached by max_time;
+    untimed, every delay is 0, so it is a plain search for the nodes reachable
+    over live edges (independent cascade) and every time is None. Returns
+    (seed node, {adopter: time}) per cascade.
+    """
+    n, nodes = len(graph.nodes), graph.nodes
+    _, lam_in = node_rates(graph, np.random.default_rng(config.seed), config.mu, config.sigma)
+    beta = [beta_of_inflow(l, config.beta_curve) for l in lam_in]
+    ptr, followers = graph.follower_indptr.tolist(), graph.follower_indices.tolist()
+    slots = 3 * np.arange(len(followers), dtype=np.uint64)
+    keys = cascade_keys(config.seed, np.arange(config.n_cascades))
+    out = []
+    for key, seed in zip(keys, seed_nodes(keys, n).tolist()):
+        key = np.full(len(followers), key)
+        coin = slot_uniform(key, slots).tolist()
+        if timed:
+            bins = [config.delay_model.bin_for(float(lam_in[j])) for j in followers]
+            mu = np.array([(b.mu1, b.mu2) for b in bins]).reshape(-1, 2)
+            sigma = np.array([(b.sigma1, b.sigma2) for b in bins]).reshape(-1, 2)
+            r = np.sqrt(-2.0 * np.log(slot_uniform(key, slots + np.uint64(1))))
+            theta = 2.0 * np.pi * slot_uniform(key, slots + np.uint64(2))
+            delay = (np.exp(mu[:, 0] + sigma[:, 0] * r * np.cos(theta))
+                     + np.exp(mu[:, 1] + sigma[:, 1] * r * np.sin(theta))).tolist()
+        when: dict[int, float] = {seed: 0.0}
+        heap = [(0.0, seed)]
+        while heap:
+            t, i = heapq.heappop(heap)
+            if t > when[i]:
+                continue
+            for e in range(ptr[i], ptr[i + 1]):
+                j = followers[e]
+                if coin[e] >= beta[j]:
+                    continue
+                arrive = t + delay[e] if timed else 0.0
+                if arrive <= config.max_time and arrive < when.get(j, math.inf):
+                    when[j] = arrive
+                    heapq.heappush(heap, (arrive, j))
+        out.append((nodes[seed], {nodes[i]: t if timed else None for i, t in when.items()}))
+    return out

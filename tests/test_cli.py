@@ -501,10 +501,10 @@ def test_simulate_cli_models_and_workers(workspace, tmp_path, runner):
 # (SIM_CONFIG with 200 cascades) on criterion 8's graphgen graph, at seed 21. A
 # change to these bytes is an output change and must be declared.
 SIMULATE_GOLDEN = {
-    "ic.csv": "98e9de907bb5b8fec06351d6a3bf239fd9c66a687a69ed89ad7527547ec7ddda",
-    "ic_report.csv": "84acea3b73425e7642f7dbc21b5e4b10501b21670642fa9173792190e4236167",
-    "ct.csv": "7920c65d4720213ade9126c9ecec418d602fb8587f96c0a2061961623c767b9d",
-    "ct_report.csv": "34b73ec9067327ed4ed8a37cf3d20c44a8eb832e1cc7de18ae00843df92b0058",
+    "ic.csv": "487c2b7ac0d13a9e73c24eb8440b2e3923b8cf5fe5dc1d2ca5258bc6dafc13f3",
+    "ic_report.csv": "e2dd1b3ed533c83fd54fa08bacefce3c2c45597746f29c229054a3196c7b440c",
+    "ct.csv": "47e19a2dbc36e6a26cf662c8e829826ce9731daa4cf5b53d5908f4c09eb5e7ed",
+    "ct_report.csv": "3f977ac0bcf931aa420bfafb38faf6aa0097e0ae1da9639ff13a589c1cdf3e2f",
 }
 
 
@@ -524,6 +524,27 @@ def test_simulate_outputs_match_golden_digests(tmp_path, runner):
         assert result.exit_code == 0, result.output
     for name, digest in SIMULATE_GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+SEED_COMMANDS = {
+    "simulate": ["simulate", "--model", "ic", "--graph", "{graph}", "--config", "{sim}"],
+    "synth": ["synth", "--config", "{synth}"],
+    "graphgen": ["graphgen", "--initiator", "0.9,0.5,0.5,0.3", "--k", "6",
+                 "--target-edges", "300"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_negative_seed_is_a_usage_error(workspace, tmp_path, runner, command):
+    (tmp_path / "sim.cfg").write_text(SIM_CONFIG)
+    (tmp_path / "again.cfg").write_text(SYNTH_CONFIG)
+    args = [a.format(graph=workspace / "graph.tsv", sim=tmp_path / "sim.cfg",
+                     synth=tmp_path / "again.cfg") for a in SEED_COMMANDS[command]]
+    out = tmp_path / "o.out"
+    result = runner.invoke(main, [*args, "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed'" in all_output(result)
+    assert list(tmp_path.glob("o.out*")) == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -682,6 +703,39 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out["loaded"] == []
     assert out["n"] == 2000 and out["nfev"] > 0
     assert abs(out["mu1"] - 4.0) < 0.5 and abs(out["mu2"] - 3.0) < 1.0
+
+
+NUMPY_MA_FREE = {
+    "simulate-ic": ["simulate", "--model", "ic", "--graph", "{graph}", "--config", "{sim}",
+                    "--seed", "3", "--report", "{out}.report"],
+    "simulate-ct": ["simulate", "--model", "ct", "--graph", "{graph}", "--config", "{sim}",
+                    "--seed", "3", "--report", "{out}.report"],
+    "flows": ["flows", "--log", "{log}", "--graph", "{graph}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMPY_MA_FREE))
+def test_command_leaves_numpy_ma_unloaded(workspace, tmp_path, command):
+    # The first np.unique, np.median or np.quantile call imports numpy.ma (10-30 ms).
+    (tmp_path / "sim.cfg").write_text(SIM_CONFIG)
+    out = tmp_path / "o.csv"
+    args = [a.format(graph=workspace / "graph.tsv", log=workspace / "log.tsv",
+                     sim=tmp_path / "sim.cfg", out=out) for a in NUMPY_MA_FREE[command]]
+    script = (
+        "import json, sys\n"
+        "from feedflow.cli import main\n"
+        "main(json.loads(sys.argv[1]), standalone_mode=False)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'numpy.ma' or m.startswith('numpy.ma.'))))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(args + ["--out", str(out)])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.stat().st_size > 0
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_version_flag(runner):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from feedflow import simulate
 from feedflow.events import SocialGraph
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 from feedflow.simulate import (
@@ -18,9 +20,10 @@ from feedflow.simulate import (
     simulate_ic_bg,
     truncated_normal_rates,
 )
-from helpers import reachable_followers
+from helpers import naive_cascades, reachable_followers
 
 CURVE = BetaCurve(lambda_c=30.0, beta0=0.05, gamma=0.65)
+ALL_LIVE = BetaCurve(lambda_c=30.0, beta0=1.0, gamma=0.0)  # every coin is below 1
 WIDE_BIN = DelayModel(bins=(DelayBin(0.0, math.inf, 3.0, 0.5, 2.0, 0.5),))
 
 
@@ -105,39 +108,72 @@ def test_follow_view_matches_graph():
         assert [g.nodes[j] for j in g.followee_slice(i)] == sorted(g.followees(u))
 
 
+def isolated_graph():
+    return SocialGraph([], nodes=[f"u{i}" for i in range(8)])
+
+
 def test_ic_all_activations_fire_gives_reachable_set():
     g = small_graph()
-    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=20, seed=9,
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=ALL_LIVE, n_cascades=20, seed=9,
                     delay_model=WIDE_BIN)
-    for simulate in (simulate_ic_bg, simulate_ct_bg):
-        records = simulate(g, cfg, activation=lambda i, j: True)
+    for simulate_bg in (simulate_ic_bg, simulate_ct_bg):
+        records = simulate_bg(g, cfg)
         for r in records:
             assert r.adopters == reachable_followers(g, {r.seed_node})
             assert r.size == len(r.adopters)
 
 
 def test_ic_no_activation_gives_singletons():
-    g = small_graph()
-    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=10, seed=9)
-    for r in simulate_ic_bg(g, cfg, activation=lambda i, j: False):
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=ALL_LIVE, n_cascades=40, seed=9)
+    records = simulate_ic_bg(isolated_graph(), cfg)
+    for r in records:
         assert r.size == 1 and r.adopters == {r.seed_node}
         assert r.times is None and r.duration == 0.0
+    assert len({r.seed_node for r in records}) > 4
 
 
 def test_ic_and_ct_agree_on_adopter_sets():
-    # With the same pinned per-edge decisions, both models flood the same set.
+    # Both models read the same edge coins, so with no time limit they flood
+    # the same set; a time limit can only cut the continuous one short.
     g = small_graph()
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.3, 0.65),
+                    n_cascades=60, seed=4, delay_model=WIDE_BIN)
+    ic = simulate_ic_bg(g, cfg)
+    ct = simulate_ct_bg(g, cfg)
+    assert [a.seed_node for a in ic] == [b.seed_node for b in ct]
+    assert [a.adopters for a in ic] == [b.adopters for b in ct]
+    assert max(r.size for r in ic) >= 10
+    cut = simulate_ct_bg(g, replace(cfg, max_time=40.0))
+    assert all(b.adopters <= a.adopters for a, b in zip(ic, cut))
+    assert sum(b.size for b in cut) < sum(a.size for a in ic)
 
-    def pinned(i, j):
-        return (hash((i, j)) % 5) == 0
 
-    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=30, seed=4,
-                    delay_model=WIDE_BIN)
-    ic = simulate_ic_bg(g, cfg, activation=pinned)
-    ct = simulate_ct_bg(g, cfg, activation=pinned)
-    for a, b in zip(ic, ct):
-        assert a.seed_node == b.seed_node
-        assert a.adopters == b.adopters
+@pytest.mark.parametrize("model,max_time", [("ic", math.inf), ("ct", math.inf), ("ct", 40.0)])
+def test_engine_matches_naive_oracle(model, max_time):
+    # The naive walk reads the engine's own draws one edge at a time, so the
+    # adopter sets and times must be the same, not merely close.
+    g = small_graph()
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.3, 0.65),
+                    n_cascades=40, seed=6, delay_model=WIDE_BIN, max_time=max_time)
+    records = (simulate_ic_bg if model == "ic" else simulate_ct_bg)(g, cfg)
+    expected = naive_cascades(g, cfg, timed=model == "ct")
+    assert [r.cascade_id for r in records] == list(range(40))
+    for r, (seed_node, times) in zip(records, expected):
+        assert r.seed_node == seed_node
+        assert r.adopters == set(times)
+        if model == "ct":
+            assert r.times == times
+    assert sum(r.size > 1 for r in records) >= 5
+
+
+@pytest.mark.parametrize("cells", [1, 64 * 3, 64 * 7 + 5])
+def test_records_do_not_depend_on_chunk_size(monkeypatch, cells):
+    g = small_graph()
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.3, 0.65),
+                    n_cascades=30, seed=8, delay_model=WIDE_BIN, max_time=60.0)
+    whole = simulate_ic_bg(g, cfg), simulate_ct_bg(g, cfg)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", cells)
+    assert (simulate_ic_bg(g, cfg), simulate_ct_bg(g, cfg)) == whole
 
 
 def test_ct_requires_delay_model():
@@ -162,9 +198,9 @@ def test_ct_times_are_hop_distances_with_fixed_delays():
     # the follower-edge hop distance from the seed.
     g = small_graph()
     fixed = DelayModel(bins=(DelayBin(0.0, math.inf, 0.0, 0.0, 0.0, 0.0),))
-    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=20, seed=3,
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=ALL_LIVE, n_cascades=20, seed=3,
                     delay_model=fixed)
-    for r in simulate_ct_bg(g, cfg, activation=lambda i, j: True):
+    for r in simulate_ct_bg(g, cfg):
         hops, frontier = {r.seed_node: 0}, [r.seed_node]
         while frontier:
             u = frontier.pop(0)
@@ -221,8 +257,7 @@ def test_distribution_report():
 
 
 def test_distribution_report_all_singletons():
-    g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=5, seed=1)
-    records = simulate_ic_bg(g, cfg, activation=lambda i, j: False)
+    records = simulate_ic_bg(isolated_graph(), cfg)
     rep = distribution_report(records)
     assert rep.duration_empty and rep.duration_ccdf == ()
