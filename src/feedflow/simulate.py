@@ -235,10 +235,10 @@ def _simulate(graph: SocialGraph, config: SimConfig,
             sel = np.flatnonzero(slot_uniform(keys.take(c), 3 * e) < beta.take(j))
             target = target.take(sel)
             if timed:
-                c, slot, j = keys.take(c.take(sel)), 3 * e.take(sel), j.take(sel)
+                k, slot, j = keys.take(c.take(sel)), 3 * e.take(sel), j.take(sel)
                 # The delay: a lognormal from each normal of the edge's Box-Muller pair.
-                r = np.sqrt(-2.0 * np.log(slot_uniform(c, slot + 1)))
-                theta = 2.0 * np.pi * slot_uniform(c, slot + 2)
+                r = np.sqrt(-2.0 * np.log(slot_uniform(k, slot + 1)))
+                theta = 2.0 * np.pi * slot_uniform(k, slot + 2)
                 arrive = t.take(sel) + (np.exp(loc[j, 0] + scale[j, 0] * r * np.cos(theta))
                                         + np.exp(loc[j, 1] + scale[j, 1] * r * np.sin(theta)))
                 sel = np.flatnonzero((arrive <= config.max_time) & (arrive < state.take(target)))

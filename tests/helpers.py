@@ -262,15 +262,16 @@ def naive_cascades(
     beta = [beta_of_inflow(l, config.beta_curve) for l in lam_in]
     ptr, followers = graph.follower_indptr.tolist(), graph.follower_indices.tolist()
     slots = 3 * np.arange(len(followers), dtype=np.uint64)
+    if timed:  # each edge's follower's delay bin
+        bins = [config.delay_model.bin_for(float(lam_in[j])) for j in followers]
+        mu = np.array([(b.mu1, b.mu2) for b in bins]).reshape(-1, 2)
+        sigma = np.array([(b.sigma1, b.sigma2) for b in bins]).reshape(-1, 2)
     keys = cascade_keys(config.seed, np.arange(config.n_cascades))
     out = []
     for key, seed in zip(keys, seed_nodes(keys, n).tolist()):
         key = np.full(len(followers), key)
         coin = slot_uniform(key, slots).tolist()
         if timed:
-            bins = [config.delay_model.bin_for(float(lam_in[j])) for j in followers]
-            mu = np.array([(b.mu1, b.mu2) for b in bins]).reshape(-1, 2)
-            sigma = np.array([(b.sigma1, b.sigma2) for b in bins]).reshape(-1, 2)
             r = np.sqrt(-2.0 * np.log(slot_uniform(key, slots + np.uint64(1))))
             theta = 2.0 * np.pi * slot_uniform(key, slots + np.uint64(2))
             delay = (np.exp(mu[:, 0] + sigma[:, 0] * r * np.cos(theta))
