@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import itertools
 import math
 import os
 from typing import Iterable, Optional, Sequence, TextIO
 
 import click
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -33,7 +35,7 @@ from .exposure import aggregate_curves, build_trace, exposure_curve, group_users
 from .flows import compute_flow_stats, log_binned_curve, window_hours
 from .graphgen import kronecker_generate
 from .manifest import RunManifest, file_digest, manifest_path_for
-from .queues import fit_lognormal_convolution, queue_positions
+from .queues import QueuePositions, fit_lognormal_convolution, queue_positions
 from .simulate import SimConfig, distribution_report, simulate_ct_bg, simulate_ic_bg
 from .sources import source_stats
 from .synth import WorkloadSpec, generate_workload, ground_truth_text
@@ -222,20 +224,19 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
     """Queue positions and delays for every forward in the window."""
     log, graph, win = _load_inputs(log_path, graph_path, window)
     feeds = FeedIndex(log, graph, win)
-    all_records = []
-    n_out_of_feed = 0
-    for u in graph.nodes:
-        records, n = queue_positions(u, feeds, source=source)
-        all_records.extend(records)
-        n_out_of_feed += n
-    click.echo(f"{len(all_records)} queue records, {n_out_of_feed} out-of-feed forwards")
+    parts = [queue_positions(u, feeds, source=source) for u in graph.nodes]
+    columns = QueuePositions(*(np.concatenate([np.empty(0, np.int64), *(c[j] for c, _ in parts)])
+                               for j in range(len(QueuePositions._fields))))
+    n_out_of_feed = sum(n for _, n in parts)
+    click.echo(f"{len(columns.q)} queue records, {n_out_of_feed} out-of-feed forwards")
+    users = itertools.chain.from_iterable(
+        map(itertools.repeat, graph.nodes, (len(c.q) for c, _ in parts)))
     with _Outputs() as out:
-        out.write_csv(out_path, "user,retweet_id,orig_id,q,delay_s", (
-            [r.user, r.retweet_id, r.orig_id, r.q, r.delay_s] for r in all_records
-        ))
+        out.write_csv(out_path, "user,retweet_id,orig_id,q,delay_s",
+                      zip(users, *(col.tolist() for col in columns)))
         report = None
         if fit_path:
-            fit = fit_lognormal_convolution([r.delay_s for r in all_records])
+            fit = fit_lognormal_convolution(columns.delay_s)
             report = dataclasses.asdict(fit)
             with out.open(fit_path) as fh:
                 for key, value in report.items():
@@ -397,7 +398,10 @@ def synth(config_path, graph_path, seed, out_path, graph_out, truth_path):
     if graph_path:
         graph = _load_graph(graph_path)
     else:
-        graph = kronecker_generate(kronecker_params_from(cfg, get_int(cfg, "graph_seed", seed)))
+        graph_seed = get_int(cfg, "graph_seed", seed)
+        if graph_seed < 0:
+            raise ConfigError(f"config key 'graph_seed': not a non-negative integer: {graph_seed}")
+        graph = kronecker_generate(kronecker_params_from(cfg, graph_seed))
     spec = WorkloadSpec(
         graph=graph,
         beta_curve=beta_curve_from(cfg),

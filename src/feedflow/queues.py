@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,21 +25,22 @@ class FitConvergenceError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class QueuePositionRecord:
-    user: str
-    retweet_id: int
-    orig_id: int
-    q: int          # in-flow arrivals strictly between the original and the forward
-    delay_s: int    # ts(forward) - ts(original)
+class QueuePositions(NamedTuple):
+    """One user's queue records as int64 columns, one row per in-feed forward
+    in log order."""
+
+    retweet_id: np.ndarray
+    orig_id: np.ndarray
+    q: np.ndarray        # in-flow arrivals strictly between the original and the forward
+    delay_s: np.ndarray  # ts(forward) - ts(original)
 
 
 def queue_positions(
     user: str,
     feeds: FeedIndex,
     source: str = "immediate",
-) -> tuple[list[QueuePositionRecord], int]:
-    """Queue-position records for one user's forwards inside the window, and
+) -> tuple[QueuePositions, int]:
+    """Queue-position columns for one user's forwards inside the window, and
     the number of those forwards whose source is not in her feed.
 
     source="immediate" measures against the event the user actually forwarded
@@ -65,13 +66,9 @@ def queue_positions(
     forwards, targets = forwards[kept], targets[kept]
     # Feed items strictly between the original (at index `at`) and the forward.
     q = np.searchsorted(feed, forwards) - at[kept] - 1
-    records = [
-        QueuePositionRecord(user, retweet_id, orig_id, q_i, delay_s)
-        for retweet_id, orig_id, q_i, delay_s in zip(
-            log.ids[forwards].tolist(), log.ids[targets].tolist(), q.tolist(),
-            (log.ts[forwards] - log.ts[targets]).tolist())
-    ]
-    return records, len(kept) - len(forwards)
+    columns = QueuePositions(log.ids[forwards], log.ids[targets], q.astype(np.int64),
+                             log.ts[forwards] - log.ts[targets])
+    return columns, len(kept) - len(forwards)
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,11 @@ _MASS_FLOOR = 1e-300
 _LOG_SIGMA_BOUNDS = (math.log(0.01), math.log(10.0))
 _IDENTIFIABLE_SE = 0.15
 _MIN_SAMPLES = 100
-_MAX_ITER = 4000        # L-BFGS-B iterations per start
+_MAX_ITER = 4000        # optimizer iterations per start
+_PGTOL = 1e-5           # L-BFGS-B's default projected-gradient tolerance
+_FTOL = 2.2e-9          # L-BFGS-B's default relative decrease, factr * machine epsilon
+_STALL = 3              # successive iterations under _FTOL that end a run
+_MAX_STEP = 2.0         # largest move of one parameter per step: a factor e^2 in a scale
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -148,15 +149,120 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call.
+# Cephes' rational approximations of erf and erfc (Moshier, 1989), highest
+# power first. erf(x) = x T(x^2) / U(x^2) for |x| < 1; for x >= 1,
+# erfc(x) = exp(-x^2) P(x) / Q(x) below 8 and exp(-x^2) R(x) / S(x) above.
+# U, Q and S have an implicit leading coefficient 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
-    Only the delay fit needs scipy. Imported with this module, it would add
-    about 0.7 s (2-core host) and 40 MiB of RSS to every command's start-up.
+
+def _horner(x, coefs, monic=False):
+    y = x + coefs[0] if monic else np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _ndtr(a):
+    """Standard normal CDF, as Cephes' ndtr: from erfc(|a|/sqrt 2)/2, the mass
+    below -|a|, which for |a| < sqrt 2 is 1/2 - erf(|a|/sqrt 2)/2.
+
+    The P/Q rational, which most arguments need, runs over the whole array on
+    arguments clipped into its range; T/U and R/S run on their own elements.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    a = np.asarray(a, dtype=float)
+    z = np.abs(a) * math.sqrt(0.5)
+    zc = np.clip(z, 1.0, 8.0)
+    ratio = _horner(zc, _ERFC_P)
+    ratio /= _horner(zc, _ERFC_Q, monic=True)
+    far = z >= 8.0
+    if far.any():
+        zf = np.minimum(z[far], 40.0)  # exp(-1600) is 0: keeps inf out of the rational
+        ratio[far] = _horner(zf, _ERFC_R) / _horner(zf, _ERFC_S, monic=True)
+    tail = 0.5 * (np.exp(-z * z) * ratio)
+    near = z < 1.0
+    if near.any():
+        zn = z[near]
+        zz = zn * zn
+        tail[near] = 0.5 - 0.5 * (zn * _horner(zz, _ERF_T) / _horner(zz, _ERF_U, monic=True))
+    return np.where(a > 0.0, 1.0 - tail, tail)
 
-    return scipy_minimize(*args, **kwargs)
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    x: np.ndarray
+    fun: float
+    nfev: int       # objective evaluations
+    success: bool   # a stopping rule was met; False after _MAX_ITER or a failed line search
+
+
+def minimize(fun, x0, args=(), bounds=None) -> MinimizeResult:
+    """Minimize fun(x, *args) -> (value, gradient) on a box by projected BFGS.
+
+    bounds holds one (lo, hi) pair per variable, None for no bound. Each
+    iteration freezes the variables at a bound whose gradient points out of
+    the box, steps along a dense inverse-Hessian direction in the others (no
+    variable moving more than _MAX_STEP) and halves the projected step until
+    it decreases fun enough (Armijo). The stopping rules are L-BFGS-B's
+    defaults: a projected gradient of at most _PGTOL, or a relative decrease
+    of at most _FTOL, here on _STALL successive iterations, since on a flat
+    ridge one short step is no sign of a minimum.
+    """
+    n = len(x0)
+    bounds = bounds or [(None, None)] * n
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds])
+    hi = np.array([np.inf if b is None else b for _, b in bounds])
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g = fun(x, *args)
+    nfev, stalled = 1, 0
+    h, scaled = np.eye(n), False
+    for _ in range(_MAX_ITER):
+        if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= _PGTOL:
+            return MinimizeResult(x, f, nfev, True)
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        d = np.zeros(n)
+        d[free] = -h[np.ix_(free, free)] @ g[free]
+        if g @ d >= 0:  # not a descent direction: restart from steepest descent
+            h, scaled = np.eye(n), False
+            d = np.where(free, -g, 0.0)
+        step = min(1.0, _MAX_STEP / np.max(np.abs(d)))
+        if not scaled:  # no curvature seen yet: a first step of unit length
+            step = min(step, 1.0 / np.linalg.norm(d))
+        while True:
+            x_new = np.clip(x + step * d, lo, hi)
+            f_new, g_new = fun(x_new, *args)
+            nfev += 1
+            if f_new <= f + 1e-4 * (g @ (x_new - x)):
+                break
+            step /= 2.0
+            if step < 1e-20:
+                return MinimizeResult(x, f, nfev, False)
+        s, y = x_new - x, g_new - g
+        stalled = stalled + 1 if f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0) else 0
+        x, f, g = x_new, f_new, g_new
+        if stalled == _STALL:
+            return MinimizeResult(x, f, nfev, True)
+        sy = s @ y
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            if not scaled:
+                h, scaled = h * (sy / (y @ y)), True
+            hy = h @ y
+            h += (np.outer(s, s) * (1.0 + (y @ hy) / sy) - np.outer(hy, s) - np.outer(s, hy)) / sy
+    return MinimizeResult(x, f, nfev, False)
 
 
 def _phi(x):
@@ -178,8 +284,6 @@ def _edge_probabilities(z, sign, mu_n, s_n, mu_w, s_w):
     (mu_n, log s_n, mu_w, log s_w), taken under the integral: the scores of
     f_Y for Y's parameters and the derivative of u for X's.
     """
-    from scipy.special import ndtr
-
     nodes, weights = _gauss_legendre()
     k = len(nodes)
     log_z = np.log(z)[:, None]
@@ -202,8 +306,11 @@ def _edge_probabilities(z, sign, mu_n, s_n, mu_w, s_w):
     u[:, k:] = (r - mu_w) / s_w
     w[:, k:] = (r_hi - r_lo) * weights * _phi(t[:, k:]) * gap / ((1.0 - gap) * s_n)
 
+    # P(Y > y_c), for the survival function, rides along as one more column.
+    t_c = (log_z[:, 0] + np.log1p(-np.exp(r_lo[:, 0] - log_z[:, 0])) - mu_n) / s_n
     sign = sign[:, None]
-    wp = w * ndtr(sign * u)
+    p = _ndtr(np.concatenate([sign * u, -t_c[:, None]], axis=1))
+    wp = w * p[:, :-1]
     wd = w * _phi(u) * sign
     value = wp.sum(axis=1)
     grad = np.empty((len(z), 4))
@@ -213,9 +320,8 @@ def _edge_probabilities(z, sign, mu_n, s_n, mu_w, s_w):
     grad[:, 3] = -(wd * u).sum(axis=1)
 
     upper = sign[:, 0] < 0
-    t_c = (log_z[:, 0] + np.log1p(-np.exp(r_lo[:, 0] - log_z[:, 0])) - mu_n) / s_n
     dens_c = np.where(upper, _phi(t_c), 0.0)
-    value += np.where(upper, ndtr(-t_c), 0.0)
+    value += np.where(upper, p[:, -1], 0.0)
     grad[:, 0] += dens_c / s_n
     grad[:, 1] += dens_c * t_c
     return value, grad
@@ -332,15 +438,7 @@ def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFi
     best = None
     nfev = 0
     for x0 in starts:
-        res = minimize(
-            _interval_nll,
-            np.array(x0),
-            args=(*bins, weights),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": _MAX_ITER},
-        )
+        res = minimize(_interval_nll, np.array(x0), args=(*bins, weights), bounds=bounds)
         nfev += int(res.nfev)
         if best is None or res.fun < best.fun:
             best = res

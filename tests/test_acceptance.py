@@ -90,8 +90,8 @@ def test_criterion_2_queue_position_oracle(capsys):
         feeds = FeedIndex(log, graph, window)
         for user in sorted(graph.nodes):
             expected, expected_oof = naive_queue_positions(user, log, graph, window)
-            records, n_out_of_feed = queue_positions(user, feeds)
-            got = {r.retweet_id: r.q for r in records}
+            cols, n_out_of_feed = queue_positions(user, feeds)
+            got = dict(zip(cols.retweet_id.tolist(), cols.q.tolist()))
             n_records += len(expected)
             if got != expected or n_out_of_feed != expected_oof:
                 mismatches += 1

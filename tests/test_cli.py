@@ -680,7 +680,22 @@ def test_bad_delay_bin_hi_names_the_key(workspace, tmp_path, runner):
     assert list(tmp_path.glob("bad.tsv*")) == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_negative_graph_seed_names_the_key(tmp_path, runner):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CONFIG.replace("graph_seed = 1", "graph_seed = -1"))
+    out = tmp_path / "bad.tsv"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--seed", "3", "--out", str(out),
+                                  "--graph-out", str(tmp_path / "bad.graph.tsv")])
+    assert result.exit_code == 1
+    assert "error: config key 'graph_seed': not a non-negative integer: -1" in all_output(result)
+    assert list(tmp_path.glob("bad*")) == []
+
+
+def test_cli_import_leaves_scipy_unloaded(workspace, tmp_path):
+    # Neither the import nor a delay fit, in the library or through the CLI, loads scipy.
+    fit_path = tmp_path / "fit.txt"
+    args = ["queues", "--log", str(workspace / "log.tsv"), "--graph", str(workspace / "graph.tsv"),
+            "--out", str(tmp_path / "q.csv"), "--fit-delays", str(fit_path)]
     script = (
         "import json, sys\n"
         "import feedflow.cli\n"
@@ -690,17 +705,20 @@ def test_cli_import_leaves_scipy_unloaded():
         "rng = np.random.default_rng(3)\n"
         "d = rng.lognormal(4.0, 0.3, 2000) + rng.lognormal(3.0, 1.2, 2000)\n"
         "fit = fit_lognormal_convolution(d)\n"
-        "print(json.dumps({'loaded': loaded, 'n': fit.n, 'nfev': fit.nfev,\n"
+        "feedflow.cli.main(json.loads(sys.argv[1]), standalone_mode=False)\n"
+        "after = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'loaded': loaded, 'after': after, 'n': fit.n, 'nfev': fit.nfev,\n"
         "                  'mu1': fit.mu1, 'mu2': fit.mu2}))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(args)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["loaded"] == []
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["loaded"] == [] and out["after"] == []
+    assert "nfev = " in fit_path.read_text()
     assert out["n"] == 2000 and out["nfev"] > 0
     assert abs(out["mu1"] - 4.0) < 0.5 and abs(out["mu2"] - 3.0) < 1.0
 

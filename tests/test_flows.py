@@ -59,8 +59,8 @@ def test_repeated_forwards_of_one_item_count_once():
     st_ = compute_flow_stats("u", feeds)
     assert (st_.lam, st_.lam_r, st_.lam_nr, st_.beta_r) == (2.0, 1.0, 1.0, 0.5)
     # Queue positions still give one record per forward.
-    records, _ = queue_positions("u", feeds)
-    assert [r.retweet_id for r in records] == [3, 4, 5]
+    cols, _ = queue_positions("u", feeds)
+    assert cols.retweet_id.tolist() == [3, 4, 5]
 
 
 def test_retweet_of_non_followee_not_counted():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize, special
 
+from feedflow import queues
 from feedflow.events import Event, EventKind, EventLog, FeedIndex, SocialGraph
 from feedflow.queues import (
     FitConvergenceError,
@@ -16,7 +17,7 @@ from feedflow.queues import (
     lognormal_sum_bin_masses,
     queue_positions,
 )
-from helpers import naive_queue_positions, random_graph, random_log, sample_lognormal_sum
+from helpers import naive_queue_records, random_graph, random_log, sample_lognormal_sum
 
 
 def feed_fixture():
@@ -33,21 +34,21 @@ def feed_fixture():
 
 def test_queue_position_hand_example():
     g, events = feed_fixture()
-    records, n_out_of_feed = queue_positions("u", FeedIndex(EventLog(events), g, (0, 1000)))
-    (rec,) = records
+    cols, n_out_of_feed = queue_positions("u", FeedIndex(EventLog(events), g, (0, 1000)))
     # Events 2, 3, 4 arrived between the original (1) and the forward.
-    assert rec.q == 3
-    assert rec.delay_s == 400
-    assert rec.user == "u" and rec.orig_id == 1
+    assert cols.q.tolist() == [3]
+    assert cols.delay_s.tolist() == [400]
+    assert cols.retweet_id.tolist() == [5] and cols.orig_id.tolist() == [1]
+    assert all(col.dtype == np.int64 for col in cols)
     assert n_out_of_feed == 0
 
 
 def test_queue_position_original_not_in_feed():
     g, events = feed_fixture()
     stranger = Event(9, 600, "u", EventKind.RETWEET, orig_event_id=42, orig_author="x")
-    records, n_out_of_feed = queue_positions(
+    cols, n_out_of_feed = queue_positions(
         "u", FeedIndex(EventLog(events + [stranger]), g, (0, 1000)))
-    assert [r.retweet_id for r in records] == [5]
+    assert cols.retweet_id.tolist() == [5]
     assert n_out_of_feed == 1
 
 
@@ -59,8 +60,8 @@ def test_original_sorting_after_its_forward_is_out_of_feed():
         Event(2, 150, "u", EventKind.RETWEET, orig_event_id=3, orig_author="a"),
         Event(3, 200, "a", EventKind.TWEET),
     ])
-    records, n_out_of_feed = queue_positions("u", FeedIndex(log, g, (0, 1000)))
-    assert records == [] and n_out_of_feed == 1
+    cols, n_out_of_feed = queue_positions("u", FeedIndex(log, g, (0, 1000)))
+    assert all(len(col) == 0 for col in cols) and n_out_of_feed == 1
 
 
 def test_queue_positions_batch_and_coverage():
@@ -72,8 +73,8 @@ def test_queue_positions_batch_and_coverage():
         Event(4, 300, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a"),
         Event(5, 400, "u", EventKind.RETWEET, orig_event_id=2, orig_author="x"),
     ])
-    records, n_out_of_feed = queue_positions("u", FeedIndex(log, g, (0, 1000)))
-    assert len(records) == 1 and records[0].q == 1
+    cols, n_out_of_feed = queue_positions("u", FeedIndex(log, g, (0, 1000)))
+    assert cols.q.tolist() == [1]
     assert n_out_of_feed == 1
 
 
@@ -90,24 +91,26 @@ def test_queue_positions_root_mode_follows_chains():
     feeds = FeedIndex(log, g, (0, 1000))
     immediate, _ = queue_positions("u", feeds, source="immediate")
     root, _ = queue_positions("u", feeds, source="root")
-    assert immediate[0].orig_id == 3 and immediate[0].q == 0
-    assert root[0].orig_id == 1 and root[0].q == 2
+    assert immediate.orig_id.tolist() == [3] and immediate.q.tolist() == [0]
+    assert root.orig_id.tolist() == [1] and root.q.tolist() == [2]
     with pytest.raises(ValueError):
         queue_positions("u", feeds, source="chain")
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_queue_positions_match_naive_oracle(seed):
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["immediate", "root"]))
+def test_queue_positions_match_naive_oracle(seed, source):
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, int(rng.integers(4, 8)))
     log = random_log(rng, graph, int(rng.integers(30, 120)))
     window = (0, 10_000)
     feeds = FeedIndex(log, graph, window)
     for user in sorted(graph.nodes):
-        expected, expected_oof = naive_queue_positions(user, log, graph, window)
-        records, n_out_of_feed = queue_positions(user, feeds)
-        assert {r.retweet_id: r.q for r in records} == expected
+        expected, expected_oof = naive_queue_records(user, log, graph, window, source)
+        cols, n_out_of_feed = queue_positions(user, feeds, source=source)
+        # Row for row, in the log order of the forwards.
+        assert list(zip(*(col.tolist() for col in cols))) == [
+            (rid, *rest) for rid, rest in expected.items()]
         assert n_out_of_feed == expected_oof
 
 
@@ -234,6 +237,57 @@ def test_fit_lognormal_convolution_not_identifiable_for_equal_sigmas():
     rng = np.random.default_rng(0)
     fit = fit_lognormal_convolution(sample_lognormal_sum(rng, 3.0, 0.5, 2.0, 0.5, 2000))
     assert not fit.identifiable
+
+
+def test_ndtr_matches_scipy():
+    edges = np.array([math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
+    edges = np.concatenate([edges, -edges])
+    x = np.concatenate([np.linspace(-37.0, 9.0, 460_001), edges,
+                        np.nextafter(edges, 0.0), np.nextafter(edges, 2.0 * edges)])
+    np.testing.assert_allclose(queues._ndtr(x), special.ndtr(x), rtol=1e-14, atol=0.0)
+    assert queues._ndtr(np.array([-np.inf, 0.0, np.inf])).tolist() == [0.0, 0.5, 1.0]
+
+
+def _lbfgsb(fun, x0, args=(), bounds=None):
+    return optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", bounds=bounds,
+                             options={"maxiter": queues._MAX_ITER})
+
+
+# (truth, size, seed): criterion 9's identifiable sample, the equal-sigma
+# sample and one whose faster component is nearly constant.
+ORACLE_SAMPLES = {
+    "criterion-9": ((4.0, 0.3, 3.0, 1.2), 10_000, 0),
+    "equal-sigma": ((3.0, 0.5, 2.0, 0.5), 2000, 0),
+    "near-constant": ((4.0, 0.3, 2.0, 0.01), 2000, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SAMPLES))
+def test_minimize_matches_scipy_lbfgsb(name, monkeypatch):
+    truth, size, seed = ORACLE_SAMPLES[name]
+    delays = sample_lognormal_sum(np.random.default_rng(seed), *truth, size)
+    fit = fit_lognormal_convolution(delays)
+    monkeypatch.setattr(queues, "minimize", _lbfgsb)
+    oracle = fit_lognormal_convolution(delays)
+    assert fit.loglik / fit.n >= oracle.loglik / oracle.n - 1e-9
+    assert fit.converged
+    for sigma in (fit.sigma1, fit.sigma2):
+        assert 0.01 * (1 - 1e-12) <= sigma <= 10.0 * (1 + 1e-12)
+    if name == "criterion-9":
+        assert fit.identifiable
+        got = np.array([fit.mu1, fit.sigma1, fit.mu2, fit.sigma2])
+        want = np.array([oracle.mu1, oracle.sigma1, oracle.mu2, oracle.sigma2])
+        assert np.max(np.abs(got - want)) <= 1e-3
+
+
+def test_minimize_respects_bounds_and_counts_evaluations():
+    def quadratic(x):
+        return float((x - 3.0) @ (x - 3.0)), 2.0 * (x - 3.0)
+
+    res = queues.minimize(quadratic, np.zeros(2), bounds=[(None, None), (-1.0, 1.0)])
+    assert res.success and res.nfev > 1
+    np.testing.assert_allclose(res.x, [3.0, 1.0], atol=1e-5)
+    assert res.fun == pytest.approx(4.0, abs=1e-9)
 
 
 def test_fit_lognormal_convolution_rounds_to_whole_seconds():
