@@ -226,7 +226,7 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
     feeds = FeedIndex(log, graph, win)
     parts = [queue_positions(u, feeds, source=source) for u in graph.nodes]
     columns = QueuePositions(*(np.concatenate([np.empty(0, np.int64), *(c[j] for c, _ in parts)])
-                               for j in range(len(QueuePositions._fields))))
+                               for j in range(4)))
     n_out_of_feed = sum(n for _, n in parts)
     click.echo(f"{len(columns.q)} queue records, {n_out_of_feed} out-of-feed forwards")
     users = itertools.chain.from_iterable(

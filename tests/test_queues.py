@@ -248,7 +248,7 @@ def test_ndtr_matches_scipy():
     assert queues._ndtr(np.array([-np.inf, 0.0, np.inf])).tolist() == [0.0, 0.5, 1.0]
 
 
-def _lbfgsb(fun, x0, args=(), bounds=None):
+def _lbfgsb(fun, x0, args, bounds):
     return optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", bounds=bounds,
                              options={"maxiter": queues._MAX_ITER})
 
@@ -284,7 +284,7 @@ def test_minimize_respects_bounds_and_counts_evaluations():
     def quadratic(x):
         return float((x - 3.0) @ (x - 3.0)), 2.0 * (x - 3.0)
 
-    res = queues.minimize(quadratic, np.zeros(2), bounds=[(None, None), (-1.0, 1.0)])
+    res = queues.minimize(quadratic, np.zeros(2), (), [(None, None), (-1.0, 1.0)])
     assert res.success and res.nfev > 1
     np.testing.assert_allclose(res.x, [3.0, 1.0], atol=1e-5)
     assert res.fun == pytest.approx(4.0, abs=1e-9)
