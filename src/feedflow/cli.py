@@ -225,6 +225,7 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
     log, graph, win = _load_inputs(log_path, graph_path, window)
     feeds = FeedIndex(log, graph, win)
     parts = [queue_positions(u, feeds, source=source) for u in graph.nodes]
+    # The empty first piece keeps a graph without users working.
     columns = QueuePositions(*(np.concatenate([np.empty(0, np.int64), *(c[j] for c, _ in parts)])
                                for j in range(4)))
     n_out_of_feed = sum(n for _, n in parts)

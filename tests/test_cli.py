@@ -381,6 +381,17 @@ def test_queues_csv(workspace, runner):
     assert len(lines) > 1
 
 
+def test_queues_on_a_graph_without_users(tmp_path, runner):
+    (tmp_path / "log.tsv").write_text("0\ta\tT\t1\n")
+    (tmp_path / "graph.tsv").write_text("")
+    out = tmp_path / "q.csv"
+    result = runner.invoke(main, ["queues", "--log", str(tmp_path / "log.tsv"),
+                                  "--graph", str(tmp_path / "graph.tsv"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "0 queue records, 0 out-of-feed forwards" in result.output
+    assert out.read_text() == "user,retweet_id,orig_id,q,delay_s\n"
+
+
 FIT_KEYS = [
     "mu1", "sigma1", "mu2", "sigma2", "loglik", "n", "n_rejected", "n_unique", "nfev",
     "converged", "se_mu1", "se_sigma1", "se_mu2", "se_sigma2", "identifiable",
