@@ -419,7 +419,7 @@ def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFi
     Delays are whole seconds: each positive delay is rounded to the nearest
     second (halves to even) and the likelihood is that of the interval
     (d - 1/2, d + 1/2], evaluated once per distinct delay. It is maximized
-    with L-BFGS-B and its analytic gradient from four moment-based starting
+    by `minimize` with its analytic gradient from four moment-based starting
     points. Components are reported with mu1 >= mu2 (the slower one first).
     """
     d = np.asarray(delays, dtype=float)
