@@ -288,6 +288,111 @@ def test_bad_graph_line_is_named(tmp_path, runner, bad_line, message):
     assert not (tmp_path / "flows.csv").exists()
 
 
+# Byte-level boundaries of both input formats. The log holds a UTF-8 BOM,
+# CRLF lines, a blank CRLF line, a lone CR inside line 4 (it ends that line,
+# so "\tT\t3" is line 5 and every later line moves by one), a lone CR that
+# ends a line, +500, Arabic-Indic digits, a 19-digit id, non-ASCII names and
+# marks, users 'a' and 'a\x00', and no trailing newline. The graph holds CRLF
+# and CR line ends, blank lines and the same names.
+BOUNDARY_LOG = (
+    "﻿400\tbom\tT\t40\n"
+    "100\talice\tT\t1\r\n"
+    "\r\n"
+    "300\ta\r\tT\t3\n"
+    "+500\tbob\tT\t2\r\n"
+    "٥٠٠\tcarol\tT\t4\n"
+    "600\tdave\tT\t1234567890123456789\n"
+    "-20\teve\tT\t-1\n"
+    "700\télodie\tR\t5\t1\talice\tmé,m2\n"
+    "\n"
+    "800\ta\tT\t6\n"
+    "800\ta\x00\tT\t7\r"
+    "900\t日本\tR\t8\t7\ta\x00\n"
+    "900\tzed\tR\t9\t7\ta\n"
+    "1000\tx\tT\t10\tm1,m2\n"
+    "1100\ty\tT\t11"
+).encode("utf-8")
+BOUNDARY_GRAPH = (
+    "bob\talice\r\n"
+    "\r\n"
+    "a\tbob\n"
+    "a\x00\tbob\r"
+    "élodie\t日本\n"
+    "\n"
+    "a\ta\x00"
+).encode("utf-8")
+BOUNDARY_REJECTS = [
+    "line 1: bad timestamp '\\ufeff400'",
+    "line 4: expected at least 4 tab-separated fields",
+    "line 5: expected at least 4 tab-separated fields",
+    "line 15: retweet 9 names author 'a' but event 7 was posted by 'a\\x00'",
+]
+BOUNDARY_FLOWS = (
+    "user,lambda,lambda_r,beta_r,F\n"
+    "a,6.428571429,0,0,2\n"
+    "a\x00,3.214285714,0,0,1\n"
+    "alice,0,0,0,0\n"
+    "bob,3.214285714,0,0,1\n"
+    "élodie,3.214285714,0,0,1\n"
+    "日本,0,0,0,0\n"
+).encode("utf-8")
+
+
+def test_validate_byte_boundaries_match_golden(tmp_path, runner):
+    (tmp_path / "log.tsv").write_bytes(BOUNDARY_LOG)
+    (tmp_path / "graph.tsv").write_bytes(BOUNDARY_GRAPH)
+    result = runner.invoke(main, [
+        "validate", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+    ])
+    assert result.exit_code == 0
+    assert result.stdout == "".join(
+        ["11 events\n4 lines rejected:\n"] + [f"  {r}\n" for r in BOUNDARY_REJECTS]
+        + ["6 users, 5 follow edges\n"])
+    assert result.stderr == ""
+    out = tmp_path / "flows.csv"
+    result = runner.invoke(main, [
+        "flows", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0
+    assert result.stdout == ""
+    assert result.stderr == "".join(f"warning: {r.replace(':', ' rejected:', 1)}\n"
+                                    for r in BOUNDARY_REJECTS)
+    assert out.read_bytes() == BOUNDARY_FLOWS
+
+
+@pytest.mark.parametrize("bad", ["log", "graph"])
+def test_invalid_utf8_fails_the_whole_file(tmp_path, runner, bad):
+    # The message is not pinned: it names a position that depends on the reader.
+    files = {"log": b"100\ta\tT\t1\n200\tb\tT\t2\n", "graph": b"b\ta\nc\ta\n"}
+    files[bad] = files[bad].replace(b"b\t", b"b\xff\t")
+    for name, data in files.items():
+        (tmp_path / f"{name}.tsv").write_bytes(data)
+    inputs = ["--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv")]
+    for args in (["validate", *inputs], ["flows", *inputs, "--out", str(tmp_path / "f.csv")]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, args
+        assert result.stderr.startswith("error: ") and "utf-8" in result.stderr.lower(), args
+        assert result.stdout == ("2 events\n" if bad == "graph" and args[0] == "validate"
+                                 else ""), args
+        assert "Traceback" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.tsv", "log.tsv"]
+
+
+@pytest.mark.parametrize("graph,message", [
+    (b"b\ta\r\n\rx\ty\na\ta\n", "graph line 4: self-loop edge for user 'a'"),
+    (b"b\ta\r\na\rc\tb\n", "graph line 2: expected 'follower<TAB>followee'"),
+])
+def test_graph_line_numbers_count_every_line_end(tmp_path, runner, graph, message):
+    (tmp_path / "log.tsv").write_bytes(b"100\ta\tT\t1\n")
+    (tmp_path / "graph.tsv").write_bytes(graph)
+    result = runner.invoke(main, ["validate", "--log", str(tmp_path / "log.tsv"),
+                                  "--graph", str(tmp_path / "graph.tsv")])
+    assert result.exit_code == 1
+    assert result.stdout == "1 events\n"
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_duplicate_graph_edges_collapse(tmp_path, runner):
     (tmp_path / "log.tsv").write_text("0\ta\tT\t1\n1800\ta\tT\t2\n3600\tb\tT\t3\n")
     (tmp_path / "graph.tsv").write_text("u\ta\nu\tb\nu\ta\n")
