@@ -62,15 +62,27 @@ def command_errors(fn):
 def _load_inputs(log_path: str, graph_path: str,
                  window: Optional[str]) -> tuple[EventLog, SocialGraph, tuple[int, int]]:
     """The log (its rejects warned on stderr), the graph and the window."""
-    with open(log_path, "r", encoding="utf-8") as fh:
-        log, report = parse_event_log(fh)
-    for rej in report.rejects:
-        click.echo(f"warning: line {rej.line_no} rejected: {rej.reason}", err=True)
+    log = _load_log(log_path)
     return log, _load_graph(graph_path), _parse_window(window, log)
 
 
+def _load_log(path: str, listed: bool = False) -> EventLog:
+    """The log. Its rejects are warned on stderr or, when listed, counted
+    and listed on stdout after the number of events."""
+    with open(path, "rb") as fh:
+        log, report = parse_event_log(fh)
+    if listed:
+        click.echo(f"{len(log)} events")
+        if report.rejects:
+            click.echo(f"{report.n_rejected} lines rejected:")
+    for rej in report.rejects:
+        click.echo(f"  line {rej.line_no}: {rej.reason}" if listed else
+                   f"warning: line {rej.line_no} rejected: {rej.reason}", err=not listed)
+    return log
+
+
 def _load_graph(path: str) -> SocialGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return SocialGraph.from_tsv(fh)
 
 
@@ -157,13 +169,7 @@ def main():
 @command_errors
 def validate(log_path, graph_path):
     """Parse and validate an event log (and optionally a graph); report counts."""
-    with open(log_path, "r", encoding="utf-8") as fh:
-        log, report = parse_event_log(fh)
-    click.echo(f"{len(log)} events")
-    if report.rejects:
-        click.echo(f"{report.n_rejected} lines rejected:")
-        for rej in report.rejects:
-            click.echo(f"  line {rej.line_no}: {rej.reason}")
+    _load_log(log_path, listed=True)
     if graph_path:
         graph = _load_graph(graph_path)
         click.echo(f"{len(graph.nodes)} users, {graph.n_edges()} follow edges")

@@ -8,16 +8,16 @@ same deterministic timeline.
 
 from __future__ import annotations
 
+import codecs
 import collections
 import functools
-import itertools
 import operator
-import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
@@ -94,14 +94,21 @@ class SocialGraph:
 
     def __init__(self, edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()):
         follower, followee = list(zip(*edges)) or ((), ())
-        self.nodes = tuple(sorted(set(nodes).union(follower, followee)))
-        self._index = {u: i for i, u in enumerate(self.nodes)}
-        n, m = len(self.nodes), len(follower)
-        f = np.fromiter(map(self._index.__getitem__, follower), np.int64, m)
-        v = np.fromiter(map(self._index.__getitem__, followee), np.int64, m)
+        names = sorted(set(nodes).union(follower, followee))
+        index = {u: i for i, u in enumerate(names)}
+        f = np.fromiter(map(index.__getitem__, follower), np.int64, len(follower))
+        v = np.fromiter(map(index.__getitem__, followee), np.int64, len(followee))
         loops = np.flatnonzero(f == v)
         if loops.size:
             raise LogFormatError(f"self-loop edge for user {follower[loops[0]]!r}")
+        self._fill(names, f, v)
+
+    def _fill(self, names: list[str], f: np.ndarray, v: np.ndarray) -> None:
+        """The graph over the sorted names of the edges f[k] -> v[k], given
+        as indices into names."""
+        self.nodes = tuple(names)
+        self._index = {u: i for i, u in enumerate(self.nodes)}
+        n = len(self.nodes)
         # np.sort, not np.unique: the first np.unique call imports numpy.ma (10-30 ms).
         key = np.sort(f * n + v)
         key = key[np.diff(key, prepend=-1) != 0]
@@ -159,19 +166,41 @@ class SocialGraph:
                            map(tails.__getitem__, self.followee_indices.tolist())))
 
     @classmethod
-    def from_tsv(cls, lines: Iterable[str]) -> "SocialGraph":
-        edges = []
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise LogFormatError(f"graph line {line_no}: expected 'follower<TAB>followee'")
-            if parts[0] == parts[1]:
-                raise LogFormatError(f"graph line {line_no}: self-loop edge for user {parts[0]!r}")
-            edges.append(parts)
-        return cls(edges)
+    def from_tsv(cls, fh: BinaryIO) -> "SocialGraph":
+        """The graph of a binary file of 'follower<TAB>followee' lines.
+
+        LogFormatError names the first line, in line order, that is not two
+        non-empty fields or is a self-loop. Blank lines are skipped.
+        """
+        names: dict[str, int] = {}
+        edges = [np.empty((2, 0), np.int64)]  # per block: follower and followee codes
+        for first_line, block in _blocks(fh, "graph line"):
+            lines = _Lines(block)
+            follower, followee = lines.width(lines.first), lines.width(lines.last)
+            pair = (lines.count() == 2) & (follower > 0) & (followee > 0)
+            fast = pair & ~lines.nul & (np.maximum(follower, followee) <= _WIDE)
+            slow = np.flatnonzero(pair & ~fast)
+            line = np.concatenate([np.flatnonzero(fast), slow])
+            code = np.concatenate([
+                lines.codes(np.concatenate([lines.first[fast], lines.last[fast]]),
+                            names).reshape(2, -1),
+                np.array([[names.setdefault(u, len(names)) for u in lines.text(i).split("\t")]
+                          for i in slow.tolist()], np.int64).reshape(-1, 2).T], axis=1)
+            bad = min(line[code[0] == code[1]].min(initial=len(lines)),
+                      np.flatnonzero(lines.nonempty() & ~pair).min(initial=len(lines)))
+            if bad < len(lines) and not pair[bad]:
+                raise LogFormatError(f"graph line {first_line + bad}: "
+                                     "expected 'follower<TAB>followee'")
+            if bad < len(lines):
+                user = lines.text(bad).split("\t")[0]
+                raise LogFormatError(f"graph line {first_line + bad}: "
+                                     f"self-loop edge for user {user!r}")
+            edges.append(code)
+        nodes, rank = _sorted_table(names)
+        f, v = rank[np.concatenate(edges, axis=1)]
+        graph = cls.__new__(cls)
+        graph._fill(nodes, f, v)
+        return graph
 
 
 class EventLog:
@@ -187,6 +216,7 @@ class EventLog:
     def __init__(self, events: Iterable[Event] = ()):
         events = sorted(events, key=operator.attrgetter("ts", "event_id"))
         names: dict[str, int] = collections.defaultdict(lambda: len(names))
+        fields: dict[str, int] = collections.defaultdict(lambda: len(fields))
         self._fill(
             np.array([e.ts for e in events], np.int64),
             np.array([e.event_id for e in events], np.int64),
@@ -195,7 +225,8 @@ class EventLog:
                      np.int32),
             np.array([e.orig_event_id or 0 for e in events], np.int64),
             list(names),
-            _token_rows((row, e.marks) for row, e in enumerate(events)),
+            _mark_rows(np.array([fields[",".join(sorted(e.marks))] if e.marks else -1 for e in events],
+                                np.int64), list(fields)),
         )
 
     @classmethod
@@ -281,24 +312,12 @@ class EventLog:
         return "".join(_tsv_line(*record) + "\n" for record in self._records())
 
 
-def _token_rows(marked: Iterable[tuple[int, set[str]]]) -> dict[str, np.ndarray]:
-    """Each token's ascending rows, from (row, tokens) pairs with distinct rows."""
-    rows: dict[str, list[int]] = {}
-    for row, tokens in marked:
-        for token in tokens:
-            rows.setdefault(token, []).append(row)
-    # np.sort, not np.unique: the first np.unique call imports numpy.ma (10-30 ms).
-    return {token: np.sort(np.array(r, np.int64)) for token, r in rows.items()}
-
-
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-_CHUNK = 1 << 10  # lines matched at once; bounds the parse's transient memory
-# A well-formed line whose integers are plain decimals of at most 18 digits,
-# so inside int64. Groups: ts, author, "R" for a forward, event_id,
-# orig_event_id, orig_author, marks. Any other line goes through _parse_line.
-# Compiled on first parse (re caches it), not at import.
-_LINE = (r"(-?\d{1,18})\t([^\t\n]+)\t(?:T|(R))\t(-?\d{1,18})"
-         r"(?(3)\t(-?\d{1,18})\t([^\t\n]+))(?:\t([^\t\n,]+(?:,[^\t\n,]+)*))?\n?")
+_BLOCK = 1 << 22  # bytes read at once; bounds the parse's transient memory
+# The widest name or marks field the array path codes; a line with a wider
+# one goes through _parse_line. It bounds the block's name matrix.
+_WIDE = 64
+_TAB, _NL, _COMMA, _MINUS = 9, 10, 44, 45
 
 
 def _int64(text: str, field_name: str) -> str:
@@ -312,8 +331,9 @@ def _int64(text: str, field_name: str) -> str:
 
 
 def _parse_line(line: str) -> tuple:
-    """The line's fields as _LINE groups them, or ValueError naming the first
-    rule the line breaks."""
+    """The line's fields (ts, author, True for a forward else None, event_id,
+    orig_event_id, orig_author, marks) as text, or ValueError naming the
+    first rule the line breaks."""
     parts = line.split("\t")
     if len(parts) < 4:
         raise ValueError("expected at least 4 tab-separated fields")
@@ -340,49 +360,236 @@ def _parse_line(line: str) -> tuple:
     return ts, author, kind == "R" or None, event_id, orig_id, orig_author, marks
 
 
-def parse_event_log(lines: Iterable[str]) -> tuple[EventLog, ParseReport]:
-    """Parse event TSV lines into a validated, sorted EventLog.
+def _blocks(fh: BinaryIO, what: str) -> Iterator[tuple[int, bytes]]:
+    """The file as (number of the block's first line, block) pairs.
+
+    A block is about _BLOCK bytes cut after its last newline. As in text mode,
+    '\\r\\n' and a lone '\\r' end a line: both become '\\n', and an
+    unterminated last line gets one. Each read is checked as UTF-8 before any
+    of it is parsed: LogFormatError names the line (what names the file's
+    lines) of a byte sequence that is not UTF-8.
+    """
+    first, tail, more = 1, b"", True
+    while more:
+        buf = tail + fh.read(_BLOCK)
+        more = len(buf) > len(tail)
+        if not buf.isascii():
+            try:  # a sequence cut by the read is completed by the next one
+                codecs.utf_8_decode(buf, "strict", not more)
+            except UnicodeDecodeError as exc:
+                head = buf[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                line = first + head.count(b"\n")
+                raise LogFormatError(f"{what} {line}: not UTF-8 ({exc.reason})") from None
+        cut = buf.rfind(b"\n") + 1 if more else len(buf)
+        block, tail = buf[:cut], buf[cut:]
+        del buf  # only the block stays alive while it is parsed
+        if not block:
+            continue
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        yield first, block
+        first += block.count(b"\n")
+
+
+class _Lines:
+    """A block's lines split at tabs.
+
+    a is the block's bytes. sep[j] is the tab or newline that ends field j;
+    line i holds fields first[i] to last[i] and ends at a[sep[last[i]]].
+    nul[i] says the line holds a NUL byte.
+    """
+
+    def __init__(self, block: bytes):
+        self.a = a = np.frombuffer(block, np.uint8)
+        position = np.int32 if len(a) < 1 << 31 else np.int64
+        # uint8 arithmetic: a byte below a tab wraps above a newline.
+        self.sep = np.flatnonzero(a - _TAB <= _NL - _TAB).astype(position)
+        self.last = np.flatnonzero(a[self.sep] == _NL).astype(position)
+        self.first = np.concatenate(([0], self.last[:-1] + 1)).astype(position)
+        self.nul = np.zeros(len(self.last), bool)
+        if (nul := np.flatnonzero(a == 0)).size:
+            self.nul[np.searchsorted(self.sep[self.last], nul)] = True
+
+    def __len__(self) -> int:
+        return len(self.last)
+
+    def count(self) -> np.ndarray:
+        """Each line's number of fields."""
+        return self.last - self.first + 1
+
+    def nonempty(self) -> np.ndarray:
+        return (self.width(self.first) > 0) | (self.last > self.first)
+
+    def span(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end of each given field, which must exist."""
+        start = self.sep[field - 1] + 1
+        start[field == 0] = 0
+        return start, self.sep[field]
+
+    def text(self, line: int) -> str:
+        first = self.first[line]
+        start = self.sep[first - 1] + 1 if first else 0
+        return self.a[start:self.sep[self.last[line]]].tobytes().decode()
+
+    def ints(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each field's value, and whether the field is a plain decimal
+        -?[0-9]{1,18}; the value of any other field is meaningless."""
+        start, end = self.span(field)
+        neg = self.a.take(start, mode="clip") == _MINUS
+        width = end - start - neg
+        w = min(int(width.max(initial=1)), 18)
+        # Right-aligned digit columns, one uint8 row per column: the byte
+        # w - j before the field's end, 0 left of the field.
+        d = np.empty((w, len(field)), np.uint8)
+        for j in range(w):
+            self.a.take(end - (w - j), out=d[j], mode="clip")
+        d -= ord("0")  # anything but a digit wraps above 9
+        d *= np.arange(w)[:, None] >= w - width
+        ok = (width >= 1) & (width <= 18) & (d.max(axis=0, initial=0) <= 9)
+        value = d[0].astype(np.int64)
+        for j in range(1, w):
+            value *= 10
+            value += d[j]
+        return np.where(neg, -value, value), ok
+
+    def width(self, field: np.ndarray) -> np.ndarray:
+        start, end = self.span(field)
+        return end - start
+
+    def named(self, field: np.ndarray) -> np.ndarray:
+        """Whether each field is non-empty and at most _WIDE bytes."""
+        width = self.width(field)
+        return (width > 0) & (width <= _WIDE)
+
+    def listed(self, field: np.ndarray) -> np.ndarray:
+        """Whether each field is named and non-empty tokens between single commas."""
+        start, end = self.span(field)
+        ok = self.named(field) & (self.a[start] != _COMMA) & (self.a[end - 1] != _COMMA)
+        if (commas := np.flatnonzero(self.a == _COMMA)).size:
+            double = np.zeros(len(self.sep), bool)  # the fields holding ",,"
+            double[np.searchsorted(self.sep, commas[1:][np.diff(commas) == 1])] = True
+            ok &= ~double[field]
+        return ok
+
+    def codes(self, field: np.ndarray, table: dict[str, int]) -> np.ndarray:
+        """Each field's code in table, which gives a new text the next code.
+
+        The fields are non-empty, NUL-free and at most _WIDE bytes. Each is
+        packed, zero-padded, into uint64 words, which are equal exactly when
+        the fields' bytes are; one sort groups them, and only the distinct
+        fields are decoded.
+        """
+        if not len(field):
+            return np.empty(0, np.int32)
+        start, end = self.span(field)
+        width = end - start
+        words = np.zeros(((int(width.max()) + 7) // 8, len(field)), np.uint64)
+        for j in range(int(width.max())):
+            byte = self.a.take(start + j, mode="clip")
+            byte *= j < width
+            words[j // 8] |= byte.astype(np.uint64) << (8 * (7 - j % 8))
+        order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+        words = words[:, order]
+        new = np.concatenate(([True], (words[:, 1:] != words[:, :-1]).any(axis=0)))
+        first = order[new]
+        distinct = [table.setdefault(self.a[s:e].tobytes().decode(), len(table))
+                    for s, e in zip(start[first].tolist(), end[first].tolist())]
+        code = np.empty(len(field), np.int32)
+        code[order] = np.array(distinct, np.int32)[np.cumsum(new) - 1]
+        return code
+
+
+def _sorted_table(table: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The table's texts in sorted order, and each old code's place there."""
+    texts = sorted(table)
+    rank = np.empty(len(table), np.int64)
+    rank[list(map(table.__getitem__, texts))] = np.arange(len(table))
+    return texts, rank
+
+
+def parse_event_log(fh: BinaryIO) -> tuple[EventLog, ParseReport]:
+    """Parse a binary event TSV file into a validated, sorted EventLog.
 
     Malformed lines and retweets with bad references are rejected one by one
     into the report: per-line rejects in line order, then reference rejects in
-    (ts, event_id) order. A duplicate event_id rejects the whole log.
+    (ts, event_id) order. A duplicate event_id, or a byte sequence that is not
+    UTF-8, rejects the whole log.
     """
     report = ParseReport()
-    names: dict[str, int] = collections.defaultdict(lambda: len(names))  # name -> code
-    # Per chunk: line_no, ts, ids, orig_ids, author and orig_author.
-    blocks = [[np.empty(0, np.int64)] * 4 + [np.empty(0, np.int32)] * 2]
-    marks: list[tuple[int, str]] = []  # (index into the joined blocks, marks field)
-    n = 0
-    lines = iter(lines)
-    first = 1  # the chunk's first line number
-    well_formed = re.compile(_LINE).fullmatch
-    while chunk := list(itertools.islice(lines, _CHUNK)):
-        matches = list(map(well_formed, chunk))
-        rows = [m.groups() for m in matches if m]
-        matched = np.fromiter(map(bool, matches), bool, len(chunk))
-        line_no = [np.flatnonzero(matched) + first]
-        for i in np.flatnonzero(~matched).tolist():
-            if line := chunk[i].rstrip("\n"):
-                try:
-                    rows.append(_parse_line(line))
-                    line_no.append([first + i])
-                except ValueError as exc:
-                    report.rejects.append(LineReject(first + i, str(exc)))
-        first += len(chunk)
-        if not rows:
+    names: dict[str, int] = {}
+    fields: dict[str, int] = {}  # marks field -> code
+    pieces: list[list[np.ndarray]] = [[] for _ in range(7)]  # per column, one per block
+    for first, block in _blocks(fh, "line"):
+        for piece, column in zip(pieces, _parse_block(first, _Lines(block), names, fields, report)):
+            piece.append(column)
+    return EventLog.from_columns(*_check_references(pieces, names, fields, report)), report
+
+
+def _shaped(lines: _Lines) -> np.ndarray:
+    """The lines without a NUL byte that have 4 or 5 fields and kind T, or 6
+    or 7 fields and kind R."""
+    n = lines.count()
+    rows = np.flatnonzero((n >= 4) & (n <= 7) & ~lines.nul)
+    start, end = lines.span(lines.first[rows] + 2)
+    kind = np.where(n[rows] >= 6, ord("R"), ord("T"))
+    return rows[(end - start == 1) & (lines.a[start] == kind)]
+
+
+def _parse_block(first_line: int, lines: _Lines, names: dict[str, int],
+                 fields: dict[str, int], report: ParseReport) -> list[np.ndarray]:
+    """The block's parsed lines as columns: line_no, ts, ids, orig_ids, author
+    and orig_author codes in names (-1 for an original), and marks field code
+    in fields (-1 for none).
+
+    The array masks pass exactly the lines whose fields are 4 or 5 for T and
+    6 or 7 for R, whose integers are ASCII -?[0-9]{1,18}, whose names are
+    non-empty and whose marks are non-empty tokens between single commas; they
+    also hold back a line with a NUL byte or a field wider than _WIDE. Those
+    lines are read from the arrays; every other non-empty line goes through
+    _parse_line, which rejects it or reads it.
+    """
+    rows = _shaped(lines)
+    f = lines.first[rows]
+    fields_in_line = lines.last[rows] - f + 1
+    fwd = fields_in_line >= 6
+    marked = fields_in_line % 2 == 1  # the fifth of a T line, the seventh of an R line
+    ts, good = lines.ints(f)
+    ids, ok = lines.ints(f + 3)
+    good &= ok
+    orig_ids = np.zeros(len(rows), np.int64)
+    orig_ids[fwd], ok = lines.ints(f[fwd] + 4)
+    good[fwd] &= ok
+    good &= lines.named(f + 1)
+    good[fwd] &= lines.named(f[fwd] + 5)
+    good[marked] &= lines.listed(lines.last[rows[marked]])
+
+    rows, f, fwd, marked = rows[good], f[good], fwd[good], marked[good]
+    orig_code = np.full(len(rows), -1, np.int32)
+    orig_code[fwd] = lines.codes(f[fwd] + 5, names)
+    mark_code = np.full(len(rows), -1, np.int32)
+    mark_code[marked] = lines.codes(lines.last[rows[marked]], fields)
+    columns = [rows.astype(np.int64) + first_line, ts[good], ids[good], orig_ids[good],
+               lines.codes(f + 1, names), orig_code, mark_code]
+
+    fast = np.zeros(len(lines), bool)
+    fast[rows] = True
+    slow = []
+    for i in np.flatnonzero(~fast & lines.nonempty()).tolist():
+        try:
+            t, author, is_fwd, event_id, orig_id, orig_author, marks = _parse_line(lines.text(i))
+        except ValueError as exc:
+            report.rejects.append(LineReject(first_line + i, str(exc)))
             continue
-        ts, author, kind, ids, orig, orig_author, mark = zip(*rows)
-        forward = np.fromiter(map(bool, kind), bool, len(rows))
-        orig_ids = np.zeros(len(rows), np.int64)
-        orig_ids[forward] = list(map(int, filter(None, orig)))
-        orig_code = np.full(len(rows), -1, np.int32)
-        orig_code[forward] = list(map(names.__getitem__, filter(None, orig_author)))
-        blocks.append((np.concatenate(line_no), np.fromiter(map(int, ts), np.int64, len(rows)),
-                       np.fromiter(map(int, ids), np.int64, len(rows)), orig_ids,
-                       np.fromiter(map(names.__getitem__, author), np.int32, len(rows)), orig_code))
-        marks += [(n + k, m) for k, m in enumerate(mark) if m]
-        n += len(rows)
-    return EventLog.from_columns(*_check_references(blocks, list(names), marks, report)), report
+        slow.append((first_line + i, int(t), int(event_id), int(orig_id) if is_fwd else 0,
+                     names.setdefault(author, len(names)),
+                     names.setdefault(orig_author, len(names)) if is_fwd else -1,
+                     fields.setdefault(marks, len(fields)) if marks else -1))
+    if slow:
+        columns = [np.concatenate([col, np.array(extra, col.dtype)])
+                   for col, extra in zip(columns, zip(*slow))]
+    return columns
 
 
 def _originals(ids, line_no, orig_ids) -> np.ndarray:
@@ -400,11 +607,20 @@ def _originals(ids, line_no, orig_ids) -> np.ndarray:
     return np.where(sorted_ids[at] == orig_ids, by_id[at], -1)
 
 
-def _check_references(blocks, names, marks, report: ParseReport) -> tuple:
-    """The EventLog columns of the parsed lines whose forward references
-    hold; each other forward goes to the report, in (ts, event_id) order."""
-    line_no, ts, ids, orig_ids, author, orig_author = map(np.concatenate, zip(*blocks))
-    blocks.clear()  # the chunks' arrays are joined: free them
+def _check_references(pieces: list[list[np.ndarray]], names: dict[str, int],
+                      fields: dict[str, int], report: ParseReport) -> tuple:
+    """The EventLog.from_columns arguments of the parsed lines whose forward
+    references hold; each other forward goes to the report, in (ts, event_id)
+    order.
+
+    pieces holds the parsed lines' columns line_no, ts, ids, orig_ids, author,
+    orig_author and mark, each in pieces that are joined here and freed. names
+    and fields give the texts of the codes in author, orig_author and mark, in
+    code order; the log's names are sorted.
+    """
+    line_no, ts, ids, orig_ids, author, orig_author, mark = (
+        np.concatenate(pieces.pop(0) or [_NO_ROWS]) for _ in range(7))
+    by_code = list(names)
     forward = orig_author >= 0
     orig = _originals(ids, line_no, orig_ids)
     found = forward & (orig >= 0)
@@ -426,15 +642,31 @@ def _check_references(blocks, names, marks, report: ParseReport) -> tuple:
         elif not before[i]:
             reason = f"retweet {rid} precedes its original {oid} in time order"
         else:
-            reason = (f"retweet {rid} names author {names[orig_author[i]]!r} but event "
-                      f"{oid} was posted by {names[author[orig[i]]]!r}")
+            reason = (f"retweet {rid} names author {by_code[orig_author[i]]!r} but event "
+                      f"{oid} was posted by {by_code[author[orig[i]]]!r}")
         report.rejects.append(LineReject(int(line_no[i]), reason))
 
     kept = order[~rejected[order]]
-    row = np.empty(len(ids), np.int64)
-    row[kept] = np.arange(len(kept))
-    return (ts[kept], ids[kept], author[kept], orig_author[kept], orig_ids[kept], names,
-            _token_rows((row[i], set(field.split(","))) for i, field in marks if not rejected[i]))
+    texts, rank = _sorted_table(names)
+    rank = rank.astype(np.int32)
+    return (ts[kept], ids[kept], rank[author[kept]],
+            np.where(forward[kept], rank[orig_author[kept]], np.int32(-1)), orig_ids[kept],
+            texts, _mark_rows(mark[kept], list(fields)))
+
+
+def _mark_rows(mark: np.ndarray, fields: list[str]) -> dict[str, np.ndarray]:
+    """Each mark token's ascending rows, from each row's marks field code
+    (-1 for none) into fields, the comma-separated token lists."""
+    rows = np.flatnonzero(mark >= 0)
+    rows = rows[np.argsort(mark[rows], kind="stable")]
+    bounds = np.searchsorted(mark[rows], np.arange(len(fields) + 1)).tolist()
+    by_token: dict[str, list[np.ndarray]] = {}
+    for field, lo, hi in zip(fields, bounds, bounds[1:]):
+        if hi > lo:
+            for token in set(field.split(",")):
+                by_token.setdefault(token, []).append(rows[lo:hi])
+    # np.sort, not np.unique: the first np.unique call imports numpy.ma (10-30 ms).
+    return {token: np.sort(np.concatenate(r)) for token, r in by_token.items()}
 
 
 class FeedIndex:

@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import heapq
+import io
 import math
-from typing import Optional
+import re
+from typing import Iterable, Optional
 
 import numpy as np
 
-from feedflow.events import Event, EventKind, EventLog, SocialGraph
+from feedflow.events import (
+    Event,
+    EventKind,
+    EventLog,
+    LineReject,
+    LogFormatError,
+    ParseReport,
+    SocialGraph,
+    _check_references,
+    _parse_line,
+)
 from feedflow.simulate import (
     SimConfig,
     beta_of_inflow,
@@ -17,6 +29,62 @@ from feedflow.simulate import (
     seed_nodes,
     slot_uniform,
 )
+
+
+def tsv_file(lines: Iterable[str]) -> io.BytesIO:
+    """A binary file of the lines; a line without a newline gets one."""
+    return io.BytesIO("".join(l if l.endswith("\n") else l + "\n" for l in lines).encode())
+
+
+# A well-formed log line whose integers are plain decimals of at most 18
+# digits. Groups: ts, author, "R" for a forward, event_id, orig_event_id,
+# orig_author, marks.
+_LINE = (r"(-?\d{1,18})\t([^\t\n]+)\t(?:T|(R))\t(-?\d{1,18})"
+         r"(?(3)\t(-?\d{1,18})\t([^\t\n]+))(?:\t([^\t\n,]+(?:,[^\t\n,]+)*))?\n?")
+
+
+def naive_parse_event_log(data: bytes) -> tuple[EventLog, ParseReport]:
+    """The oracle of parse_event_log: the file read in text mode (UTF-8,
+    universal newlines) one line at a time, each line matched against the
+    _LINE regex and every other non-empty line read by _parse_line."""
+    report = ParseReport()
+    names: dict[str, int] = {}
+    fields: dict[str, int] = {}
+    rows = []
+    well_formed = re.compile(_LINE).fullmatch
+    for line_no, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), 1):
+        match = well_formed(line)
+        if match is None and not line.rstrip("\n"):
+            continue
+        try:
+            groups = match.groups() if match else _parse_line(line.rstrip("\n"))
+        except ValueError as exc:
+            report.rejects.append(LineReject(line_no, str(exc)))
+            continue
+        ts, author, forward, event_id, orig_id, orig_author, marks = groups
+        rows.append((line_no, int(ts), int(event_id), int(orig_id) if forward else 0,
+                     names.setdefault(author, len(names)),
+                     names.setdefault(orig_author, len(names)) if forward else -1,
+                     fields.setdefault(marks, len(fields)) if marks else -1))
+    pieces = [[np.array(c, np.int64)] for c in zip(*rows)] or [[] for _ in range(7)]
+    return EventLog.from_columns(*_check_references(pieces, names, fields, report)), report
+
+
+def naive_graph_from_tsv(data: bytes) -> SocialGraph:
+    """The oracle of SocialGraph.from_tsv: the file read in text mode one
+    line at a time."""
+    edges = []
+    for line_no, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), 1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise LogFormatError(f"graph line {line_no}: expected 'follower<TAB>followee'")
+        if parts[0] == parts[1]:
+            raise LogFormatError(f"graph line {line_no}: self-loop edge for user {parts[0]!r}")
+        edges.append(parts)
+    return SocialGraph(edges)
 
 
 def random_graph(rng: np.random.Generator, n_users: int, p_edge: float = 0.4) -> SocialGraph:

@@ -143,7 +143,7 @@ ANALYSIS_GOLDEN = {
 
 def chain_log(workspace):
     """A log on the workspace graph in which retweets also forward retweets."""
-    with open(workspace / "graph.tsv", encoding="utf-8") as fh:
+    with open(workspace / "graph.tsv", "rb") as fh:
         graph = SocialGraph.from_tsv(fh)
     spec = WorkloadSpec(
         graph=graph, beta_curve=BetaCurve(lambda_c=30.0, beta0=0.1, gamma=0.65),
@@ -396,7 +396,7 @@ def test_graph_line_numbers_count_every_line_end(tmp_path, runner, graph, messag
 def test_duplicate_graph_edges_collapse(tmp_path, runner):
     (tmp_path / "log.tsv").write_text("0\ta\tT\t1\n1800\ta\tT\t2\n3600\tb\tT\t3\n")
     (tmp_path / "graph.tsv").write_text("u\ta\nu\tb\nu\ta\n")
-    with open(tmp_path / "graph.tsv", encoding="utf-8") as fh:
+    with open(tmp_path / "graph.tsv", "rb") as fh:
         graph = SocialGraph.from_tsv(fh)
     assert graph.n_edges() == 2
     assert graph.followees("u") == {"a", "b"}

@@ -1,10 +1,12 @@
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feedflow import events
 from feedflow.events import (
     Event,
     EventKind,
@@ -15,7 +17,13 @@ from feedflow.events import (
     UnknownUserError,
     parse_event_log,
 )
-from helpers import random_graph, random_log
+from helpers import (
+    naive_graph_from_tsv,
+    naive_parse_event_log,
+    random_graph,
+    random_log,
+    tsv_file,
+)
 
 GOOD_LINES = [
     "100\talice\tT\t1",
@@ -27,7 +35,7 @@ GOOD_LINES = [
 
 
 def test_parse_valid_lines():
-    log, report = parse_event_log([l + "\n" for l in GOOD_LINES])
+    log, report = parse_event_log(tsv_file(GOOD_LINES))
     assert report.n_rejected == 0
     assert len(log) == 5
     assert [e.event_id for e in log] == [1, 2, 3, 4, 5]  # (ts, id) order
@@ -56,18 +64,18 @@ def test_parse_valid_lines():
      "orig_event_id '-9223372036854775809' is outside signed 64-bit"),
 ])
 def test_malformed_lines_rejected(line, reason_part):
-    log, report = parse_event_log([line])
+    log, report = parse_event_log(tsv_file([line]))
     assert len(log) == 0
     assert report.n_rejected == 1
     assert reason_part in report.rejects[0].reason
 
 
 def test_integer_fields_take_python_int_syntax_within_signed_64_bit():
-    log, report = parse_event_log([
+    log, report = parse_event_log(tsv_file([
         "9223372036854775807\ta\tT\t-9223372036854775808",
         " 7\ta\tT\t+5",
         "1_000\tb\tR\t3\t+5\ta",
-    ])
+    ]))
     assert report.n_rejected == 0
     assert log.ts.tolist() == [7, 1000, 9223372036854775807]
     assert log.ids.tolist() == [5, 3, -9223372036854775808]
@@ -76,7 +84,7 @@ def test_integer_fields_take_python_int_syntax_within_signed_64_bit():
 
 def test_duplicate_event_id_rejects_whole_log():
     with pytest.raises(LogFormatError, match="duplicate"):
-        parse_event_log(["100\ta\tT\t1", "200\tb\tT\t1"])
+        parse_event_log(tsv_file(["100\ta\tT\t1", "200\tb\tT\t1"]))
 
 
 def test_retweet_reference_validation():
@@ -87,7 +95,7 @@ def test_retweet_reference_validation():
         "50\tbob\tR\t4\t1\talice",      # precedes the original
         "300\tbob\tR\t5\t1\talice",     # fine
     ]
-    log, report = parse_event_log(lines)
+    log, report = parse_event_log(tsv_file(lines))
     assert {e.event_id for e in log} == {1, 5}
     assert report.n_rejected == 3
     reasons = {rej.line_no: rej.reason for rej in report.rejects}
@@ -105,16 +113,16 @@ def test_retweet_of_rejected_line_is_rejected():
         "200\tbob\tR\t2\t7\tzed",       # references the malformed line's id... unknown
         "300\tcarol\tR\t3\t2\tbob",     # references the rejected retweet
     ]
-    log, report = parse_event_log(lines)
+    log, report = parse_event_log(tsv_file(lines))
     assert {e.event_id for e in log} == {1}
     assert report.n_rejected == 3
 
 
 def test_equal_ts_tiebreak_by_id():
     # Original and retweet at the same second: valid only if orig id is smaller.
-    ok, report = parse_event_log(["100\ta\tT\t1", "100\tb\tR\t2\t1\ta"])
+    ok, report = parse_event_log(tsv_file(["100\ta\tT\t1", "100\tb\tR\t2\t1\ta"]))
     assert len(ok) == 2 and report.n_rejected == 0
-    bad, report = parse_event_log(["100\ta\tT\t2", "100\tb\tR\t1\t2\ta"])
+    bad, report = parse_event_log(tsv_file(["100\ta\tT\t2", "100\tb\tR\t1\t2\ta"]))
     assert len(bad) == 1 and report.n_rejected == 1
 
 
@@ -133,13 +141,13 @@ def test_graph_basics():
 
 def test_graph_tsv_round_trip():
     g = SocialGraph([("a", "b"), ("c", "a"), ("b", "a")])
-    g2 = SocialGraph.from_tsv(g.to_tsv().splitlines(keepends=True))
+    g2 = SocialGraph.from_tsv(io.BytesIO(g.to_tsv().encode()))
     assert g2.to_tsv() == g.to_tsv() == "a\tb\nb\ta\nc\ta\n"
 
 
 def test_graph_tsv_bad_line():
     with pytest.raises(LogFormatError, match="line 2"):
-        SocialGraph.from_tsv(["a\tb\n", "only-one-field\n"])
+        SocialGraph.from_tsv(tsv_file(["a\tb\n", "only-one-field\n"]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +162,7 @@ def test_log_tsv_round_trip(seed, n_users, n_events):
     log = EventLog(events)
     lines = log.to_tsv().splitlines(keepends=True)
     rng.shuffle(lines)
-    log2, report = parse_event_log(lines)
+    log2, report = parse_event_log(tsv_file(lines))
     assert report.n_rejected == 0
     assert log2.events == log.events
     # Every column, not only the Event view: the parser fills them itself.
@@ -263,3 +271,88 @@ def test_event_log_row_columns():
     assert log.rows("a", (0, 1000)).tolist() == [0, 1, 4]
     assert log.rows("b", (100, 300)).tolist() == [2, 3]
     assert log.rows("nobody", (0, 1000)).tolist() == []
+
+
+def _log_outcome(parse, data: bytes):
+    """Everything a log parse gives: its columns, names, token rows and
+    rejects, or its error. Both readers fail a file that is not UTF-8, with
+    messages that differ."""
+    try:
+        log, report = parse(data)
+    except UnicodeDecodeError:
+        return "not UTF-8"
+    except LogFormatError as exc:
+        return "not UTF-8" if "not UTF-8" in str(exc) else str(exc)
+    columns = {c: getattr(log, c).tolist()
+               for c in ("ts", "ids", "author", "orig_author", "forward", "orig_ids", "orig_row")}
+    tokens = {t: rows.tolist() for t, rows in log._marks.items()}
+    return columns, log.names, tokens, [(r.line_no, r.reason) for r in report.rejects]
+
+
+def _graph_outcome(read, data: bytes):
+    try:
+        g = read(data)
+    except UnicodeDecodeError:
+        return "not UTF-8"
+    except LogFormatError as exc:
+        return "not UTF-8" if "not UTF-8" in str(exc) else str(exc)
+    return g.nodes, [getattr(g, a).tolist() for a in (
+        "followee_indptr", "followee_indices", "follower_indptr", "follower_indices")]
+
+
+# Byte soups over the characters that decide how a line splits and parses.
+SOUP = st.lists(st.sampled_from([*"0123456789", "-", "+", "\t", "\n", "\r", ",", "T", "R",
+                                 "a", "é", "\x00"]), max_size=12).map("".join)
+LOG_FIELD = st.one_of(SOUP, st.integers(-10**19, 10**19).map(str),
+                      st.sampled_from(["T", "R", "a", "é", "a\x00", "a,b", "ab,,b", ""]))
+GRAPH_FIELD = st.one_of(SOUP, st.sampled_from(["a", "é", "a\x00", "ab", ""]))
+
+
+def _soup(field):
+    """Files of lines of tab-joined fields with mixed line ends; sometimes a
+    stray invalid UTF-8 byte."""
+    line = st.tuples(st.lists(field, max_size=8).map("\t".join),
+                     st.sampled_from(["\n", "\r\n", "\r", ""])).map("".join)
+    return st.tuples(st.lists(line, max_size=12).map("".join).map(str.encode),
+                     st.one_of(st.none(), st.integers(0, 400))).map(
+        lambda t: t[0] if t[1] is None else t[0][:t[1]] + b"\xff" + t[0][t[1]:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_soup(LOG_FIELD))
+def test_parse_matches_the_naive_parser_on_byte_soups(data):
+    assert (_log_outcome(lambda d: parse_event_log(io.BytesIO(d)), data)
+            == _log_outcome(naive_parse_event_log, data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_soup(GRAPH_FIELD))
+def test_graph_matches_the_naive_reader_on_byte_soups(data):
+    assert (_graph_outcome(lambda d: SocialGraph.from_tsv(io.BytesIO(d)), data)
+            == _graph_outcome(naive_graph_from_tsv, data))
+
+
+def _block_corpus() -> tuple[bytes, bytes]:
+    """A log with every kind of line and line end, and a graph, over several blocks."""
+    rng = np.random.default_rng(5)
+    graph = random_graph(rng, 8)
+    log = random_log(rng, graph, 400).to_tsv().splitlines(keepends=True)
+    odd = ["+5\ta\tT\t900001\r\n", "\r\n", "7\té\tT\t900002\r", "8\ta\x00\tT\t900003\n",
+           "x\ta\tT\t900004\n", "9\tb\tR\t900005\t900002\té\tm,n\n", "1\tb\tT\t900006\t,\n",
+           "٥\tc\tT\t900007\n", "1\t" + "w" * 70 + "\tT\t900008\n"]
+    for k, line in enumerate(odd):
+        log.insert(20 * k + 3, line)
+    edges = graph.to_tsv().splitlines(keepends=True)
+    edges[5:5] = ["a\x00\ta\r\n", "\n", "é\ta\r"]
+    return "".join(log).encode() + b"12\tz\tT\t900009", "".join(edges).encode()
+
+
+@pytest.mark.parametrize("block", [7, 64, 4096])
+def test_parse_does_not_depend_on_block_size(monkeypatch, block):
+    log, graph = _block_corpus()
+    expected = (_log_outcome(naive_parse_event_log, log),
+                _graph_outcome(naive_graph_from_tsv, graph))
+    assert len(expected[0][3]) == 2 and len(log) > 4096  # rejects, and more than one block
+    monkeypatch.setattr(events, "_BLOCK", block)
+    assert (_log_outcome(lambda d: parse_event_log(io.BytesIO(d)), log),
+            _graph_outcome(lambda d: SocialGraph.from_tsv(io.BytesIO(d)), graph)) == expected

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_workload_is_deterministic():
 def test_workload_parses_back_cleanly():
     log, _ = generate_workload(spec())
     assert len(log) > 0
-    log2, report = parse_event_log(log.to_tsv().splitlines(keepends=True))
+    log2, report = parse_event_log(io.BytesIO(log.to_tsv().encode()))
     assert report.n_rejected == 0
     assert len(log2) == len(log)
 
