@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedflow import events
@@ -300,33 +300,62 @@ def _graph_outcome(read, data: bytes):
         "followee_indptr", "followee_indices", "follower_indptr", "follower_indices")]
 
 
-# Byte soups over the characters that decide how a line splits and parses.
+# Byte soups over the characters that decide how a line splits and parses:
+# digits, signs, tabs, line ends, commas, kinds, ASCII and non-ASCII letters
+# and NUL. Lines are free soups, or T and R lines whose fields are each drawn
+# from values that pass or just miss the array masks, or from soup. A
+# strategy repeated in one_of is drawn more often.
 SOUP = st.lists(st.sampled_from([*"0123456789", "-", "+", "\t", "\n", "\r", ",", "T", "R",
                                  "a", "é", "\x00"]), max_size=12).map("".join)
-LOG_FIELD = st.one_of(SOUP, st.integers(-10**19, 10**19).map(str),
-                      st.sampled_from(["T", "R", "a", "é", "a\x00", "a,b", "ab,,b", ""]))
-GRAPH_FIELD = st.one_of(SOUP, st.sampled_from(["a", "é", "a\x00", "ab", ""]))
+SMALL = st.integers(-50, 50).map(str)
+INTEGER = st.one_of(SMALL, SMALL, SMALL, st.integers(-10**19, 10**19).map(str),
+                    st.sampled_from(["+5", " 7", "1_0", "٥", "-", "", "9" * 18, "9" * 19]), SOUP)
+NAMES = st.sampled_from(["a", "b", "é", "a\x00", "a,b", "", "w" * 65])
+NAME = st.one_of(NAMES, NAMES, NAMES, SOUP)
+TOKENS = st.sampled_from(["m", "m,n", "é,m", ",m", "m,", "m,,n", "m\x00", ""])
+MARKS = st.one_of(TOKENS, TOKENS, TOKENS, SOUP)
 
 
-def _soup(field):
-    """Files of lines of tab-joined fields with mixed line ends; sometimes a
-    stray invalid UTF-8 byte."""
-    line = st.tuples(st.lists(field, max_size=8).map("\t".join),
-                     st.sampled_from(["\n", "\r\n", "\r", ""])).map("".join)
-    return st.tuples(st.lists(line, max_size=12).map("".join).map(str.encode),
-                     st.one_of(st.none(), st.integers(0, 400))).map(
-        lambda t: t[0] if t[1] is None else t[0][:t[1]] + b"\xff" + t[0][t[1]:])
+@st.composite
+def _lines(draw, line) -> bytes:
+    """Lines with mixed line ends; sometimes a stray invalid UTF-8 byte."""
+    text = "".join(draw(line(k)) + draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+                   for k in range(draw(st.integers(0, 12))))
+    data = text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _log_line(k: int):
+    event_id = st.one_of(st.just(str(100 + k)), st.just(str(100 + k)), INTEGER)
+    orig_id = st.one_of(st.integers(100, 100 + k).map(str), INTEGER)
+    marks = st.one_of(st.just([]), MARKS.map(lambda m: [m]))
+    tweet = st.tuples(INTEGER, NAME, st.just("T"), event_id).map(list)
+    forward = st.tuples(INTEGER, NAME, st.just("R"), event_id, orig_id, NAME).map(list)
+    soup = st.lists(st.one_of(SOUP, INTEGER, NAME), max_size=8)
+    shaped = st.tuples(st.one_of(tweet, forward), marks).map(lambda t: t[0] + t[1])
+    return st.one_of(shaped, shaped, shaped, soup).map("\t".join)
+
+
+def _graph_line(k: int):
+    return st.lists(NAME, min_size=1, max_size=3).map("\t".join)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_soup(LOG_FIELD))
+@given(_lines(_log_line))
+@example(b"1\ta\tT\t100\n2\ta\x00\tT\t101\n3\tb\tR\t102\t101\ta\n")
+@example(b"1\ta\tT\t100\tm,,n\n2\ta\tT\t101\tm,\n3\ta\tT\t102\t,m\n")
+@example(b"1\ta\tT\t9999999999999999999\n-999999999999999999\ta\tT\t1\n")
 def test_parse_matches_the_naive_parser_on_byte_soups(data):
     assert (_log_outcome(lambda d: parse_event_log(io.BytesIO(d)), data)
             == _log_outcome(naive_parse_event_log, data))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_soup(GRAPH_FIELD))
+@given(_lines(_graph_line))
+@example(b"a\tb\na\x00\tb\nb\ta\x00\n")
 def test_graph_matches_the_naive_reader_on_byte_soups(data):
     assert (_graph_outcome(lambda d: SocialGraph.from_tsv(io.BytesIO(d)), data)
             == _graph_outcome(naive_graph_from_tsv, data))
