@@ -21,8 +21,8 @@ from .flows import EmpiricalDistribution
 SECONDS_PER_HOUR = 3600.0
 
 
-class FitConvergenceError(RuntimeError):
-    pass
+class FitConvergenceError(ValueError):
+    """The optimizer found no finite likelihood."""
 
 
 class QueuePositions(NamedTuple):
@@ -348,7 +348,8 @@ def _bin_masses(theta, edges, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
     Edges up to exp(mu1) + exp(mu2), where the CDF is between 1/4 and 3/4, use
     the CDF and the rest the survival function, so that no mass is the
-    difference of two numbers near 1. The edges are processed in blocks.
+    difference of two numbers near 1. The cut-off is compared in log space,
+    where no mu overflows it. The edges are processed in blocks.
     """
     mu1, log_s1, mu2, log_s2 = theta
     s1, s2 = math.exp(log_s1), math.exp(log_s2)
@@ -356,7 +357,8 @@ def _bin_masses(theta, edges, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         narrow, order = (mu1, s1, mu2, s2), [0, 1, 2, 3]
     else:
         narrow, order = (mu2, s2, mu1, s1), [2, 3, 0, 1]
-    sign = np.where(edges <= math.exp(mu1) + math.exp(mu2), 1.0, -1.0)
+    with np.errstate(divide="ignore"):  # log(0) = -inf: the clamped edge 0 is below it
+        sign = np.where(np.log(edges) <= np.logaddexp(mu1, mu2), 1.0, -1.0)
     value = np.zeros(len(edges))
     grad = np.zeros((len(edges), 4))
     first = int(edges[0] <= 0.0)  # the CDF at the clamped edge 0 is 0

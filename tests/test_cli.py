@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from feedflow import queues
 from feedflow.cli import main
 from feedflow.events import Event, EventKind, SocialGraph
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel
@@ -535,6 +537,31 @@ def test_failed_fit_leaves_no_outputs(workspace, runner):
     assert not (workspace / "fit.txt").exists()
     assert not (workspace / "q.csv.manifest.json").exists()
     assert not list(workspace.glob("*.tmp"))
+
+
+def _stuck_at(x):
+    """An optimizer that evaluates the objective once, at x, and reports no
+    finite likelihood."""
+    def minimize(fun, x0, args, bounds):
+        fun(np.asarray(x, dtype=float), *args)
+        return queues.MinimizeResult(np.asarray(x, dtype=float), float("nan"), 1, False)
+    return minimize
+
+
+@pytest.mark.parametrize("x", [
+    (3.0, 0.0, 2.0, 0.0),      # a failed fit near the data
+    (710.0, 0.0, 710.0, 0.0),  # exp(mu) overflows a float: the cut-off is taken in log space
+], ids=["no-finite-likelihood", "mu-710"])
+def test_fit_without_a_finite_likelihood_is_a_clean_error(workspace, runner, monkeypatch, x):
+    monkeypatch.setattr(queues, "minimize", _stuck_at(x))
+    result = runner.invoke(main, [
+        "queues", "--log", str(workspace / "log.tsv"), "--graph", str(workspace / "graph.tsv"),
+        "--out", str(workspace / "q.csv"), "--fit-delays", str(workspace / "fit.txt"),
+    ])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: optimizer failed to produce a finite likelihood\n" in result.stderr
+    assert not list(workspace.glob("q.csv*")) and not list(workspace.glob("fit.txt*"))
 
 
 def test_sources_csv(workspace, runner):

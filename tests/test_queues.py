@@ -212,6 +212,14 @@ def test_bin_masses_sum_to_one_and_clamp_at_zero():
     assert 0 < mass[0] < mass[1]
 
 
+@pytest.mark.parametrize("mu1,mu2", [(710.0, 1.0), (1.0, 710.0), (800.0, 750.0)])
+def test_bin_masses_stay_finite_where_exp_mu_overflows(mu1, mu2):
+    mass, grad = lognormal_sum_bin_masses([0, 10, 1e300], mu1, 1.0, mu2, 1.0)
+    assert np.all((mass >= 0) & (mass <= 1)) and np.isfinite(grad).all()
+    mass, _ = lognormal_sum_bin_masses([10], 710.0, 1.0, 1.0, 1.0)
+    assert 0 <= mass[0] <= 1
+
+
 def test_fit_lognormal_convolution_ignores_duplication():
     rng = np.random.default_rng(3)
     d = sample_lognormal_sum(rng, 4.0, 0.3, 3.0, 1.2, 3000)
