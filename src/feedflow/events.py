@@ -17,7 +17,6 @@ from enum import Enum
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
@@ -493,11 +492,14 @@ class _Lines:
         order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
         words = words[:, order]
         new = np.concatenate(([True], (words[:, 1:] != words[:, :-1]).any(axis=0)))
+        del words
         first = order[new]
         distinct = [table.setdefault(self.a[s:e].tobytes().decode(), len(table))
                     for s, e in zip(start[first].tolist(), end[first].tolist())]
+        rank = np.cumsum(new, dtype=np.int32)
+        rank -= 1
         code = np.empty(len(field), np.int32)
-        code[order] = np.array(distinct, np.int32)[np.cumsum(new) - 1]
+        code[order] = np.array(distinct, np.int32)[rank]
         return code
 
 
@@ -566,12 +568,13 @@ def _parse_block(first_line: int, lines: _Lines, names: dict[str, int],
     good[marked] &= lines.listed(lines.last[rows[marked]])
 
     rows, f, fwd, marked = rows[good], f[good], fwd[good], marked[good]
+    ts, ids, orig_ids = ts[good], ids[good], orig_ids[good]
     orig_code = np.full(len(rows), -1, np.int32)
     orig_code[fwd] = lines.codes(f[fwd] + 5, names)
     mark_code = np.full(len(rows), -1, np.int32)
     mark_code[marked] = lines.codes(lines.last[rows[marked]], fields)
-    columns = [rows.astype(np.int64) + first_line, ts[good], ids[good], orig_ids[good],
-               lines.codes(f + 1, names), orig_code, mark_code]
+    columns = [rows.astype(np.int64) + first_line, ts, ids, orig_ids, lines.codes(f + 1, names),
+               orig_code, mark_code]
 
     fast = np.zeros(len(lines), bool)
     fast[rows] = True
@@ -619,7 +622,8 @@ def _check_references(pieces: list[list[np.ndarray]], names: dict[str, int],
     code order; the log's names are sorted.
     """
     line_no, ts, ids, orig_ids, author, orig_author, mark = (
-        np.concatenate(pieces.pop(0) or [_NO_ROWS]) for _ in range(7))
+        np.concatenate(piece) if len(piece) > 1 else (piece or [_NO_ROWS])[0]
+        for piece in (pieces.pop(0) for _ in range(7)))
     by_code = list(names)
     forward = orig_author >= 0
     orig = _originals(ids, line_no, orig_ids)
