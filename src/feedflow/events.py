@@ -395,21 +395,22 @@ def _blocks(fh: BinaryIO, what: str) -> Iterator[tuple[int, bytes]]:
 class _Lines:
     """A block's lines split at tabs.
 
-    a is the block's bytes. sep[j] is the tab or newline that ends field j;
-    line i holds fields first[i] to last[i] and ends at a[sep[last[i]]].
-    nul[i] says the line holds a NUL byte.
+    a is the block's bytes. Field j lies between the separators at bound[j]
+    and bound[j + 1] (bound[0] is -1, then each tab and newline); line i
+    holds fields first[i] to last[i]. nul[i] says the line holds a NUL byte.
     """
 
     def __init__(self, block: bytes):
         self.a = a = np.frombuffer(block, np.uint8)
         position = np.int32 if len(a) < 1 << 31 else np.int64
         # uint8 arithmetic: a byte below a tab wraps above a newline.
-        self.sep = np.flatnonzero(a - _TAB <= _NL - _TAB).astype(position)
-        self.last = np.flatnonzero(a[self.sep] == _NL).astype(position)
+        self.bound = np.concatenate(([-1], np.flatnonzero(a - _TAB <= _NL - _TAB)))
+        self.bound = self.bound.astype(position)
+        self.last = np.flatnonzero(a[self.bound[1:]] == _NL).astype(position)
         self.first = np.concatenate(([0], self.last[:-1] + 1)).astype(position)
         self.nul = np.zeros(len(self.last), bool)
         if (nul := np.flatnonzero(a == 0)).size:
-            self.nul[np.searchsorted(self.sep[self.last], nul)] = True
+            self.nul[np.searchsorted(self.bound[self.last + 1], nul)] = True
 
     def __len__(self) -> int:
         return len(self.last)
@@ -423,14 +424,11 @@ class _Lines:
 
     def span(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Start and end of each given field, which must exist."""
-        start = self.sep[field - 1] + 1
-        start[field == 0] = 0
-        return start, self.sep[field]
+        return self.bound[field] + 1, self.bound[field + 1]
 
     def text(self, line: int) -> str:
-        first = self.first[line]
-        start = self.sep[first - 1] + 1 if first else 0
-        return self.a[start:self.sep[self.last[line]]].tobytes().decode()
+        start, end = self.bound[self.first[line]] + 1, self.bound[self.last[line] + 1]
+        return self.a[start:end].tobytes().decode()
 
     def ints(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each field's value, and whether the field is a plain decimal
@@ -467,8 +465,8 @@ class _Lines:
         start, end = self.span(field)
         ok = self.named(field) & (self.a[start] != _COMMA) & (self.a[end - 1] != _COMMA)
         if (commas := np.flatnonzero(self.a == _COMMA)).size:
-            double = np.zeros(len(self.sep), bool)  # the fields holding ",,"
-            double[np.searchsorted(self.sep, commas[1:][np.diff(commas) == 1])] = True
+            double = np.zeros(len(self.bound), bool)  # the fields holding ",,"
+            double[np.searchsorted(self.bound, commas[1:][np.diff(commas) == 1]) - 1] = True
             ok &= ~double[field]
         return ok
 
