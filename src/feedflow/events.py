@@ -224,8 +224,8 @@ class EventLog:
                      np.int32),
             np.array([e.orig_event_id or 0 for e in events], np.int64),
             list(names),
-            _mark_rows(np.array([fields[",".join(sorted(e.marks))] if e.marks else -1 for e in events],
-                                np.int64), list(fields)),
+            _mark_rows(np.array([fields[",".join(sorted(e.marks))] if e.marks else -1
+                                 for e in events], np.int64), list(fields)),
         )
 
     @classmethod
@@ -314,7 +314,7 @@ class EventLog:
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 _BLOCK = 1 << 22  # bytes read at once; bounds the parse's transient memory
 # The widest name or marks field the array path codes; a line with a wider
-# one goes through _parse_line. It bounds the block's name matrix.
+# one goes through _parse_line. It bounds the words a field is packed into.
 _WIDE = 64
 _TAB, _NL, _COMMA, _MINUS = 9, 10, 44, 45
 
@@ -482,8 +482,9 @@ class _Lines:
             return np.empty(0, np.int32)
         start, end = self.span(field)
         width = end - start
-        words = np.zeros(((int(width.max()) + 7) // 8, len(field)), np.uint64)
-        for j in range(int(width.max())):
+        w = int(width.max())
+        words = np.zeros(((w + 7) // 8, len(field)), np.uint64)
+        for j in range(w):
             byte = self.a.take(start + j, mode="clip")
             byte *= j < width
             words[j // 8] |= byte.astype(np.uint64) << (8 * (7 - j % 8))
