@@ -348,6 +348,7 @@ def _graph_line(k: int):
 @example(b"1\ta\tT\t100\n2\ta\x00\tT\t101\n3\tb\tR\t102\t101\ta\n")
 @example(b"1\ta\tT\t100\tm,,n\n2\ta\tT\t101\tm,\n3\ta\tT\t102\t,m\n")
 @example(b"1\ta\tT\t9999999999999999999\n-999999999999999999\ta\tT\t1\n")
+@example(b"1\ta\tT\t100\n2\tb\tR\t101\t100\t\n3\tb\tR\t102\t100\ta\t\n")
 def test_parse_matches_the_naive_parser_on_byte_soups(data):
     assert (_log_outcome(lambda d: parse_event_log(io.BytesIO(d)), data)
             == _log_outcome(naive_parse_event_log, data))
