@@ -402,10 +402,12 @@ class _Lines:
 
     def __init__(self, block: bytes):
         self.a = a = np.frombuffer(block, np.uint8)
-        position = np.int32 if len(a) < 1 << 31 else np.int64
         # uint8 arithmetic: a byte below a tab wraps above a newline.
-        self.bound = np.concatenate(([-1], np.flatnonzero(a - _TAB <= _NL - _TAB)))
-        self.bound = self.bound.astype(position)
+        separators = np.flatnonzero(a - _TAB <= _NL - _TAB)
+        position = np.int32 if len(a) < 1 << 31 else np.int64
+        self.bound = np.empty(len(separators) + 1, position)
+        self.bound[0], self.bound[1:] = -1, separators
+        del separators
         self.last = np.flatnonzero(a[self.bound[1:]] == _NL).astype(position)
         self.first = np.concatenate(([0], self.last[:-1] + 1)).astype(position)
         self.nul = np.zeros(len(self.last), bool)
