@@ -615,6 +615,32 @@ def test_graphgen_cli(tmp_path, runner):
     assert (tmp_path / "g.tsv").read_bytes() == first
 
 
+# sha256 of graphgen's output for (initiator, k, target edges, seed): the
+# cascades bench's graph (many row chunks), a saturating graph (every non-loop
+# edge) and an initiator with a zero entry. A change to these bytes is an
+# output change and must be declared.
+GRAPHGEN_GOLDEN = {
+    ("0.9,0.5,0.5,0.3", 13, 80_000, 2):
+        "faaf0ec48cbad647f19c07390c6452b2e44f51ab05d655d18aba4d2dbac054ca",
+    ("0.9,0.5,0.5,0.3", 5, 992, 7):
+        "ac0969e643d1386d2c1d6e0be9828eb141a18ba64462c0cb985239f27fd978c4",
+    ("0.9,0,0.5,0.3", 6, 200, 5):
+        "207a1e54a854982d9ede619de2d8bcd69e31e84c6ad4d3def762cf216d303dc7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPHGEN_GOLDEN))
+def test_graphgen_output_matches_golden_digest(case, tmp_path, runner):
+    initiator, k, edges, seed = case
+    out = tmp_path / "g.tsv"
+    result = runner.invoke(main, ["graphgen", "--initiator", initiator, "--k", str(k),
+                                  "--target-edges", str(edges), "--seed", str(seed),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert f"{1 << k} nodes, {edges} edges" in result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRAPHGEN_GOLDEN[case]
+
+
 def test_simulate_cli_models_and_workers(workspace, tmp_path, runner):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIM_CONFIG)
