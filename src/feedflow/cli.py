@@ -337,7 +337,7 @@ def graphgen(config_path, initiator, power, target_edges, seed, out_path):
     graph = kronecker_generate(kronecker_params_from(cfg, seed))
     with _Outputs() as out:
         with out.open(out_path) as fh:
-            fh.write(graph.to_tsv())
+            graph.to_tsv(fh)
         out.commit("graphgen", dict(cfg), [p for p in [config_path] if p], seed)
     click.echo(f"{len(graph.nodes)} nodes, {graph.n_edges()} edges")
 
@@ -422,10 +422,10 @@ def synth(config_path, graph_path, seed, out_path, graph_out, truth_path):
     log, truth = generate_workload(spec)
     with _Outputs() as out:
         with out.open(out_path) as fh:
-            fh.write(log.to_tsv())
+            log.to_tsv(fh)
         if graph_out:
             with out.open(graph_out) as fh:
-                fh.write(graph.to_tsv())
+                graph.to_tsv(fh)
         if truth_path:
             with out.open(truth_path) as fh:
                 fh.write(ground_truth_text(truth))

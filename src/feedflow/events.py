@@ -14,7 +14,7 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -102,9 +102,15 @@ class SocialGraph:
             raise LogFormatError(f"self-loop edge for user {follower[loops[0]]!r}")
         self._fill(names, f, v)
 
-    def _fill(self, names: list[str], f: np.ndarray, v: np.ndarray) -> None:
+    @classmethod
+    def from_indices(cls, names: Sequence[str], f: np.ndarray, v: np.ndarray) -> "SocialGraph":
         """The graph over the sorted names of the edges f[k] -> v[k], given
         as indices into names."""
+        graph = cls.__new__(cls)
+        graph._fill(names, f, v)
+        return graph
+
+    def _fill(self, names: Sequence[str], f: np.ndarray, v: np.ndarray) -> None:
         self.nodes = tuple(names)
         self._index = {u: i for i, u in enumerate(self.nodes)}
         n = len(self.nodes)
@@ -156,13 +162,13 @@ class SocialGraph:
     def n_edges(self) -> int:
         return len(self.followee_indices)
 
-    def to_tsv(self) -> str:
-        """One 'follower<TAB>followee' line per edge, sorted."""
+    def to_tsv(self, fh: TextIO) -> None:
+        """Write one 'follower<TAB>followee' line per edge, sorted, to the text file."""
         follower = np.repeat(np.arange(len(self.nodes)), np.diff(self.followee_indptr))
         heads = [f"{u}\t" for u in self.nodes]
         tails = [f"{v}\n" for v in self.nodes]
-        return "".join(map(operator.add, map(heads.__getitem__, follower.tolist()),
-                           map(tails.__getitem__, self.followee_indices.tolist())))
+        fh.writelines(map(operator.add, map(heads.__getitem__, follower.tolist()),
+                          map(tails.__getitem__, self.followee_indices.tolist())))
 
     @classmethod
     def from_tsv(cls, fh: BinaryIO) -> "SocialGraph":
@@ -173,8 +179,7 @@ class SocialGraph:
         """
         names: dict[str, int] = {}
         edges = [np.empty((2, 0), np.int64)]  # per block: follower and followee codes
-        for first_line, block in _blocks(fh, "graph line"):
-            lines = _Lines(block)
+        for first_line, lines in _blocks(fh, "graph line"):
             follower, followee = lines.width(lines.first), lines.width(lines.last)
             pair = (lines.count() == 2) & (follower > 0) & (followee > 0)
             fast = pair & ~lines.nul & (np.maximum(follower, followee) <= _WIDE)
@@ -196,10 +201,7 @@ class SocialGraph:
                                      f"self-loop edge for user {user!r}")
             edges.append(code)
         nodes, rank = _sorted_table(names)
-        f, v = rank[np.concatenate(edges, axis=1)]
-        graph = cls.__new__(cls)
-        graph._fill(nodes, f, v)
-        return graph
+        return cls.from_indices(nodes, *rank[np.concatenate(edges, axis=1)])
 
 
 class EventLog:
@@ -307,8 +309,9 @@ class EventLog:
     def span(self) -> tuple[int, int]:
         return (int(self.ts[0]), int(self.ts[-1])) if len(self) else (0, 0)
 
-    def to_tsv(self) -> str:
-        return "".join(_tsv_line(*record) + "\n" for record in self._records())
+    def to_tsv(self, fh: TextIO) -> None:
+        """Write one line per event, in row order, to the text file."""
+        fh.writelines(_tsv_line(*record) + "\n" for record in self._records())
 
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
@@ -359,8 +362,8 @@ def _parse_line(line: str) -> tuple:
     return ts, author, kind == "R" or None, event_id, orig_id, orig_author, marks
 
 
-def _blocks(fh: BinaryIO, what: str) -> Iterator[tuple[int, bytes]]:
-    """The file as (number of the block's first line, block) pairs.
+def _blocks(fh: BinaryIO, what: str) -> Iterator[tuple[int, _Lines]]:
+    """The file as (number of the block's first line, block's lines) pairs.
 
     A block is about _BLOCK bytes cut after its last newline. As in text mode,
     '\\r\\n' and a lone '\\r' end a line: both become '\\n', and an
@@ -388,8 +391,9 @@ def _blocks(fh: BinaryIO, what: str) -> Iterator[tuple[int, bytes]]:
             block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not block.endswith(b"\n"):
             block += b"\n"
-        yield first, block
-        first += block.count(b"\n")
+        lines = _Lines(block)
+        yield first, lines
+        first += len(lines)
 
 
 class _Lines:
@@ -524,8 +528,8 @@ def parse_event_log(fh: BinaryIO) -> tuple[EventLog, ParseReport]:
     names: dict[str, int] = {}
     fields: dict[str, int] = {}  # marks field -> code
     pieces: list[list[np.ndarray]] = [[] for _ in range(7)]  # per column, one per block
-    for first, block in _blocks(fh, "line"):
-        for piece, column in zip(pieces, _parse_block(first, _Lines(block), names, fields, report)):
+    for first, lines in _blocks(fh, "line"):
+        for piece, column in zip(pieces, _parse_block(first, lines, names, fields, report)):
             piece.append(column)
     return EventLog.from_columns(*_check_references(pieces, names, fields, report)), report
 

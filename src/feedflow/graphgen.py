@@ -10,11 +10,16 @@ edges exists, so the output edge count is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .events import SocialGraph
+
+# Rows of the initiator cells drawn at once. The draws and so the edges do not
+# depend on it; it bounds the transient arrays of a batch.
+ROW_CHUNK = 1 << 15
+MAX_K = 31  # an edge u -> v is the int64 key u << k | v
+_ABOVE_KEYS = np.iinfo(np.int64).max
 
 
 class UnreachableEdgeCountError(ValueError):
@@ -36,8 +41,8 @@ class KroneckerParams:
             raise ValueError("initiator entries must lie in [0, 1]")
         if sum(flat) <= 0:
             raise ValueError("initiator must have at least one positive entry")
-        if self.k < 1:
-            raise ValueError("power k must be >= 1")
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"power k must be between 1 and {MAX_K}, got {self.k}")
         if self.target_edges < 0:
             raise ValueError("target_edges must be non-negative")
 
@@ -52,8 +57,24 @@ class KroneckerParams:
         return positive**self.k - diag_positive**self.k
 
 
-def kronecker_edges(params: KroneckerParams) -> list[tuple[int, int]]:
-    """Sample exactly target_edges distinct directed edges, no self-loops."""
+def _edge_keys(cells: np.ndarray) -> np.ndarray:
+    """Each row's edge u -> v as the key u << k | v. Level j's cell gives bit
+    k - 1 - j of u (the cell's row) and of v (its column)."""
+    k = cells.shape[1]
+    keys = np.zeros(len(cells), np.int64)
+    for j, cell in enumerate(cells.T):
+        keys |= (cell >> 1) << (2 * k - 1 - j) | (cell & 1) << (k - 1 - j)
+    return keys
+
+
+def kronecker_edges(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly target_edges distinct directed edges, no self-loops, as
+    (follower, followee) int64 arrays sorted by follower, then followee.
+
+    Batches of max(1024, 2 * need) rows are drawn until enough edges exist;
+    a batch keeps, in draw order, the first distinct non-loop edges not
+    already held.
+    """
     if params.target_edges > params.max_edges():
         raise UnreachableEdgeCountError(
             f"target_edges={params.target_edges} unreachable: at most "
@@ -62,27 +83,29 @@ def kronecker_edges(params: KroneckerParams) -> list[tuple[int, int]]:
     rng = np.random.default_rng(params.seed)
     flat = np.array([p for row in params.initiator for p in row], dtype=float)
     probs = flat / flat.sum()
-    edges: set[tuple[int, int]] = set()
+    k, mask = params.k, (1 << params.k) - 1
+    held = np.array([_ABOVE_KEYS])  # the keys so far, sorted, then the sentinel
     need = params.target_edges
-    while len(edges) < params.target_edges:
-        batch = max(1024, 2 * need)
-        cells = rng.choice(4, size=(batch, params.k), p=probs)
-        rows = cells // 2
-        cols = cells % 2
-        weights = 1 << np.arange(params.k - 1, -1, -1)
-        us = (rows * weights).sum(axis=1)
-        vs = (cols * weights).sum(axis=1)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u != v:
-                edges.add((u, v))
-                if len(edges) == params.target_edges:
-                    break
-        need = params.target_edges - len(edges)
-    return sorted(edges)
+    while need:
+        left = max(1024, 2 * need)
+        while need and left:
+            rows = min(ROW_CHUNK, left)
+            left -= rows
+            keys = _edge_keys(rng.choice(4, size=(rows, k), p=probs))
+            keys = keys[(keys >> k) != (keys & mask)]
+            _, first = np.unique(keys, return_index=True)
+            keys = keys[np.sort(first)]  # distinct, in draw order
+            keys = np.sort(keys[held[np.searchsorted(held, keys)] != keys][:need])
+            held = np.insert(held, np.searchsorted(held, keys), keys)
+            need -= len(keys)
+    return held[:-1] >> k, held[:-1] & mask
 
 
 def kronecker_generate(params: KroneckerParams) -> SocialGraph:
-    """Directed follow graph: a dropped edge (u, v) means u follows v."""
-    edges = kronecker_edges(params)
-    nodes = [str(i) for i in range(params.n_nodes)]
-    return SocialGraph(((str(u), str(v)) for u, v in edges), nodes=nodes)
+    """Directed follow graph over the nodes '0' .. str(2^k - 1): a dropped
+    edge (u, v) means u follows v."""
+    follower, followee = kronecker_edges(params)
+    names = sorted(map(str, range(params.n_nodes)))
+    rank = np.empty(params.n_nodes, np.int64)
+    rank[np.array(names, np.int64)] = np.arange(params.n_nodes)
+    return SocialGraph.from_indices(names, rank[follower], rank[followee])

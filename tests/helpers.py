@@ -21,6 +21,7 @@ from feedflow.events import (
     _check_references,
     _parse_line,
 )
+from feedflow.graphgen import KroneckerParams
 from feedflow.simulate import (
     SimConfig,
     beta_of_inflow,
@@ -29,6 +30,13 @@ from feedflow.simulate import (
     seed_nodes,
     slot_uniform,
 )
+
+
+def tsv_text(obj) -> str:
+    """What obj.to_tsv writes, as one string."""
+    fh = io.StringIO()
+    obj.to_tsv(fh)
+    return fh.getvalue()
 
 
 def tsv_file(lines: Iterable[str]) -> io.BytesIO:
@@ -85,6 +93,31 @@ def naive_graph_from_tsv(data: bytes) -> SocialGraph:
             raise LogFormatError(f"graph line {line_no}: self-loop edge for user {parts[0]!r}")
         edges.append(parts)
     return SocialGraph(edges)
+
+
+def naive_kronecker_edges(params: KroneckerParams) -> list[tuple[int, int]]:
+    """The oracle of kronecker_edges: each batch's edges added to a set one
+    at a time in draw order until the set is full, then sorted."""
+    rng = np.random.default_rng(params.seed)
+    flat = np.array([p for row in params.initiator for p in row], dtype=float)
+    probs = flat / flat.sum()
+    edges: set[tuple[int, int]] = set()
+    need = params.target_edges
+    while len(edges) < params.target_edges:
+        batch = max(1024, 2 * need)
+        cells = rng.choice(4, size=(batch, params.k), p=probs)
+        rows = cells // 2
+        cols = cells % 2
+        weights = 1 << np.arange(params.k - 1, -1, -1)
+        us = (rows * weights).sum(axis=1)
+        vs = (cols * weights).sum(axis=1)
+        for u, v in zip(us.tolist(), vs.tolist()):
+            if u != v:
+                edges.add((u, v))
+                if len(edges) == params.target_edges:
+                    break
+        need = params.target_edges - len(edges)
+    return sorted(edges)
 
 
 def random_graph(rng: np.random.Generator, n_users: int, p_edge: float = 0.4) -> SocialGraph:

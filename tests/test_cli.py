@@ -15,6 +15,7 @@ from feedflow.cli import main
 from feedflow.events import Event, EventKind, SocialGraph
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel
 from feedflow.synth import WorkloadSpec, generate_workload
+from helpers import tsv_text
 
 SYNTH_CONFIG = """
 initiator = 0.9, 0.5, 0.5, 0.3
@@ -154,7 +155,7 @@ def chain_log(workspace):
     )
     log, _ = generate_workload(spec)
     path = workspace / "chain_log.tsv"
-    path.write_text(log.to_tsv())
+    path.write_text(tsv_text(log))
     return path
 
 
@@ -613,6 +614,16 @@ def test_graphgen_cli(tmp_path, runner):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert (tmp_path / "g.tsv").read_bytes() == first
+
+
+def test_graphgen_rejects_a_power_past_31(tmp_path, runner):
+    out = tmp_path / "g.tsv"
+    result = runner.invoke(main, ["graphgen", "--initiator", "0.9,0.5,0.5,0.3", "--k", "32",
+                                  "--target-edges", "10", "--seed", "1", "--out", str(out)])
+    assert result.exit_code == 1
+    assert "error:" in all_output(result) and "k" in all_output(result)
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of graphgen's output for (initiator, k, target edges, seed): the

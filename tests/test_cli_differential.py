@@ -26,6 +26,7 @@ from helpers import (
     naive_queue_records,
     naive_source_set,
     naive_validate,
+    tsv_text,
 )
 
 USERS = ["a", "b,c", 'd"e', 'f,"g"', "h"]
@@ -135,7 +136,7 @@ def test_cli_matches_naive_recounts(spec, edges, lo, length, dup_choice):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         (workdir / "log.tsv").write_text("".join(line + "\n" for line in lines))
-        (workdir / "graph.tsv").write_text(graph.to_tsv())
+        (workdir / "graph.tsv").write_text(tsv_text(graph))
 
         result = invoke("validate", "--log", str(workdir / "log.tsv"))
         assert result.exit_code == 0, result.output

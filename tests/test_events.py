@@ -23,6 +23,7 @@ from helpers import (
     random_graph,
     random_log,
     tsv_file,
+    tsv_text,
 )
 
 GOOD_LINES = [
@@ -141,8 +142,8 @@ def test_graph_basics():
 
 def test_graph_tsv_round_trip():
     g = SocialGraph([("a", "b"), ("c", "a"), ("b", "a")])
-    g2 = SocialGraph.from_tsv(io.BytesIO(g.to_tsv().encode()))
-    assert g2.to_tsv() == g.to_tsv() == "a\tb\nb\ta\nc\ta\n"
+    g2 = SocialGraph.from_tsv(io.BytesIO(tsv_text(g).encode()))
+    assert tsv_text(g2) == tsv_text(g) == "a\tb\nb\ta\nc\ta\n"
 
 
 def test_graph_tsv_bad_line():
@@ -160,7 +161,7 @@ def test_log_tsv_round_trip(seed, n_users, n_events):
         events[e] = dataclasses.replace(events[e], marks=frozenset(
             rng.choice(["tok", "x", "z"], size=int(rng.integers(1, 3))).tolist()))
     log = EventLog(events)
-    lines = log.to_tsv().splitlines(keepends=True)
+    lines = tsv_text(log).splitlines(keepends=True)
     rng.shuffle(lines)
     log2, report = parse_event_log(tsv_file(lines))
     assert report.n_rejected == 0
@@ -177,7 +178,7 @@ def test_log_tsv_round_trip(seed, n_users, n_events):
         named = [[lg.names[c] if c >= 0 else None for c in getattr(lg, column).tolist()]
                  for lg in (log, log2)]
         assert named[0] == named[1], column
-    assert log2.to_tsv() == log.to_tsv()
+    assert tsv_text(log2) == tsv_text(log)
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,13 +367,13 @@ def _block_corpus() -> tuple[bytes, bytes]:
     """A log with every kind of line and line end, and a graph, over several blocks."""
     rng = np.random.default_rng(5)
     graph = random_graph(rng, 8)
-    log = random_log(rng, graph, 400).to_tsv().splitlines(keepends=True)
+    log = tsv_text(random_log(rng, graph, 400)).splitlines(keepends=True)
     odd = ["+5\ta\tT\t900001\r\n", "\r\n", "7\té\tT\t900002\r", "8\ta\x00\tT\t900003\n",
            "x\ta\tT\t900004\n", "9\tb\tR\t900005\t900002\té\tm,n\n", "1\tb\tT\t900006\t,\n",
            "٥\tc\tT\t900007\n", "1\t" + "w" * 70 + "\tT\t900008\n"]
     for k, line in enumerate(odd):
         log.insert(20 * k + 3, line)
-    edges = graph.to_tsv().splitlines(keepends=True)
+    edges = tsv_text(graph).splitlines(keepends=True)
     edges[5:5] = ["a\x00\ta\r\n", "\n", "é\ta\r"]
     return "".join(log).encode() + b"12\tz\tT\t900009", "".join(edges).encode()
 
@@ -386,3 +387,18 @@ def test_parse_does_not_depend_on_block_size(monkeypatch, block):
     monkeypatch.setattr(events, "_BLOCK", block)
     assert (_log_outcome(lambda d: parse_event_log(io.BytesIO(d)), log),
             _graph_outcome(lambda d: SocialGraph.from_tsv(io.BytesIO(d)), graph)) == expected
+
+
+@pytest.mark.parametrize("block", [16, 4096])
+def test_not_utf8_names_its_line_in_a_later_block(monkeypatch, block):
+    # Line 124 of each file holds the bad byte, after \r\n and lone \r line
+    # ends, a blank line and a good non-ASCII one, in a later block than the first.
+    head = "".join(f"{i}\ta\tT\t{i}" + ("\r\n", "\r", "\n")[i % 3] for i in range(1, 121))
+    log = (head + "\n121\ta\tT\t121\n122\t\xe9\tT\t122\n").encode() + b"123\t\xff\tT\t123\n"
+    edges = (head.replace("\ta\tT\t", "\tx") + "\nx\t\xe9\ny\tz\n").encode() + b"\xffq\tr\n"
+    assert len(log) > 2 * block or block == 4096
+    monkeypatch.setattr(events, "_BLOCK", block)
+    with pytest.raises(LogFormatError, match=r"^line 124: not UTF-8"):
+        parse_event_log(io.BytesIO(log))
+    with pytest.raises(LogFormatError, match=r"^graph line 124: not UTF-8"):
+        SocialGraph.from_tsv(io.BytesIO(edges))

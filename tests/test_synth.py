@@ -8,7 +8,7 @@ from feedflow.events import EventKind, parse_event_log
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel
 from feedflow.synth import ContagionPlan, WorkloadSpec, generate_workload, ground_truth_text
-from helpers import reachable_followers
+from helpers import reachable_followers, tsv_text
 
 CURVE = BetaCurve(lambda_c=30.0, beta0=0.1, gamma=0.65)
 DELAYS = DelayModel(bins=(DelayBin(0.0, math.inf, 3.0, 0.5, 2.0, 0.5),))
@@ -30,16 +30,16 @@ def spec(**kw):
 def test_workload_is_deterministic():
     log1, truth1 = generate_workload(spec())
     log2, truth2 = generate_workload(spec())
-    assert log1.to_tsv() == log2.to_tsv()
+    assert tsv_text(log1) == tsv_text(log2)
     assert truth1 == truth2
     log3, _ = generate_workload(spec(seed=6))
-    assert log3.to_tsv() != log1.to_tsv()
+    assert tsv_text(log3) != tsv_text(log1)
 
 
 def test_workload_parses_back_cleanly():
     log, _ = generate_workload(spec())
     assert len(log) > 0
-    log2, report = parse_event_log(io.BytesIO(log.to_tsv().encode()))
+    log2, report = parse_event_log(io.BytesIO(tsv_text(log).encode()))
     assert report.n_rejected == 0
     assert len(log2) == len(log)
 
