@@ -11,6 +11,7 @@ from __future__ import annotations
 import codecs
 import collections
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -262,15 +263,20 @@ class EventLog:
 
     def _records(self) -> Iterator[tuple]:
         """Each row's event_id, ts, author, orig_event_id, orig_author (None
-        for an original) and sorted marks."""
-        marks: list[list[str]] = [[] for _ in range(len(self))]
+        for an original) and sorted marks, made _ROW_BLOCK rows at a time."""
+        marks: dict[int, list[str]] = {}  # the marked rows only
         for token in sorted(self._marks):
             for r in self._marks[token].tolist():
-                marks[r].append(token)
+                marks.setdefault(r, []).append(token)
         names = [*self.names, None]  # code -1 reads None
-        return zip(self.ids.tolist(), self.ts.tolist(), map(names.__getitem__, self.author.tolist()),
-                   np.where(self.forward, self.orig_ids, -1).tolist(),
-                   map(names.__getitem__, self.orig_author.tolist()), marks)
+        orig_ids = np.where(self.forward, self.orig_ids, -1)
+        for lo in range(0, len(self), _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            yield from zip(self.ids[rows].tolist(), self.ts[rows].tolist(),
+                           map(names.__getitem__, self.author[rows].tolist()),
+                           orig_ids[rows].tolist(),
+                           map(names.__getitem__, self.orig_author[rows].tolist()),
+                           map(marks.get, range(*rows.indices(len(self))), itertools.repeat(())))
 
     @functools.cached_property
     def events(self) -> list[Event]:
@@ -316,6 +322,7 @@ class EventLog:
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 _BLOCK = 1 << 22  # bytes read at once; bounds the parse's transient memory
+_ROW_BLOCK = 1 << 13  # log rows formatted at once; bounds to_tsv's transient memory
 # The widest name or marks field the array path codes; a line with a wider
 # one goes through _parse_line. It bounds the words a field is packed into.
 _WIDE = 64

@@ -181,6 +181,22 @@ def test_log_tsv_round_trip(seed, n_users, n_events):
     assert tsv_text(log2) == tsv_text(log)
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_log_tsv_does_not_depend_on_row_block(monkeypatch, rows):
+    rng = np.random.default_rng(3)
+    events_ = random_log(rng, random_graph(rng, 6), 60).events
+    events_ = [dataclasses.replace(e, marks=frozenset(["tok", "x"] if i % 3 else ["z"]))
+               if i % 2 else e for i, e in enumerate(events_)]
+    whole = EventLog(events_)
+    text, view = tsv_text(whole), whole.events
+    assert text.count("\n") == 60 and "\ttok,x\n" in text and "\tz\n" in text
+    assert view == sorted(events_, key=lambda e: e.key)
+    monkeypatch.setattr(events, "_ROW_BLOCK", rows)
+    log = EventLog(events_)
+    assert tsv_text(log) == text
+    assert log.events == view
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_graph_follow_relation_is_consistent(seed):
