@@ -271,12 +271,13 @@ class EventLog:
         names = [*self.names, None]  # code -1 reads None
         orig_ids = np.where(self.forward, self.orig_ids, -1)
         for lo in range(0, len(self), _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
+            hi = min(lo + _ROW_BLOCK, len(self))
+            rows = slice(lo, hi)
             yield from zip(self.ids[rows].tolist(), self.ts[rows].tolist(),
                            map(names.__getitem__, self.author[rows].tolist()),
                            orig_ids[rows].tolist(),
                            map(names.__getitem__, self.orig_author[rows].tolist()),
-                           map(marks.get, range(*rows.indices(len(self))), itertools.repeat(())))
+                           map(marks.get, range(lo, hi), itertools.repeat(())))
 
     @functools.cached_property
     def events(self) -> list[Event]:
