@@ -402,6 +402,7 @@ def _blocks(fh: BinaryIO, what: str) -> Iterator[tuple[int, _Lines]]:
         lines = _Lines(block)
         yield first, lines
         first += len(lines)
+        del lines  # the caller may free the block's arrays before the next read
 
 
 class _Lines:
@@ -539,6 +540,7 @@ def parse_event_log(fh: BinaryIO) -> tuple[EventLog, ParseReport]:
     for first, lines in _blocks(fh, "line"):
         for piece, column in zip(pieces, _parse_block(first, lines, names, fields, report)):
             piece.append(column)
+        del lines  # only its columns outlive a block
     return EventLog.from_columns(*_check_references(pieces, names, fields, report)), report
 
 
