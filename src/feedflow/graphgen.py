@@ -19,7 +19,6 @@ from .events import SocialGraph
 # depend on it; it bounds the transient arrays of a batch.
 ROW_CHUNK = 1 << 15
 MAX_K = 31  # an edge u -> v is the int64 key u << k | v
-_ABOVE_KEYS = np.iinfo(np.int64).max
 
 
 class UnreachableEdgeCountError(ValueError):
@@ -84,7 +83,7 @@ def kronecker_edges(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
     flat = np.array([p for row in params.initiator for p in row], dtype=float)
     probs = flat / flat.sum()
     k, mask = params.k, (1 << params.k) - 1
-    held = np.array([_ABOVE_KEYS])  # the keys so far, sorted, then the sentinel
+    held = np.array([np.iinfo(np.int64).max])  # the keys so far, sorted, then a sentinel
     need = params.target_edges
     while need:
         left = max(1024, 2 * need)
