@@ -706,6 +706,24 @@ def test_simulate_outputs_match_golden_digests(tmp_path, runner):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_simulate_without_spread_reports_sizes_only(tmp_path, runner):
+    # A graph TSV cannot hold isolated nodes, so this one's edges never fire:
+    # every coin is at least 2**-53, far above beta0.
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG.replace("beta0 = 0.1", "beta0 = 1e-30"))
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("a\tb\nb\tc\nc\ta\n")
+    out, rep = tmp_path / "o.csv", tmp_path / "rep.csv"
+    result = runner.invoke(main, ["simulate", "--model", "ic", "--graph", str(graph),
+                                  "--config", str(cfg), "--seed", "5", "--out", str(out),
+                                  "--report", str(rep)])
+    assert result.exit_code == 0, result.output
+    assert "note: no cascades with 2+ nodes; duration table empty\n" in all_output(result)
+    assert rep.read_text() == "metric,value,ccdf\nsize,1,1\n"
+    rows = out.read_text().splitlines()
+    assert len(rows) == 51 and {r.split(",", 2)[2] for r in rows[1:]} == {"1,0"}
+
+
 SEED_COMMANDS = {
     "simulate": ["simulate", "--model", "ic", "--graph", "{graph}", "--config", "{sim}"],
     "synth": ["synth", "--config", "{synth}"],
