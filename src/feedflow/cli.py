@@ -370,19 +370,21 @@ def simulate(model, graph_path, config_path, seed, workers, out_path, report_pat
         max_time=get_float(cfg, "max_time", float("inf")),
     )
     run = simulate_ic_bg if model == "ic" else simulate_ct_bg
-    records = run(graph, sim_cfg)
+    cascades = run(graph, sim_cfg)
+    size, duration = cascades.size, cascades.duration
     with _Outputs() as out:
         out.write_csv(out_path, "cascade_id,seed_node,size,duration", (
-            [r.cascade_id, r.seed_node, r.size, f"{r.duration:.10g}"] for r in records
+            [cascade_id, graph.nodes[seed], n, f"{d:.10g}"] for cascade_id, (seed, n, d)
+            in enumerate(zip(cascades.seed.tolist(), size.tolist(), duration.tolist()))
         ))
         if report_path:
-            rep = distribution_report(records)
+            size_ccdf, duration_ccdf = distribution_report(size, duration)
             out.write_csv(report_path, "metric,value,ccdf", [
                 [metric, f"{v:.10g}", f"{c:.10g}"]
-                for metric, table in (("size", rep.size_ccdf), ("duration", rep.duration_ccdf))
+                for metric, table in (("size", size_ccdf), ("duration", duration_ccdf))
                 for v, c in table
             ])
-            if rep.duration_empty:
+            if not duration_ccdf:
                 click.echo("note: no cascades with 2+ nodes; duration table empty", err=True)
         out.commit("simulate", dict(cfg) | {"model": model, "workers": workers},
                    [graph_path, config_path], seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -105,12 +105,7 @@ class SimConfig:
     max_time: float = math.inf
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ValueError("mu and sigma must be finite")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        check_rates(self.mu, self.sigma)
         if not self.max_time >= 0:
             raise ValueError("max_time must be >= 0 (inf for no limit)")
         if self.n_cascades < 1:
@@ -118,13 +113,39 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class CascadeRecord:
-    cascade_id: int
-    seed_node: str
-    adopters: frozenset[str]
-    times: Optional[dict[str, float]]  # adoption times (continuous model only)
-    size: int
-    duration: float
+class Cascades:
+    """Every cascade of a run as columns, in cascade-id order.
+
+    Cascade c's adopters are the node indices node[indptr[c]:indptr[c + 1]],
+    ascending, and time holds their adoption times (continuous model only).
+    """
+
+    seed: np.ndarray            # seed node index of each cascade
+    indptr: np.ndarray
+    node: np.ndarray
+    time: Optional[np.ndarray]
+
+    @property
+    def size(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @property
+    def duration(self) -> np.ndarray:
+        """Each cascade's last adoption time; 0 without times."""
+        if self.time is None:
+            return np.zeros(len(self.seed))
+        # Every cascade holds its seed, so no slice is empty.
+        return np.maximum.reduceat(self.time, self.indptr[:-1])
+
+
+def check_rates(mu: float, sigma: float) -> None:
+    """Reject a posting-rate model Normal(mu, sigma) that rates cannot be drawn from."""
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ValueError("mu and sigma must be finite")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
 
 
 def truncated_normal_rates(
@@ -185,7 +206,7 @@ def seed_nodes(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _simulate(graph: SocialGraph, config: SimConfig,
-              delay_model: Optional[DelayModel]) -> list[CascadeRecord]:
+              delay_model: Optional[DelayModel]) -> Cascades:
     """First-passage cascades over the live follower edges.
 
     Edge e, i -> j (j follows i), is live in a cascade when its coin is below
@@ -198,14 +219,14 @@ def _simulate(graph: SocialGraph, config: SimConfig,
     """
     _, lam_in = node_rates(graph, np.random.default_rng(config.seed), config.mu, config.sigma)
     beta = np.array([beta_of_inflow(l, config.beta_curve) for l in lam_in])
-    ptr, indices, nodes = graph.follower_indptr, graph.follower_indices, graph.nodes
-    n, degree, timed = len(nodes), np.diff(ptr), delay_model is not None
+    ptr, indices = graph.follower_indptr, graph.follower_indices
+    n, degree, timed = len(graph.nodes), np.diff(ptr), delay_model is not None
     if timed:
         bins = [delay_model.bin_for(float(l)) for l in lam_in]
         loc = np.array([(b.mu1, b.mu2) for b in bins])
         scale = np.array([(b.sigma1, b.sigma2) for b in bins])
     chunk = max(1, _CHUNK_CELLS // n)
-    records = []
+    seed_cols, size_cols, node_cols, time_cols = [], [], [], []
     for first in range(0, config.n_cascades, chunk):
         ids = np.arange(first, min(first + chunk, config.n_cascades))
         keys = cascade_keys(config.seed, ids)
@@ -250,18 +271,17 @@ def _simulate(graph: SocialGraph, config: SimConfig,
             target = np.sort(target)
             frontier = target[np.diff(target, prepend=-1) != 0]
         reached = np.flatnonzero(state < np.inf if timed else ~state)
-        bounds = np.searchsorted(reached, np.arange(ids.size + 1) * n).tolist()
-        names = list(map(nodes.__getitem__, (reached % n).tolist()))
-        times = state[reached].tolist() if timed else None
-        for cascade_id, seed, lo, hi in zip(ids.tolist(), seeds.tolist(), bounds, bounds[1:]):
-            records.append(CascadeRecord(
-                cascade_id, nodes[seed], frozenset(names[lo:hi]),
-                dict(zip(names[lo:hi], times[lo:hi])) if timed else None,
-                hi - lo, max(times[lo:hi]) if timed else 0.0))
-    return records
+        seed_cols.append(seeds)
+        size_cols.append(np.diff(np.searchsorted(reached, np.arange(ids.size + 1) * n)))
+        node_cols.append((reached % n).astype(np.int32))  # user indices are int32, as in EventLog
+        if timed:
+            time_cols.append(state[reached])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(size_cols))))
+    return Cascades(np.concatenate(seed_cols), indptr, np.concatenate(node_cols),
+                    np.concatenate(time_cols) if timed else None)
 
 
-def simulate_ic_bg(graph: SocialGraph, config: SimConfig) -> list[CascadeRecord]:
+def simulate_ic_bg(graph: SocialGraph, config: SimConfig) -> Cascades:
     """Independent-cascade simulation with in-flow-dependent adoption probability.
 
     From a uniform random seed node, each adopting node gives each follower
@@ -270,7 +290,7 @@ def simulate_ic_bg(graph: SocialGraph, config: SimConfig) -> list[CascadeRecord]
     return _simulate(graph, config, None)
 
 
-def simulate_ct_bg(graph: SocialGraph, config: SimConfig) -> list[CascadeRecord]:
+def simulate_ct_bg(graph: SocialGraph, config: SimConfig) -> Cascades:
     """Continuous-time cascade simulation with in-flow-binned processing delays.
 
     A node's adoption time is the minimum over its adopting parents' adoption
@@ -282,38 +302,17 @@ def simulate_ct_bg(graph: SocialGraph, config: SimConfig) -> list[CascadeRecord]
     return _simulate(graph, config, config.delay_model)
 
 
-@dataclass(frozen=True)
-class DistributionReport:
-    size_ccdf: tuple[tuple[float, float], ...]      # (size, P(S >= size))
-    duration_ccdf: tuple[tuple[float, float], ...]  # over cascades of size >= 2
-    n_records: int
-    n_multi: int                                    # cascades with >= 2 nodes
-    duration_empty: bool
-
-    def frac_size_at_least(self, size: float) -> float:
-        return max((c for v, c in self.size_ccdf if v >= size), default=0.0)
-
-
-def distribution_report(records: Sequence[CascadeRecord]) -> DistributionReport:
-    """CCDF tables of cascade size and duration.
+def distribution_report(size: np.ndarray, duration: np.ndarray) -> tuple[tuple, tuple]:
+    """CCDF tables of cascade size and duration: (value, P(X >= value)) rows.
 
     Size-1 cascades are included in the size CCDF denominator; the duration
     CCDF covers only cascades with 2 or more nodes (a single-node cascade has
-    no propagation to time).
+    no propagation to time), and is empty when there are none.
     """
-    if not records:
-        raise ValueError("no cascade records")
-    size_vals, size_cc = EmpiricalDistribution([r.size for r in records]).ccdf_points()
-    multi = [r.duration for r in records if r.size >= 2]
-    if multi:
+    size_vals, size_cc = EmpiricalDistribution(size).ccdf_points()
+    multi = duration[size >= 2]
+    dur_table = ()
+    if len(multi):
         dur_vals, dur_cc = EmpiricalDistribution(multi).ccdf_points()
         dur_table = tuple(zip(dur_vals.tolist(), dur_cc.tolist()))
-    else:
-        dur_table = ()
-    return DistributionReport(
-        size_ccdf=tuple(zip(size_vals.tolist(), size_cc.tolist())),
-        duration_ccdf=dur_table,
-        n_records=len(records),
-        n_multi=len(multi),
-        duration_empty=not multi,
-    )
+    return tuple(zip(size_vals.tolist(), size_cc.tolist())), dur_table

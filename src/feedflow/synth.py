@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .events import EventLog, SocialGraph
-from .simulate import BetaCurve, DelayModel, beta_of_inflow, node_rates
+from .simulate import BetaCurve, DelayModel, beta_of_inflow, check_rates, node_rates
 
 SECONDS_PER_HOUR = 3600
 
@@ -50,17 +51,15 @@ class WorkloadSpec:
     delay_model: DelayModel
     horizon_hours: float
     seed: int
-    mu: Optional[float] = None      # posting-rate model: Normal(mu, sigma), >= 0
+    mu: float                       # posting-rate model: Normal(mu, sigma), >= 0
     sigma: float = 0.0
-    rates: Optional[dict[str, float]] = None  # explicit per-node rates instead
     contagions: tuple[ContagionPlan, ...] = ()
     forward_retweets: bool = False  # allow retweets-of-retweets (depth > 1)
 
     def __post_init__(self):
         if self.horizon_hours <= 0:
             raise ValueError("horizon must be positive")
-        if (self.mu is None) == (self.rates is None):
-            raise ValueError("specify exactly one of mu or explicit rates")
+        check_rates(self.mu, self.sigma)
 
 
 def _hazard_for(plan: ContagionPlan, lam_in: float) -> float:
@@ -79,21 +78,14 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     rng = np.random.default_rng(spec.seed)
     horizon_s = int(round(spec.horizon_hours * SECONDS_PER_HOUR))
 
-    if spec.rates is not None:
-        missing = [u for u in graph.nodes if u not in spec.rates]
-        if missing:
-            raise ValueError(f"rates missing for nodes: {missing[:5]}")
-        lam_out = np.array([spec.rates[u] for u in graph.nodes], dtype=float)
-        lam_in = graph.followee_sums(lam_out)
-    else:
-        lam_out, lam_in = node_rates(graph, rng, spec.mu, spec.sigma)
+    lam_out, lam_in = node_rates(graph, rng, spec.mu, spec.sigma)
 
     # Events under construction, one row each in creation order. Final ids are
     # assigned after the global sort.
-    raw_ts: list[int] = []
-    raw_depth: list[int] = []  # originals sort before forwards at equal timestamps
-    raw_author: list[int] = []
-    raw_orig: list[int] = []   # row of the forwarded event, -1 for an original
+    raw_ts = array("q")
+    raw_depth = array("q")  # originals sort before forwards at equal timestamps
+    raw_author = array("q")
+    raw_orig = array("q")   # row of the forwarded event, -1 for an original
     token_rows: dict[str, list[int]] = {}
 
     def push(ts, depth, author, orig=-1) -> int:

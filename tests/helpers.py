@@ -23,6 +23,7 @@ from feedflow.events import (
 )
 from feedflow.graphgen import KroneckerParams
 from feedflow.simulate import (
+    Cascades,
     SimConfig,
     beta_of_inflow,
     cascade_keys,
@@ -344,6 +345,18 @@ def reachable_followers(graph: SocialGraph, seeds: set[str]) -> set[str]:
                 seen.add(w)
                 frontier.append(w)
     return seen
+
+
+def cascade_view(
+    graph: SocialGraph, cascades: Cascades
+) -> list[tuple[str, dict[str, Optional[float]]]]:
+    """(seed node, {adopter: time}) per cascade, the shape naive_cascades
+    returns; every time is None when the cascades carry no times."""
+    names = [graph.nodes[i] for i in cascades.node.tolist()]
+    times = [None] * len(names) if cascades.time is None else cascades.time.tolist()
+    bounds = cascades.indptr.tolist()
+    return [(graph.nodes[seed], dict(zip(names[lo:hi], times[lo:hi])))
+            for seed, lo, hi in zip(cascades.seed.tolist(), bounds, bounds[1:])]
 
 
 def naive_cascades(

@@ -129,8 +129,7 @@ def test_criterion_5_ic_background_traffic_fractions(capsys):
     for mu in (1.0, 10.0, 100.0):
         cfg = SimConfig(mu=mu, sigma=mu / 4, beta_curve=curve,
                         n_cascades=50_000, seed=17)
-        records = simulate_ic_bg(graph, cfg)
-        fracs[mu] = sum(1 for r in records if r.size >= 3) / len(records)
+        fracs[mu] = (simulate_ic_bg(graph, cfg).size >= 3).mean()
     elapsed = time.time() - t0
     ratio = fracs[1.0] / max(fracs[100.0], 1e-12)
     monotone = fracs[1.0] >= fracs[10.0] >= fracs[100.0]
@@ -154,8 +153,8 @@ def test_criterion_6_ct_duration_tail(capsys):
     for mu in (1.0, 100.0):
         cfg = SimConfig(mu=mu, sigma=mu / 4, beta_curve=curve,
                         n_cascades=50_000, seed=23, delay_model=delays)
-        records = simulate_ct_bg(graph, cfg)
-        durs[mu] = np.array([r.duration for r in records if r.size >= 2])
+        cascades = simulate_ct_bg(graph, cfg)
+        durs[mu] = cascades.duration[cascades.size >= 2]
     rng = np.random.default_rng(0)
     reps = 2000
     p99_sep = med_sep = 0

@@ -867,6 +867,20 @@ def test_synth_reads_every_contagion_group(tmp_path, runner, groups):
         assert f"contagions.{k}.token = tok{i}\n" in truth
 
 
+@pytest.mark.parametrize("setting,key", [("mu = nan", "mu"), ("sigma = -1", "sigma"),
+                                         ("mu = -5", "mu")])
+def test_synth_rejects_bad_rates(tmp_path, runner, setting, key):
+    cfg = tmp_path / "rates.cfg"
+    cfg.write_text(SYNTH_CONFIG + setting + "\n")
+    out = tmp_path / "bad.tsv"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--seed", "1", "--out", str(out),
+                                  "--graph-out", str(tmp_path / "bad.graph.tsv")])
+    assert result.exit_code == 1
+    message = all_output(result)
+    assert message.startswith("error:") and key in message
+    assert list(tmp_path.glob("bad*")) == []
+
+
 def test_bad_delay_bin_hi_names_the_key(workspace, tmp_path, runner):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(SYNTH_CONFIG.replace("delay_bin.0.hi = inf", "delay_bin.0.hi = infinity?"))

@@ -20,7 +20,7 @@ from feedflow.simulate import (
     simulate_ic_bg,
     truncated_normal_rates,
 )
-from helpers import naive_cascades, reachable_followers
+from helpers import cascade_view, naive_cascades, reachable_followers
 
 CURVE = BetaCurve(lambda_c=30.0, beta0=0.05, gamma=0.65)
 ALL_LIVE = BetaCurve(lambda_c=30.0, beta0=1.0, gamma=0.0)  # every coin is below 1
@@ -117,19 +117,21 @@ def test_ic_all_activations_fire_gives_reachable_set():
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=ALL_LIVE, n_cascades=20, seed=9,
                     delay_model=WIDE_BIN)
     for simulate_bg in (simulate_ic_bg, simulate_ct_bg):
-        records = simulate_bg(g, cfg)
-        for r in records:
-            assert r.adopters == reachable_followers(g, {r.seed_node})
-            assert r.size == len(r.adopters)
+        cascades = simulate_bg(g, cfg)
+        view = cascade_view(g, cascades)
+        for seed_node, times in view:
+            assert set(times) == reachable_followers(g, {seed_node})
+        assert cascades.size.tolist() == [len(times) for _, times in view]
 
 
 def test_ic_no_activation_gives_singletons():
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=ALL_LIVE, n_cascades=40, seed=9)
-    records = simulate_ic_bg(isolated_graph(), cfg)
-    for r in records:
-        assert r.size == 1 and r.adopters == {r.seed_node}
-        assert r.times is None and r.duration == 0.0
-    assert len({r.seed_node for r in records}) > 4
+    cascades = simulate_ic_bg(isolated_graph(), cfg)
+    view = cascade_view(isolated_graph(), cascades)
+    assert all(times == {seed_node: None} for seed_node, times in view)
+    assert cascades.size.tolist() == [1] * 40
+    assert cascades.time is None and cascades.duration.tolist() == [0.0] * 40
+    assert len({seed_node for seed_node, _ in view}) > 4
 
 
 def test_ic_and_ct_agree_on_adopter_sets():
@@ -138,14 +140,14 @@ def test_ic_and_ct_agree_on_adopter_sets():
     g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.3, 0.65),
                     n_cascades=60, seed=4, delay_model=WIDE_BIN)
-    ic = simulate_ic_bg(g, cfg)
-    ct = simulate_ct_bg(g, cfg)
-    assert [a.seed_node for a in ic] == [b.seed_node for b in ct]
-    assert [a.adopters for a in ic] == [b.adopters for b in ct]
-    assert max(r.size for r in ic) >= 10
-    cut = simulate_ct_bg(g, replace(cfg, max_time=40.0))
-    assert all(b.adopters <= a.adopters for a, b in zip(ic, cut))
-    assert sum(b.size for b in cut) < sum(a.size for a in ic)
+    ic = cascade_view(g, simulate_ic_bg(g, cfg))
+    ct = cascade_view(g, simulate_ct_bg(g, cfg))
+    assert [a for a, _ in ic] == [b for b, _ in ct]
+    assert [set(a) for _, a in ic] == [set(b) for _, b in ct]
+    assert max(len(a) for _, a in ic) >= 10
+    cut = cascade_view(g, simulate_ct_bg(g, replace(cfg, max_time=40.0)))
+    assert all(set(b) <= set(a) for (_, a), (_, b) in zip(ic, cut))
+    assert sum(len(b) for _, b in cut) < sum(len(a) for _, a in ic)
 
 
 @pytest.mark.parametrize("model,max_time", [("ic", math.inf), ("ct", math.inf), ("ct", 40.0)])
@@ -155,15 +157,31 @@ def test_engine_matches_naive_oracle(model, max_time):
     g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.3, 0.65),
                     n_cascades=40, seed=6, delay_model=WIDE_BIN, max_time=max_time)
-    records = (simulate_ic_bg if model == "ic" else simulate_ct_bg)(g, cfg)
-    expected = naive_cascades(g, cfg, timed=model == "ct")
-    assert [r.cascade_id for r in records] == list(range(40))
-    for r, (seed_node, times) in zip(records, expected):
-        assert r.seed_node == seed_node
-        assert r.adopters == set(times)
-        if model == "ct":
-            assert r.times == times
-    assert sum(r.size > 1 for r in records) >= 5
+    cascades = (simulate_ic_bg if model == "ic" else simulate_ct_bg)(g, cfg)
+    assert cascade_view(g, cascades) == naive_cascades(g, cfg, timed=model == "ct")
+    assert (cascades.size > 1).sum() >= 5
+
+
+@pytest.mark.parametrize("model", ["ic", "ct"])
+def test_cascade_columns_hold_their_invariants(model):
+    g = small_graph()
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.3, 0.65),
+                    n_cascades=50, seed=7, delay_model=WIDE_BIN, max_time=60.0)
+    c = (simulate_ic_bg if model == "ic" else simulate_ct_bg)(g, cfg)
+    assert len(c.seed) == 50 and len(c.indptr) == 51
+    assert c.indptr[0] == 0 and c.indptr[-1] == len(c.node)
+    assert (model == "ic") == (c.time is None)
+    for k, (lo, hi) in enumerate(zip(c.indptr[:-1], c.indptr[1:])):
+        nodes = c.node[lo:hi]
+        assert (np.diff(nodes) > 0).all() and c.seed[k] in nodes
+        if c.time is None:
+            assert c.duration[k] == 0.0
+        else:
+            assert c.time[lo:hi][nodes == c.seed[k]].tolist() == [0.0]
+            assert c.duration[k] == c.time[lo:hi].max()
+    assert (c.size > 1).sum() >= 5
+    with pytest.raises(TypeError):
+        len(c)
 
 
 @pytest.mark.parametrize("cells", [1, 64 * 3, 64 * 7 + 5])
@@ -171,9 +189,10 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, cells):
     g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.3, 0.65),
                     n_cascades=30, seed=8, delay_model=WIDE_BIN, max_time=60.0)
-    whole = simulate_ic_bg(g, cfg), simulate_ct_bg(g, cfg)
+    runs = (simulate_ic_bg, simulate_ct_bg)
+    whole = [cascade_view(g, run(g, cfg)) for run in runs]
     monkeypatch.setattr(simulate, "_CHUNK_CELLS", cells)
-    assert (simulate_ic_bg(g, cfg), simulate_ct_bg(g, cfg)) == whole
+    assert [cascade_view(g, run(g, cfg)) for run in runs] == whole
 
 
 def test_ct_requires_delay_model():
@@ -187,10 +206,12 @@ def test_ct_times_are_consistent():
     g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=40, seed=2,
                     delay_model=WIDE_BIN)
-    for r in simulate_ct_bg(g, cfg):
-        assert r.times[r.seed_node] == 0.0
-        assert r.duration == max(r.times.values())
-        assert all(t >= 0 for t in r.times.values())
+    cascades = simulate_ct_bg(g, cfg)
+    for (seed_node, times), duration in zip(cascade_view(g, cascades),
+                                            cascades.duration.tolist()):
+        assert times[seed_node] == 0.0
+        assert duration == max(times.values())
+        assert all(t >= 0 for t in times.values())
 
 
 def test_ct_times_are_hop_distances_with_fixed_delays():
@@ -200,23 +221,24 @@ def test_ct_times_are_hop_distances_with_fixed_delays():
     fixed = DelayModel(bins=(DelayBin(0.0, math.inf, 0.0, 0.0, 0.0, 0.0),))
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=ALL_LIVE, n_cascades=20, seed=3,
                     delay_model=fixed)
-    for r in simulate_ct_bg(g, cfg):
-        hops, frontier = {r.seed_node: 0}, [r.seed_node]
+    for seed_node, times in cascade_view(g, simulate_ct_bg(g, cfg)):
+        hops, frontier = {seed_node: 0}, [seed_node]
         while frontier:
             u = frontier.pop(0)
             for w in g.followers(u):
                 if w not in hops:
                     hops[w] = hops[u] + 1
                     frontier.append(w)
-        assert r.times == {u: 2.0 * h for u, h in hops.items()}
+        assert times == {u: 2.0 * h for u, h in hops.items()}
 
 
 def test_ct_max_time_truncates():
     g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 1.0, 0.0),
                     n_cascades=20, seed=2, delay_model=WIDE_BIN, max_time=0.0)
-    for r in simulate_ct_bg(g, cfg):
-        assert r.size == 1 and r.duration == 0.0
+    cascades = simulate_ct_bg(g, cfg)
+    assert cascades.size.tolist() == [1] * 20
+    assert cascades.duration.tolist() == [0.0] * 20
 
 
 def test_sim_config_validation():
@@ -239,25 +261,29 @@ def test_distribution_report():
     g = small_graph()
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=BetaCurve(30.0, 0.4, 0.0),
                     n_cascades=300, seed=5, delay_model=WIDE_BIN)
-    records = simulate_ct_bg(g, cfg)
-    rep = distribution_report(records)
-    assert rep.n_records == 300
-    assert rep.frac_size_at_least(1) == pytest.approx(1.0)
-    sizes = np.array([r.size for r in records])
-    assert rep.frac_size_at_least(3) == pytest.approx((sizes >= 3).mean())
-    assert rep.n_multi == int((sizes >= 2).sum())
+    cascades = simulate_ct_bg(g, cfg)
+    sizes, durations = cascades.size, cascades.duration
+    assert len(sizes) == 300
+    size_ccdf, duration_ccdf = distribution_report(sizes, durations)
+
+    def frac_size_at_least(size):
+        return max((c for v, c in size_ccdf if v >= size), default=0.0)
+
+    assert frac_size_at_least(1) == pytest.approx(1.0)
+    assert frac_size_at_least(3) == pytest.approx((sizes >= 3).mean())
     # Duration CCDF covers only multi-node cascades.
-    if rep.n_multi:
-        assert not rep.duration_empty
-        durs = [r.duration for r in records if r.size >= 2]
-        vals = [v for v, _ in rep.duration_ccdf]
-        assert min(vals) == pytest.approx(min(durs))
+    durs = durations[sizes >= 2]
+    assert len(durs) and duration_ccdf
+    assert [c for v, c in duration_ccdf] == pytest.approx([(durs >= v).mean()
+                                                           for v, _ in duration_ccdf])
+    vals = [v for v, _ in duration_ccdf]
+    assert min(vals) == pytest.approx(min(durs))
     with pytest.raises(ValueError):
-        distribution_report([])
+        distribution_report(np.array([], int), np.array([]))
 
 
 def test_distribution_report_all_singletons():
     cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=5, seed=1)
-    records = simulate_ic_bg(isolated_graph(), cfg)
-    rep = distribution_report(records)
-    assert rep.duration_empty and rep.duration_ccdf == ()
+    cascades = simulate_ic_bg(isolated_graph(), cfg)
+    size_ccdf, duration_ccdf = distribution_report(cascades.size, cascades.duration)
+    assert duration_ccdf == () and size_ccdf == ((1.0, 1.0),)

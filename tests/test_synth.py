@@ -85,20 +85,17 @@ def test_truth_report_contents():
 
 
 def test_rates_mode_and_validation():
-    g = graph()
-    rates = {u: 1.0 for u in g.nodes}
-    log, truth = generate_workload(spec(mu=None, rates=rates))
-    assert set(truth["lam_out"].values()) == {1.0}
-    with pytest.raises(ValueError, match="exactly one"):
-        spec(rates=rates)  # both mu and rates
-    with pytest.raises(ValueError, match="exactly one"):
-        spec(mu=None)
-    with pytest.raises(ValueError, match="missing"):
-        bad = dict(rates)
-        del bad[next(iter(bad))]
-        generate_workload(spec(mu=None, rates=bad))
     with pytest.raises(ValueError, match="horizon"):
         spec(horizon_hours=0.0)
+    # Rejected before any draw: a negative mean would resample forever, and
+    # numpy's own errors for the others name no parameter.
+    for bad, message in (({"mu": -5.0}, "mu must be positive"),
+                         ({"mu": 0.0}, "mu must be positive"),
+                         ({"mu": math.nan}, "mu and sigma must be finite"),
+                         ({"sigma": math.nan}, "mu and sigma must be finite"),
+                         ({"sigma": -1.0}, "sigma must be non-negative")):
+        with pytest.raises(ValueError, match=message):
+            spec(**bad)
 
 
 def test_contagion_plan_validation():
