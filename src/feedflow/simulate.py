@@ -273,7 +273,8 @@ def _simulate(graph: SocialGraph, config: SimConfig,
         reached = np.flatnonzero(state < np.inf if timed else ~state)
         seed_cols.append(seeds)
         size_cols.append(np.diff(np.searchsorted(reached, np.arange(ids.size + 1) * n)))
-        node_cols.append((reached % n).astype(np.int32))  # half the bytes; log user codes are int32 too
+        # int32 halves the adopter column; the log's user codes are int32 too.
+        node_cols.append((reached % n).astype(np.int32))
         if timed:
             time_cols.append(state[reached])
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(size_cols))))
