@@ -184,7 +184,7 @@ def validate(log_path, graph_path):
               help="binned retweet-probability curve CSV")
 @click.option("--min-received", default=10, show_default=True,
               help="exclude users with fewer received tweets from the curve")
-@click.option("--bins-per-decade", default=10, show_default=True)
+@click.option("--bins-per-decade", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--originals-only", is_flag=True,
               help="exclude followee retweets from the in-flow")
 @command_errors

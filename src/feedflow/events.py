@@ -9,22 +9,14 @@ same deterministic timeline.
 from __future__ import annotations
 
 import codecs
-import collections
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import BinaryIO, Iterator, Sequence, TextIO
 
 import numpy as np
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
-
-
-class EventKind(Enum):
-    TWEET = "T"
-    RETWEET = "R"
 
 
 class LogFormatError(ValueError):
@@ -38,27 +30,6 @@ class UnknownUserError(KeyError):
 
     def __str__(self) -> str:
         return f"unknown user: {self.user!r}"
-
-
-@dataclass(frozen=True)
-class Event:
-    event_id: int
-    ts: int
-    author: str
-    kind: EventKind
-    orig_event_id: Optional[int] = None
-    orig_author: Optional[str] = None
-    marks: frozenset[str] = frozenset()
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """Global total-order key: timestamp, ties broken by event id."""
-        return (self.ts, self.event_id)
-
-    def to_tsv(self) -> str:
-        orig_author = self.orig_author if self.kind is EventKind.RETWEET else None
-        return _tsv_line(self.event_id, self.ts, self.author, self.orig_event_id, orig_author,
-                         sorted(self.marks))
 
 
 def _tsv_line(event_id, ts, author, orig_id, orig_author, marks) -> str:
@@ -92,26 +63,12 @@ class SocialGraph:
     edge counts once.
     """
 
-    def __init__(self, edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()):
-        follower, followee = list(zip(*edges)) or ((), ())
-        names = sorted(set(nodes).union(follower, followee))
-        index = {u: i for i, u in enumerate(names)}
-        f = np.fromiter(map(index.__getitem__, follower), np.int64, len(follower))
-        v = np.fromiter(map(index.__getitem__, followee), np.int64, len(followee))
+    def __init__(self, names: Sequence[str], f: np.ndarray, v: np.ndarray):
+        """The graph over the sorted names of the edges f[k] -> v[k], given
+        as indices into names; LogFormatError for a self-loop."""
         loops = np.flatnonzero(f == v)
         if loops.size:
-            raise LogFormatError(f"self-loop edge for user {follower[loops[0]]!r}")
-        self._fill(names, f, v)
-
-    @classmethod
-    def from_indices(cls, names: Sequence[str], f: np.ndarray, v: np.ndarray) -> "SocialGraph":
-        """The graph over the sorted names of the edges f[k] -> v[k], given
-        as indices into names."""
-        graph = cls.__new__(cls)
-        graph._fill(names, f, v)
-        return graph
-
-    def _fill(self, names: Sequence[str], f: np.ndarray, v: np.ndarray) -> None:
+            raise LogFormatError(f"self-loop edge for user {names[f[loops[0]]]!r}")
         self.nodes = tuple(names)
         self._index = {u: i for i, u in enumerate(self.nodes)}
         n = len(self.nodes)
@@ -202,7 +159,7 @@ class SocialGraph:
                                      f"self-loop edge for user {user!r}")
             edges.append(code)
         nodes, rank = _sorted_table(names)
-        return cls.from_indices(nodes, *rank[np.concatenate(edges, axis=1)])
+        return cls(nodes, *rank[np.concatenate(edges, axis=1)])
 
 
 class EventLog:
@@ -211,35 +168,11 @@ class EventLog:
     A row is an event's position in that order. The log is columns over rows:
     ts, ids, author and orig_author (codes into names, -1 for an original),
     forward, orig_ids (0 for an original), orig_row and each token's rows.
-    Event objects exist only in the views kept for tests and the naive
-    oracles: EventLog(events), events, iteration, get and by_author.
     """
 
-    def __init__(self, events: Iterable[Event] = ()):
-        events = sorted(events, key=operator.attrgetter("ts", "event_id"))
-        names: dict[str, int] = collections.defaultdict(lambda: len(names))
-        fields: dict[str, int] = collections.defaultdict(lambda: len(fields))
-        self._fill(
-            np.array([e.ts for e in events], np.int64),
-            np.array([e.event_id for e in events], np.int64),
-            np.array([names[e.author] for e in events], np.int32),
-            np.array([-1 if e.kind is EventKind.TWEET else names[e.orig_author] for e in events],
-                     np.int32),
-            np.array([e.orig_event_id or 0 for e in events], np.int64),
-            list(names),
-            _mark_rows(np.array([fields[",".join(sorted(e.marks))] if e.marks else -1
-                                 for e in events], np.int64), list(fields)),
-        )
-
-    @classmethod
-    def from_columns(cls, ts, ids, author, orig_author, orig_ids, names, marks) -> "EventLog":
+    def __init__(self, ts, ids, author, orig_author, orig_ids, names, marks):
         """The log of columns whose rows are in (ts, event_id) order; marks maps
         each token to its ascending rows."""
-        log = cls.__new__(cls)
-        log._fill(ts, ids, author, orig_author, orig_ids, names, marks)
-        return log
-
-    def _fill(self, ts, ids, author, orig_author, orig_ids, names, marks) -> None:
         self.ts, self.ids, self.author, self.orig_author = ts, ids, author, orig_author
         self.forward = orig_author >= 0
         self.orig_ids, self.names, self._marks = orig_ids, names, marks
@@ -258,9 +191,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.ts)
 
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
     def _records(self) -> Iterator[tuple]:
         """Each row's event_id, ts, author, orig_event_id, orig_author (None
         for an original) and sorted marks, made _ROW_BLOCK rows at a time."""
@@ -278,13 +208,6 @@ class EventLog:
                            orig_ids[rows].tolist(),
                            map(names.__getitem__, self.orig_author[rows].tolist()),
                            map(marks.get, range(lo, hi), itertools.repeat(())))
-
-    @functools.cached_property
-    def events(self) -> list[Event]:
-        """Every row as an Event, built on first use."""
-        return [Event(i, t, a, EventKind.TWEET if o is None else EventKind.RETWEET,
-                      None if o is None else oid, o, frozenset(m))
-                for i, t, a, oid, o, m in self._records()]
 
     def rows(self, author: str, window: tuple[int, int]) -> np.ndarray:
         """The author's rows with ts inside the closed window, ascending."""
@@ -305,13 +228,6 @@ class EventLog:
     def token_rows(self, token: str) -> np.ndarray:
         """Rows of the events marked with the token, ascending."""
         return self._marks.get(token, _NO_ROWS)
-
-    def get(self, event_id: int) -> Optional[Event]:
-        row = int(self.rows_of([event_id])[0])
-        return self.events[row] if row >= 0 else None
-
-    def by_author(self, author: str) -> list[Event]:
-        return [self.events[r] for r in self.rows(author, (_I64_MIN, _I64_MAX)).tolist()]
 
     def span(self) -> tuple[int, int]:
         return (int(self.ts[0]), int(self.ts[-1])) if len(self) else (0, 0)
@@ -541,7 +457,7 @@ def parse_event_log(fh: BinaryIO) -> tuple[EventLog, ParseReport]:
         for piece, column in zip(pieces, _parse_block(first, lines, names, fields, report)):
             piece.append(column)
         del lines  # only its columns outlive a block
-    return EventLog.from_columns(*_check_references(pieces, names, fields, report)), report
+    return EventLog(*_check_references(pieces, names, fields, report)), report
 
 
 def _shaped(lines: _Lines) -> np.ndarray:
@@ -627,9 +543,8 @@ def _originals(ids, line_no, orig_ids) -> np.ndarray:
 
 def _check_references(pieces: list[list[np.ndarray]], names: dict[str, int],
                       fields: dict[str, int], report: ParseReport) -> tuple:
-    """The EventLog.from_columns arguments of the parsed lines whose forward
-    references hold; each other forward goes to the report, in (ts, event_id)
-    order.
+    """The EventLog arguments of the parsed lines whose forward references
+    hold; each other forward goes to the report, in (ts, event_id) order.
 
     pieces holds the parsed lines' columns line_no, ts, ids, orig_ids, author,
     orig_author and mark, each in pieces that are joined here and freed. names

@@ -152,7 +152,7 @@ def group_users_by_inflow(
     ranges, each in the mapping's order; users in no range are dropped."""
     bounds = sorted(ranges)
     for (lo, hi) in bounds:
-        if hi <= lo:
+        if not lo < hi:  # also a NaN edge
             raise ValueError(f"empty range ({lo}, {hi})")
     for (_, hi0), (lo1, _) in zip(bounds, bounds[1:]):
         if lo1 < hi0:

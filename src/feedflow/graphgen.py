@@ -107,4 +107,4 @@ def kronecker_generate(params: KroneckerParams) -> SocialGraph:
     names = sorted(map(str, range(params.n_nodes)))
     rank = np.empty(params.n_nodes, np.int64)
     rank[np.array(names, np.int64)] = np.arange(params.n_nodes)
-    return SocialGraph.from_indices(names, rank[follower], rank[followee])
+    return SocialGraph(names, rank[follower], rank[followee])

@@ -78,7 +78,7 @@ class DelayModel:
         bins = sorted(self.bins, key=lambda b: b.lo)
         if not bins:
             raise DelayBinError("delay model needs at least one bin")
-        if bins[0].lo > 0:
+        if not bins[0].lo <= 0:  # also a NaN edge
             raise DelayBinError("delay bins must start at 0")
         for a, b in zip(bins, bins[1:]):
             if b.lo != a.hi:

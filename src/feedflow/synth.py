@@ -184,7 +184,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     event_id[order] = np.arange(len(order))
     author, orig = np.array(raw_author, dtype=np.int32), np.array(raw_orig, dtype=np.int64)[order]
     forward, orig = orig >= 0, np.maximum(orig, 0)
-    log = EventLog.from_columns(
+    log = EventLog(
         np.array(raw_ts, dtype=np.int64)[order], np.arange(len(order), dtype=np.int64),
         author[order], np.where(forward, author[orig], -1), np.where(forward, event_id[orig], 0),
         list(graph.nodes), {token: np.sort(event_id[rows]) for token, rows in token_rows.items()})

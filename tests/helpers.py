@@ -1,18 +1,19 @@
-"""Shared test utilities: random log construction and brute-force oracles."""
+"""Shared test utilities: logs and graphs built by name, random logs and brute-force oracles."""
 
 from __future__ import annotations
 
 import heapq
 import io
 import math
+import operator
 import re
+from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Optional
 
 import numpy as np
 
 from feedflow.events import (
-    Event,
-    EventKind,
     EventLog,
     LineReject,
     LogFormatError,
@@ -20,6 +21,7 @@ from feedflow.events import (
     SocialGraph,
     _check_references,
     _parse_line,
+    _tsv_line,
 )
 from feedflow.graphgen import KroneckerParams
 from feedflow.simulate import (
@@ -31,6 +33,73 @@ from feedflow.simulate import (
     seed_nodes,
     slot_uniform,
 )
+
+
+class EventKind(Enum):
+    TWEET = "T"
+    RETWEET = "R"
+
+
+@dataclass(frozen=True)
+class Event:
+    event_id: int
+    ts: int
+    author: str
+    kind: EventKind
+    orig_event_id: Optional[int] = None
+    orig_author: Optional[str] = None
+    marks: frozenset[str] = frozenset()
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """Global total-order key: timestamp, ties broken by event id."""
+        return (self.ts, self.event_id)
+
+    def to_tsv(self) -> str:
+        orig_author = self.orig_author if self.kind is EventKind.RETWEET else None
+        return _tsv_line(self.event_id, self.ts, self.author, self.orig_event_id, orig_author,
+                         sorted(self.marks))
+
+
+def log_of(events: Iterable[Event]) -> EventLog:
+    """The EventLog of the events, built from its columns without the parser,
+    so it may hold rows a parse would reject: the rows in (ts, event_id)
+    order, the names coded in sorted order and each token's rows ascending."""
+    events = sorted(events, key=operator.attrgetter("ts", "event_id"))
+    forward = [e.kind is EventKind.RETWEET for e in events]
+    names = sorted({e.author for e in events}
+                   | {e.orig_author for e, fwd in zip(events, forward) if fwd})
+    code = {u: i for i, u in enumerate(names)}
+    marks: dict[str, list[int]] = {}
+    for row, e in enumerate(events):
+        for token in e.marks:
+            marks.setdefault(token, []).append(row)
+    return EventLog(
+        np.array([e.ts for e in events], np.int64),
+        np.array([e.event_id for e in events], np.int64),
+        np.array([code[e.author] for e in events], np.int32),
+        np.array([code[e.orig_author] if fwd else -1 for e, fwd in zip(events, forward)],
+                 np.int32),
+        np.array([e.orig_event_id or 0 for e in events], np.int64),
+        names,
+        {token: np.array(rows, np.int64) for token, rows in marks.items()},
+    )
+
+
+def events_of(log: EventLog) -> list[Event]:
+    """Every row of the log as an Event, in row order."""
+    return [Event(i, t, a, EventKind.TWEET if o is None else EventKind.RETWEET,
+                  None if o is None else oid, o, frozenset(m))
+            for i, t, a, oid, o, m in log._records()]
+
+
+def graph_of(edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> SocialGraph:
+    """The graph of the (follower, followee) name pairs over their names and nodes."""
+    follower, followee = list(zip(*edges)) or ((), ())
+    names = sorted(set(nodes).union(follower, followee))
+    index = {u: i for i, u in enumerate(names)}
+    return SocialGraph(names, np.array([index[u] for u in follower], np.int64),
+                       np.array([index[v] for v in followee], np.int64))
 
 
 def tsv_text(obj) -> str:
@@ -76,7 +145,7 @@ def naive_parse_event_log(data: bytes) -> tuple[EventLog, ParseReport]:
                      names.setdefault(orig_author, len(names)) if forward else -1,
                      fields.setdefault(marks, len(fields)) if marks else -1))
     pieces = [[np.array(c, np.int64)] for c in zip(*rows)] or [[] for _ in range(7)]
-    return EventLog.from_columns(*_check_references(pieces, names, fields, report)), report
+    return EventLog(*_check_references(pieces, names, fields, report)), report
 
 
 def naive_graph_from_tsv(data: bytes) -> SocialGraph:
@@ -93,7 +162,7 @@ def naive_graph_from_tsv(data: bytes) -> SocialGraph:
         if parts[0] == parts[1]:
             raise LogFormatError(f"graph line {line_no}: self-loop edge for user {parts[0]!r}")
         edges.append(parts)
-    return SocialGraph(edges)
+    return graph_of(edges)
 
 
 def naive_kronecker_edges(params: KroneckerParams) -> list[tuple[int, int]]:
@@ -129,7 +198,7 @@ def random_graph(rng: np.random.Generator, n_users: int, p_edge: float = 0.4) ->
         for b in users
         if a != b and rng.random() < p_edge
     ]
-    return SocialGraph(edges, nodes=users)
+    return graph_of(edges, nodes=users)
 
 
 def random_log(
@@ -163,15 +232,16 @@ def random_log(
             ev = Event(event_id, int(ts), author, EventKind.TWEET)
         events.append(ev)
         by_author[author].append(ev)
-    return EventLog(events)
+    return log_of(events)
 
 
 def naive_root(log: EventLog, event_id: int) -> int:
-    """The root of an event's forward chain, walked with log.get; the event
-    itself when the chain breaks."""
-    cur = log.get(event_id)
+    """The root of an event's forward chain, walked one event id at a time;
+    the event itself when the chain breaks."""
+    by_id = {e.event_id: e for e in events_of(log)}
+    cur = by_id.get(event_id)
     while cur is not None and cur.kind is EventKind.RETWEET:
-        cur = log.get(cur.orig_event_id)
+        cur = by_id.get(cur.orig_event_id)
     return event_id if cur is None else cur.event_id
 
 
@@ -190,13 +260,14 @@ def naive_queue_records(
     """
     start, end = window
     followees = graph.followees(user)
+    events = events_of(log)
     feed = [
-        e for e in log
+        e for e in events
         if e.author in followees and start <= e.ts <= end
     ]
     records: dict[int, tuple[int, int, int]] = {}
     out_of_feed = 0
-    for r in log.by_author(user):
+    for r in (e for e in events if e.author == user):
         if r.kind is not EventKind.RETWEET or r.ts < start or r.ts > end:
             continue
         target = r.orig_event_id if source == "immediate" else naive_root(log, r.orig_event_id)
@@ -230,13 +301,14 @@ def naive_flow_counts(
     """(feed items received, distinct feed items forwarded) inside the window."""
     start, end = window
     followees = graph.followees(user)
+    events = events_of(log)
     feed = {
-        e.event_id for e in log
+        e.event_id for e in events
         if e.author in followees and start <= e.ts <= end
         and not (originals_only and e.kind is EventKind.RETWEET)
     }
     forwarded = {
-        r.orig_event_id for r in log
+        r.orig_event_id for r in events
         if r.author == user and r.kind is EventKind.RETWEET and start <= r.ts <= end
         and r.orig_event_id in feed
     }
@@ -253,7 +325,7 @@ def naive_source_set(
     start, end = window
     followees = graph.followees(user)
     cited = [
-        r.orig_author for r in log
+        r.orig_author for r in events_of(log)
         if r.author == user and r.kind is EventKind.RETWEET and start <= r.ts <= end
     ]
     return {a for a in cited if a in followees}, sum(a not in followees for a in cited)

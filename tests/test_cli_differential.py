@@ -19,8 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedflow.cli import main
-from feedflow.events import Event, EventKind, EventLog, SocialGraph
 from helpers import (
+    Event,
+    EventKind,
+    events_of,
+    graph_of,
+    log_of,
     naive_duplicate,
     naive_flow_counts,
     naive_queue_records,
@@ -127,8 +131,8 @@ def test_cli_matches_naive_recounts(spec, edges, lo, length, dup_choice):
     lines.insert(len(lines) // 2, "")
     accepted, rejected_lines = naive_validate(lines)
     by_id = {e.event_id: e for e in events}
-    log = EventLog([by_id[i] for i in accepted])
-    graph = SocialGraph([(USERS[f], USERS[v]) for f, v in sorted(edges)])
+    log = log_of([by_id[i] for i in accepted])
+    graph = graph_of([(USERS[f], USERS[v]) for f, v in sorted(edges)])
     window = (lo, lo + length)
     hours = length / 3600.0
     users = sorted(graph.nodes)
@@ -184,7 +188,7 @@ def test_cli_matches_naive_recounts(spec, edges, lo, length, dup_choice):
 
         # E(0) counts every user of an in-flow group: each starts 0-exposed.
         ranges = ",".join(f"{lo_:g}:{hi_:g}" for lo_, hi_ in RANGES)
-        if any("tok" in e.marks for e in log):
+        if any("tok" in e.marks for e in events_of(log)):
             _, rows = run(workdir, "exposure", *win, "--token", "tok", "--ranges", ranges)
             got = {(float(r["group_lo"]), float(r["group_hi"])): float(r["E"])
                    for r in rows if r["k"] == "0"}

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 
 from feedflow import events
 from feedflow.events import (
-    Event,
-    EventKind,
-    EventLog,
     FeedIndex,
     LogFormatError,
     SocialGraph,
@@ -18,6 +15,11 @@ from feedflow.events import (
     parse_event_log,
 )
 from helpers import (
+    Event,
+    EventKind,
+    events_of,
+    graph_of,
+    log_of,
     naive_graph_from_tsv,
     naive_parse_event_log,
     random_graph,
@@ -39,11 +41,12 @@ def test_parse_valid_lines():
     log, report = parse_event_log(tsv_file(GOOD_LINES))
     assert report.n_rejected == 0
     assert len(log) == 5
-    assert [e.event_id for e in log] == [1, 2, 3, 4, 5]  # (ts, id) order
-    rt = log.get(3)
+    view = events_of(log)
+    assert [e.event_id for e in view] == [1, 2, 3, 4, 5]  # (ts, id) order
+    rt = view[2]
     assert rt.kind is EventKind.RETWEET
     assert rt.orig_event_id == 1 and rt.orig_author == "alice"
-    assert log.get(4).marks == {"promo", "viral"}
+    assert view[3].marks == {"promo", "viral"}
 
 
 @pytest.mark.parametrize("line,reason_part", [
@@ -97,7 +100,7 @@ def test_retweet_reference_validation():
         "300\tbob\tR\t5\t1\talice",     # fine
     ]
     log, report = parse_event_log(tsv_file(lines))
-    assert {e.event_id for e in log} == {1, 5}
+    assert {e.event_id for e in events_of(log)} == {1, 5}
     assert report.n_rejected == 3
     reasons = {rej.line_no: rej.reason for rej in report.rejects}
     assert reasons == {
@@ -115,7 +118,7 @@ def test_retweet_of_rejected_line_is_rejected():
         "300\tcarol\tR\t3\t2\tbob",     # references the rejected retweet
     ]
     log, report = parse_event_log(tsv_file(lines))
-    assert {e.event_id for e in log} == {1}
+    assert {e.event_id for e in events_of(log)} == {1}
     assert report.n_rejected == 3
 
 
@@ -128,7 +131,7 @@ def test_equal_ts_tiebreak_by_id():
 
 
 def test_graph_basics():
-    g = SocialGraph([("a", "b"), ("a", "c"), ("b", "c")], nodes=["d"])
+    g = graph_of([("a", "b"), ("a", "c"), ("b", "c")], nodes=["d"])
     assert g.nodes == ("a", "b", "c", "d")
     assert g.followees("a") == {"b", "c"}
     assert g.followers("c") == {"a", "b"}
@@ -136,12 +139,12 @@ def test_graph_basics():
     assert g.n_edges() == 3
     with pytest.raises(UnknownUserError):
         g.followees("nobody")
-    with pytest.raises(LogFormatError):
-        SocialGraph([("a", "a")])
+    with pytest.raises(LogFormatError, match="^self-loop edge for user 'a'$"):
+        graph_of([("a", "a")])
 
 
 def test_graph_tsv_round_trip():
-    g = SocialGraph([("a", "b"), ("c", "a"), ("b", "a")])
+    g = graph_of([("a", "b"), ("c", "a"), ("b", "a")])
     g2 = SocialGraph.from_tsv(io.BytesIO(tsv_text(g).encode()))
     assert tsv_text(g2) == tsv_text(g) == "a\tb\nb\ta\nc\ta\n"
 
@@ -156,16 +159,16 @@ def test_graph_tsv_bad_line():
 def test_log_tsv_round_trip(seed, n_users, n_events):
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, n_users)
-    events = random_log(rng, graph, n_events).events
+    events = events_of(random_log(rng, graph, n_events))
     for e in rng.choice(len(events), size=len(events) // 4, replace=False).tolist():
         events[e] = dataclasses.replace(events[e], marks=frozenset(
             rng.choice(["tok", "x", "z"], size=int(rng.integers(1, 3))).tolist()))
-    log = EventLog(events)
+    log = log_of(events)
     lines = tsv_text(log).splitlines(keepends=True)
     rng.shuffle(lines)
     log2, report = parse_event_log(tsv_file(lines))
     assert report.n_rejected == 0
-    assert log2.events == log.events
+    assert events_of(log2) == events_of(log)
     # Every column, not only the Event view: the parser fills them itself.
     for column in ("ts", "ids", "forward", "orig_row", "orig_ids"):
         assert getattr(log2, column).tolist() == getattr(log, column).tolist(), column
@@ -184,17 +187,17 @@ def test_log_tsv_round_trip(seed, n_users, n_events):
 @pytest.mark.parametrize("rows", [1, 7])
 def test_log_tsv_does_not_depend_on_row_block(monkeypatch, rows):
     rng = np.random.default_rng(3)
-    events_ = random_log(rng, random_graph(rng, 6), 60).events
+    events_ = events_of(random_log(rng, random_graph(rng, 6), 60))
     events_ = [dataclasses.replace(e, marks=frozenset(["tok", "x"] if i % 3 else ["z"]))
                if i % 2 else e for i, e in enumerate(events_)]
-    whole = EventLog(events_)
-    text, view = tsv_text(whole), whole.events
+    whole = log_of(events_)
+    text, view = tsv_text(whole), events_of(whole)
     assert text.count("\n") == 60 and "\ttok,x\n" in text and "\tz\n" in text
     assert view == sorted(events_, key=lambda e: e.key)
     monkeypatch.setattr(events, "_ROW_BLOCK", rows)
-    log = EventLog(events_)
+    log = log_of(events_)
     assert tsv_text(log) == text
-    assert log.events == view
+    assert events_of(log) == view
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,7 +207,7 @@ def test_graph_follow_relation_is_consistent(seed):
     users = [f"u{i}" for i in range(9)]
     linked = users[:rng.integers(3, 9)]  # the others, at least u8, are isolated
     edges = [(a, b) for a in linked for b in linked if a != b and rng.random() < 0.4]
-    g = SocialGraph(edges + edges[:2], nodes=users)  # a repeated edge counts once
+    g = graph_of(edges + edges[:2], nodes=users)  # a repeated edge counts once
     assert g.nodes == tuple(sorted(users)) and len(g.nodes) == 9
     for i, u in enumerate(g.nodes):
         assert g.index(u) == i
@@ -220,17 +223,19 @@ def test_graph_follow_relation_is_consistent(seed):
 
 
 def test_in_flow_stream_window_and_filter():
-    g = SocialGraph([("u", "a"), ("u", "b")], nodes=["c"])
-    log = EventLog([
+    g = graph_of([("u", "a"), ("u", "b")], nodes=["c"])
+    log = log_of([
         Event(1, 100, "a", EventKind.TWEET),
         Event(2, 200, "b", EventKind.TWEET),
         Event(3, 300, "b", EventKind.RETWEET, orig_event_id=1, orig_author="a"),
         Event(4, 400, "c", EventKind.TWEET),       # not followed
         Event(5, 500, "a", EventKind.TWEET),       # outside window
     ])
+    view = events_of(log)
+
     def feed_ids(window, include_retweets=True):
         rows = FeedIndex(log, g, window, include_retweets).rows("u")
-        return [log.events[r].event_id for r in rows]
+        return [view[r].event_id for r in rows]
 
     assert feed_ids((100, 400)) == [1, 2, 3]
     assert feed_ids((100, 400), include_retweets=False) == [1, 2]
@@ -247,31 +252,32 @@ def test_in_flow_stream_matches_brute_force(seed):
     log = random_log(rng, graph, 60)
     lo, hi = sorted(rng.integers(0, 10_000, size=2).tolist())
     feeds = FeedIndex(log, graph, (lo, hi))
+    view = events_of(log)
     for user in sorted(graph.nodes):
         rows = feeds.rows(user)
         expected = [
-            e for e in log
+            e for e in view
             if e.author in graph.followees(user) and lo <= e.ts <= hi
         ]
-        assert [log.events[r] for r in rows] == expected
+        assert [view[r] for r in rows] == expected
         assert feeds.count(user) == len(rows)
 
 
 def test_event_log_span_and_indices():
-    log = EventLog([
+    log = log_of([
         Event(2, 300, "b", EventKind.TWEET),
         Event(1, 100, "a", EventKind.TWEET),
     ])
     assert log.span() == (100, 300)
-    assert [e.event_id for e in log.by_author("a")] == [1]
-    assert log.get(99) is None
-    assert EventLog([]).span() == (0, 0)
+    assert [events_of(log)[r].event_id for r in log.rows("a", (0, 1000))] == [1]
+    assert log.rows_of([99]).tolist() == [-1]
+    assert log_of([]).span() == (0, 0)
     with pytest.raises(LogFormatError, match="duplicate event_id 1"):
-        EventLog([Event(1, 100, "a", EventKind.TWEET), Event(1, 200, "b", EventKind.TWEET)])
+        log_of([Event(1, 100, "a", EventKind.TWEET), Event(1, 200, "b", EventKind.TWEET)])
 
 
 def test_event_log_row_columns():
-    log = EventLog([
+    log = log_of([
         Event(4, 300, "b", EventKind.RETWEET, orig_event_id=2, orig_author="a"),
         Event(2, 100, "a", EventKind.TWEET),
         Event(3, 100, "b", EventKind.RETWEET, orig_event_id=2, orig_author="a"),

@@ -1,7 +1,8 @@
+import math
+
 import numpy as np
 import pytest
 
-from feedflow.events import Event, EventKind, EventLog, SocialGraph
 from feedflow.exposure import (
     ContagionTrace,
     TokenNotFoundError,
@@ -11,6 +12,7 @@ from feedflow.exposure import (
     exposure_curve,
     group_users_by_inflow,
 )
+from helpers import Event, EventKind, graph_of, log_of
 
 
 @pytest.mark.parametrize("transitions,adoption,visited,k_adopt", [
@@ -31,8 +33,8 @@ def test_user_exposure_path(transitions, adoption, visited, k_adopt):
 
 def contagion_fixture():
     # a, b adopt; u follows both; w follows a only; v never exposed.
-    g = SocialGraph([("u", "a"), ("u", "b"), ("w", "a")], nodes=["v"])
-    log = EventLog([
+    g = graph_of([("u", "a"), ("u", "b"), ("w", "a")], nodes=["v"])
+    log = log_of([
         Event(1, 100, "a", EventKind.TWEET, marks=frozenset({"tok"})),
         Event(2, 200, "b", EventKind.TWEET, marks=frozenset({"tok"})),
         Event(3, 300, "u", EventKind.TWEET, marks=frozenset({"tok"})),
@@ -96,6 +98,10 @@ def test_group_users_by_inflow():
         group_users_by_inflow(lam, [(1.0, 10.0), (5.0, 20.0)])
     with pytest.raises(ValueError, match="empty range"):
         group_users_by_inflow(lam, [(10.0, 10.0)])
+    for nan_edge in ((math.nan, 10.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="empty range"):
+            group_users_by_inflow(lam, [nan_edge])
+    assert group_users_by_inflow(lam, [(0.0, math.inf)])[(0.0, math.inf)] == list(lam)
 
 
 def test_aggregate_curves_pooled_and_mean():

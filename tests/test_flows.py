@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedflow.events import Event, EventKind, EventLog, FeedIndex, SocialGraph
+from feedflow.events import FeedIndex
 from feedflow.flows import (
     DegenerateFitError,
     EmpiricalDistribution,
@@ -15,13 +15,14 @@ from feedflow.flows import (
     log_binned_curve,
 )
 from feedflow.queues import queue_positions
+from helpers import Event, EventKind, graph_of, log_of
 
 HOUR = 3600
 
 
 def small_fixture():
-    g = SocialGraph([("u", "a"), ("u", "b")], nodes=["c"])
-    log = EventLog([
+    g = graph_of([("u", "a"), ("u", "b")], nodes=["c"])
+    log = log_of([
         Event(1, 0 * HOUR, "a", EventKind.TWEET),
         Event(2, 1 * HOUR, "a", EventKind.TWEET),
         Event(3, 2 * HOUR, "b", EventKind.TWEET),
@@ -48,8 +49,8 @@ def test_compute_flow_stats_hand_counts():
 
 
 def test_repeated_forwards_of_one_item_count_once():
-    g = SocialGraph([("u", "a")])
-    log = EventLog([
+    g = graph_of([("u", "a")])
+    log = log_of([
         Event(1, 0, "a", EventKind.TWEET),
         Event(2, 600, "a", EventKind.TWEET),
         *(Event(i, 600 * i, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a")

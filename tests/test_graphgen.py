@@ -6,14 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedflow import graphgen
-from feedflow.events import SocialGraph
 from feedflow.graphgen import (
     KroneckerParams,
     UnreachableEdgeCountError,
     kronecker_edges,
     kronecker_generate,
 )
-from helpers import naive_kronecker_edges
+from helpers import graph_of, naive_kronecker_edges
 
 PAPER_INITIATOR = ((0.9, 0.5), (0.5, 0.3))
 
@@ -108,8 +107,8 @@ def test_generate_social_graph():
     assert g.n_edges() == 200
     assert all(isinstance(u, str) for u in g.nodes)
     # The graph of the edges' decimal names, built name by name.
-    by_name = SocialGraph([(str(u), str(v)) for u, v in edge_list(params)],
-                          nodes=map(str, range(64)))
+    by_name = graph_of([(str(u), str(v)) for u, v in edge_list(params)],
+                       nodes=map(str, range(64)))
     assert g.nodes == by_name.nodes
     for a in ("followee_indptr", "followee_indices", "follower_indptr", "follower_indices"):
         assert getattr(g, a).tolist() == getattr(by_name, a).tolist(), a

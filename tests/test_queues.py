@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
 from feedflow import queues
-from feedflow.events import Event, EventKind, EventLog, FeedIndex, SocialGraph
+from feedflow.events import FeedIndex
 from feedflow.queues import (
     FitConvergenceError,
     LittleBound,
@@ -17,11 +17,20 @@ from feedflow.queues import (
     lognormal_sum_bin_masses,
     queue_positions,
 )
-from helpers import naive_queue_records, random_graph, random_log, sample_lognormal_sum
+from helpers import (
+    Event,
+    EventKind,
+    graph_of,
+    log_of,
+    naive_queue_records,
+    random_graph,
+    random_log,
+    sample_lognormal_sum,
+)
 
 
 def feed_fixture():
-    g = SocialGraph([("u", "a"), ("u", "b")])
+    g = graph_of([("u", "a"), ("u", "b")])
     events = [
         Event(1, 100, "a", EventKind.TWEET),
         Event(2, 200, "b", EventKind.TWEET),
@@ -34,7 +43,7 @@ def feed_fixture():
 
 def test_queue_position_hand_example():
     g, events = feed_fixture()
-    cols, n_out_of_feed = queue_positions("u", FeedIndex(EventLog(events), g, (0, 1000)))
+    cols, n_out_of_feed = queue_positions("u", FeedIndex(log_of(events), g, (0, 1000)))
     # Events 2, 3, 4 arrived between the original (1) and the forward.
     assert cols.q.tolist() == [3]
     assert cols.delay_s.tolist() == [400]
@@ -47,15 +56,15 @@ def test_queue_position_original_not_in_feed():
     g, events = feed_fixture()
     stranger = Event(9, 600, "u", EventKind.RETWEET, orig_event_id=42, orig_author="x")
     cols, n_out_of_feed = queue_positions(
-        "u", FeedIndex(EventLog(events + [stranger]), g, (0, 1000)))
+        "u", FeedIndex(log_of(events + [stranger]), g, (0, 1000)))
     assert cols.retweet_id.tolist() == [5]
     assert n_out_of_feed == 1
 
 
 def test_original_sorting_after_its_forward_is_out_of_feed():
     # Only a hand-built log can hold this: parsing rejects such a forward.
-    g = SocialGraph([("u", "a")])
-    log = EventLog([
+    g = graph_of([("u", "a")])
+    log = log_of([
         Event(1, 100, "a", EventKind.TWEET),
         Event(2, 150, "u", EventKind.RETWEET, orig_event_id=3, orig_author="a"),
         Event(3, 200, "a", EventKind.TWEET),
@@ -65,8 +74,8 @@ def test_original_sorting_after_its_forward_is_out_of_feed():
 
 
 def test_queue_positions_batch_and_coverage():
-    g = SocialGraph([("u", "a")], nodes=["x"])
-    log = EventLog([
+    g = graph_of([("u", "a")], nodes=["x"])
+    log = log_of([
         Event(1, 100, "a", EventKind.TWEET),
         Event(2, 150, "x", EventKind.TWEET),
         Event(3, 200, "a", EventKind.TWEET),
@@ -81,8 +90,8 @@ def test_queue_positions_batch_and_coverage():
 def test_queue_positions_root_mode_follows_chains():
     # u follows both the root author and the forwarder; root mode measures
     # against the root post instead of the forward that landed in the feed.
-    g = SocialGraph([("u", "a"), ("u", "b"), ("b", "a")])
-    log = EventLog([
+    g = graph_of([("u", "a"), ("u", "b"), ("b", "a")])
+    log = log_of([
         Event(1, 100, "a", EventKind.TWEET),
         Event(2, 200, "a", EventKind.TWEET),
         Event(3, 300, "b", EventKind.RETWEET, orig_event_id=1, orig_author="a"),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from feedflow import simulate
-from feedflow.events import SocialGraph
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 from feedflow.simulate import (
     BetaCurve,
@@ -20,7 +19,7 @@ from feedflow.simulate import (
     simulate_ic_bg,
     truncated_normal_rates,
 )
-from helpers import cascade_view, naive_cascades, reachable_followers
+from helpers import cascade_view, graph_of, naive_cascades, reachable_followers
 
 CURVE = BetaCurve(lambda_c=30.0, beta0=0.05, gamma=0.65)
 ALL_LIVE = BetaCurve(lambda_c=30.0, beta0=1.0, gamma=0.0)  # every coin is below 1
@@ -55,6 +54,8 @@ def test_delay_model_validation():
         DelayModel(bins=())
     with pytest.raises(DelayBinError, match="start at 0"):
         DelayModel(bins=(DelayBin(1.0, math.inf, 1, 1, 1, 1),))
+    with pytest.raises(DelayBinError, match="start at 0"):
+        DelayModel(bins=(DelayBin(math.nan, math.inf, 1, 1, 1, 1),))
     with pytest.raises(DelayBinError, match="gap or overlap"):
         DelayModel(bins=(DelayBin(0.0, 10.0, 1, 1, 1, 1),
                          DelayBin(20.0, math.inf, 1, 1, 1, 1)))
@@ -83,14 +84,14 @@ def test_truncated_normal_rates():
 
 
 def test_node_rates_inflow_is_followee_sum():
-    g = SocialGraph([("a", "b"), ("a", "c"), ("b", "c")])
+    g = graph_of([("a", "b"), ("a", "c"), ("b", "c")])
     assert g.nodes == ("a", "b", "c")
     lam_out, lam_in = node_rates(g, np.random.default_rng(3), mu=5.0, sigma=1.0)
     assert lam_in[0] == pytest.approx(lam_out[1] + lam_out[2])
     assert lam_in[1] == pytest.approx(lam_out[2])
     assert lam_in[2] == 0.0
     with pytest.raises(ValueError):
-        node_rates(SocialGraph([]), np.random.default_rng(3), mu=5.0, sigma=1.0)
+        node_rates(graph_of([]), np.random.default_rng(3), mu=5.0, sigma=1.0)
 
 
 def small_graph():
@@ -109,7 +110,7 @@ def test_follow_view_matches_graph():
 
 
 def isolated_graph():
-    return SocialGraph([], nodes=[f"u{i}" for i in range(8)])
+    return graph_of([], nodes=[f"u{i}" for i in range(8)])
 
 
 def test_ic_all_activations_fire_gives_reachable_set():

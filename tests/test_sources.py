@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from feedflow.events import Event, EventKind, EventLog, SocialGraph, UnknownUserError
+from feedflow.events import UnknownUserError
 from feedflow.sources import fit_source_regimes, source_stats
+from helpers import Event, EventKind, graph_of, log_of
 
 
 def fixture():
-    g = SocialGraph([("u", "a"), ("u", "b"), ("u", "c")], nodes=["x"])
-    log = EventLog([
+    g = graph_of([("u", "a"), ("u", "b"), ("u", "c")], nodes=["x"])
+    log = log_of([
         Event(1, 100, "a", EventKind.TWEET),
         Event(2, 200, "b", EventKind.TWEET),
         Event(3, 300, "x", EventKind.TWEET),

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from feedflow.events import EventKind, parse_event_log
+from feedflow.events import parse_event_log
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel
 from feedflow.synth import ContagionPlan, WorkloadSpec, generate_workload, ground_truth_text
-from helpers import reachable_followers, tsv_text
+from helpers import EventKind, events_of, reachable_followers, tsv_text
 
 CURVE = BetaCurve(lambda_c=30.0, beta0=0.1, gamma=0.65)
 DELAYS = DelayModel(bins=(DelayBin(0.0, math.inf, 3.0, 0.5, 2.0, 0.5),))
@@ -47,10 +47,11 @@ def test_workload_parses_back_cleanly():
 def test_retweets_reference_earlier_originals():
     log, _ = generate_workload(spec())
     n_rt = 0
-    for e in log:
+    by_id = {e.event_id: e for e in events_of(log)}
+    for e in by_id.values():
         if e.kind is EventKind.RETWEET:
             n_rt += 1
-            orig = log.get(e.orig_event_id)
+            orig = by_id.get(e.orig_event_id)
             assert orig is not None
             assert orig.key < e.key
             assert orig.author == e.orig_author
@@ -63,10 +64,11 @@ def test_forward_retweets_allows_chains():
     sp = spec(forward_retweets=True,
               beta_curve=BetaCurve(lambda_c=1000.0, beta0=0.12, gamma=0.0))
     log, _ = generate_workload(sp)
+    by_id = {e.event_id: e for e in events_of(log)}
     chain = [
-        e for e in log
+        e for e in by_id.values()
         if e.kind is EventKind.RETWEET
-        and log.get(e.orig_event_id).kind is EventKind.RETWEET
+        and by_id[e.orig_event_id].kind is EventKind.RETWEET
     ]
     assert chain  # forwards of forwards occur at this retweet rate
 
@@ -114,7 +116,7 @@ def test_contagion_plan_validation():
 def test_contagion_zero_hazard_only_seeds_adopt():
     plan = ContagionPlan(token="tok", n_seeds=5, hazard=0.0)
     log, truth = generate_workload(spec(contagions=(plan,)))
-    adopters = {e.author for e in log if "tok" in e.marks}
+    adopters = {e.author for e in events_of(log) if "tok" in e.marks}
     assert len(adopters) == 5
     assert truth["contagions"][0]["n_adopters"] == 5
 
@@ -122,7 +124,7 @@ def test_contagion_zero_hazard_only_seeds_adopt():
 def test_contagion_full_hazard_floods_reachable_set():
     plan = ContagionPlan(token="tok", n_seeds=3, hazard=1.0)
     log, truth = generate_workload(spec(contagions=(plan,)))
-    adopters = {e.author for e in log if "tok" in e.marks}
+    adopters = {e.author for e in events_of(log) if "tok" in e.marks}
     # With hazard 1 every follower of an adopter adopts, so the adopter set is
     # closed under the follower relation and contains at least the seeds.
     g = graph()
@@ -136,7 +138,7 @@ def test_contagion_overload_hazard_reduces_high_inflow_adoption():
                          overload_hazard=0.0, overload_threshold=50.0)
     log, truth = generate_workload(spec(mu=4.0, contagions=(plan,)))
     lam_in = truth["lam_in"]
-    adopters = {e.author for e in log if "tok" in e.marks}
+    adopters = {e.author for e in events_of(log) if "tok" in e.marks}
     # Overloaded users never adopt via exposure (their hazard is zero), so any
     # overloaded adopter must be one of the 10 seeds.
     assert len(adopters) >= 10
