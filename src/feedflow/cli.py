@@ -30,14 +30,13 @@ from .config import (
     kronecker_params_from,
     parse_config,
 )
-from .events import EventLog, FeedIndex, LogFormatError, SocialGraph, parse_event_log
+from .events import EventLog, FeedCounts, FeedIndex, LogFormatError, SocialGraph, parse_event_log
 from .exposure import aggregate_curves, build_trace, exposure_curve, group_users_by_inflow
-from .flows import compute_flow_stats, log_binned_curve, window_hours
+from .flows import log_binned_curve, window_hours
 from .graphgen import kronecker_generate
 from .manifest import RunManifest, file_digest, manifest_path_for
 from .queues import QueuePositions, fit_lognormal_convolution, queue_positions
 from .simulate import SimConfig, distribution_report, simulate_ct_bg, simulate_ic_bg
-from .sources import source_stats
 from .synth import WorkloadSpec, generate_workload, ground_truth_text
 
 
@@ -101,10 +100,10 @@ def _parse_window(window: Optional[str], log: EventLog) -> tuple[int, int]:
 class _Outputs:
     """A command's outputs, staged in temp files next to their targets.
 
-    commit() renames every staged file into place and then writes the run
-    manifest. Leaving the with-block without commit(), for example on an
-    error, deletes the temp files: a failed command writes neither outputs
-    nor a manifest.
+    commit() digests the inputs, stages the run manifest and renames every
+    staged file into place, the manifest last. Leaving the with-block without
+    commit(), for example on an error, deletes the temp files: a failed
+    command writes neither outputs nor a manifest.
     """
 
     def __init__(self):
@@ -133,18 +132,19 @@ class _Outputs:
 
     def commit(self, command: str, cfg: dict, inputs: list[str], seed,
                fit: Optional[dict] = None) -> None:
-        for tmp, path in self._staged:
-            os.replace(tmp, path)
-        outputs = [path for _, path in self._staged]
+        # Digested before any rename: an output may overwrite an input.
         manifest = RunManifest(
             command=command,
             config=cfg,
             inputs={p: file_digest(p) for p in inputs},
             seed=seed,
-            outputs=outputs,
+            outputs=[path for _, path in self._staged],
             fit=fit,
         )
-        manifest.write(manifest_path_for(outputs[0]))
+        with self.open(str(manifest_path_for(manifest.outputs[0]))) as fh:
+            fh.write(manifest.to_json())
+        for tmp, path in self._staged:
+            os.replace(tmp, path)
 
 
 def _read_config(path: Optional[str], command: str) -> dict[str, str]:
@@ -192,21 +192,21 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
           bins_per_decade, originals_only):
     """Per-user rate statistics and the population retweet-probability curve."""
     log, graph, win = _load_inputs(log_path, graph_path, window)
-    hours = (win[1] - win[0]) / 3600.0
-    feeds = FeedIndex(log, graph, win, include_retweets=not originals_only)
-    stats = [compute_flow_stats(u, feeds) for u in graph.nodes]
+    hours = window_hours(win)
+    counts = FeedCounts(log, graph, win, originals_only)
+    received, forwarded = counts.received(), counts.forwarded()
+    lam, lam_r = received / hours, forwarded / hours
+    beta_r = np.divide(forwarded, received, out=np.zeros(len(received)), where=received > 0)
     with _Outputs() as out:
         out.write_csv(out_path, "user,lambda,lambda_r,beta_r,F", (
-            [st.user, f"{st.lam:.10g}", f"{st.lam_r:.10g}", f"{st.beta_r:.10g}", st.followees]
-            for st in stats
+            [user, f"{a:.10g}", f"{b:.10g}", f"{c:.10g}", f] for user, a, b, c, f in zip(
+                graph.nodes, lam.tolist(), lam_r.tolist(), beta_r.tolist(),
+                counts.followees.tolist())
         ))
         if curve_path:
-            eligible = [st for st in stats if st.lam * hours >= min_received]
-            curve = log_binned_curve(
-                [st.lam for st in eligible],
-                [st.beta_r for st in eligible],
-                bins_per_decade=bins_per_decade,
-            )
+            eligible = received >= min_received
+            curve = log_binned_curve(lam[eligible], beta_r[eligible],
+                                     bins_per_decade=bins_per_decade)
             out.write_csv(curve_path, "bin_lo,bin_hi,n,mean,median,p10,p90", (
                 [f"{b.lo:.10g}", f"{b.hi:.10g}", b.n, f"{b.mean:.10g}",
                  f"{b.median:.10g}", f"{b.p10:.10g}", f"{b.p90:.10g}"]
@@ -264,11 +264,15 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
 def sources(log_path, graph_path, window, out_path):
     """Retweet source-set statistics per user."""
     log, graph, win = _load_inputs(log_path, graph_path, window)
+    counts = FeedCounts(log, graph, win)
+    source_set, out_of_feed = counts.sources()
+    followees = counts.followees
+    p_src = np.divide(source_set, followees, out=np.zeros(len(followees)), where=followees > 0)
     with _Outputs() as out:
-        stats = (source_stats(u, log, graph, win) for u in graph.nodes)
         out.write_csv(out_path, "user,F,S_r,p_src,out_of_feed", (
-            [st.user, st.followees, st.source_set, f"{st.p_src:.10g}", st.out_of_feed]
-            for st in stats
+            [user, f, s, f"{p:.10g}", o] for user, f, s, p, o in zip(
+                graph.nodes, followees.tolist(), source_set.tolist(), p_src.tolist(),
+                out_of_feed.tolist())
         ))
         out.commit("sources", {"window": list(win)}, [log_path, graph_path], None)
 
@@ -294,9 +298,8 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
         ]
     except ValueError:
         raise _fail(f"--ranges must look like '1:10,10:100', got {ranges!r}")
-    feeds = FeedIndex(log, graph, win)
-    lam = {u: feeds.count(u) / window_hours(win) for u in graph.nodes}
-    groups = group_users_by_inflow(lam, bounds)
+    lam = FeedCounts(log, graph, win).received() / window_hours(win)
+    groups = group_users_by_inflow(dict(zip(graph.nodes, lam.tolist())), bounds)
     traces = [build_trace(token, log, graph, win) for token in tokens]
     rows = []
     for (lo, hi) in bounds:

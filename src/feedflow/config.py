@@ -131,10 +131,15 @@ def contagions_from(cfg: dict[str, str]) -> tuple[ContagionPlan, ...]:
         p = f"contagion.{i}."
         if p + "token" not in cfg:
             raise ConfigError(f"missing config key {p + 'token'!r}")
-        overload = p + "overload_hazard" in cfg
+        token = cfg[p + "token"]
+        if not token or any(c in token for c in ",\t\n\r"):
+            raise ConfigError(f"config key {p + 'token'!r}: not a non-empty token without "
+                              f"a comma, tab or line end: {token!r}")
+        # Either key asks for both: a missing one fails as missing.
+        overload = p + "overload_hazard" in cfg or p + "overload_threshold" in cfg
         plans.append(
             ContagionPlan(
-                token=cfg[p + "token"],
+                token=token,
                 n_seeds=get_int(cfg, p + "n_seeds"),
                 hazard=get_float(cfg, p + "hazard"),
                 overload_hazard=get_float(cfg, p + "overload_hazard") if overload else None,

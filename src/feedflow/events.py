@@ -100,15 +100,6 @@ class SocialGraph:
         """Indices of the followers of node i, ascending."""
         return self.follower_indices[self.follower_indptr[i]:self.follower_indptr[i + 1]]
 
-    def followees(self, user: str) -> frozenset[str]:
-        return self._names(self.followee_slice(self.index(user)))
-
-    def followers(self, user: str) -> frozenset[str]:
-        return self._names(self.follower_slice(self.index(user)))
-
-    def _names(self, indices: np.ndarray) -> frozenset[str]:
-        return frozenset(map(self.nodes.__getitem__, indices.tolist()))
-
     def followee_sums(self, values: np.ndarray) -> np.ndarray:
         """Per node, the sum of values over the nodes it follows.
 
@@ -238,6 +229,9 @@ class EventLog:
 
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+# Every timestamp lies strictly within +-TS_BOUND, so that the difference of
+# any two, such as a forward's delay, fits in signed 64 bits.
+TS_BOUND = 1 << 62
 _BLOCK = 1 << 22  # bytes read at once; bounds the parse's transient memory
 _ROW_BLOCK = 1 << 13  # log rows formatted at once; bounds to_tsv's transient memory
 # The widest name or marks field the array path codes; a line with a wider
@@ -264,6 +258,8 @@ def _parse_line(line: str) -> tuple:
     if len(parts) < 4:
         raise ValueError("expected at least 4 tab-separated fields")
     ts, author, kind, event_id = _int64(parts[0], "timestamp"), *parts[1:4]
+    if abs(int(ts)) >= TS_BOUND:
+        raise ValueError(f"timestamp {ts!r} is outside (-2^62, 2^62)")
     if not author:
         raise ValueError("empty author")
     if kind not in ("T", "R"):
@@ -606,37 +602,20 @@ def _mark_rows(mark: np.ndarray, fields: list[str]) -> dict[str, np.ndarray]:
 class FeedIndex:
     """Every user's feed over a closed window, as sorted rows of the log.
 
-    A user's feed holds the in-window rows of her followees; with
-    include_retweets=False only their original tweets. The in-flow, the
-    forwards of feed items and the queue positions all read the feed from here.
+    A user's feed holds the in-window rows of her followees. The forwards of
+    feed items and the queue positions read the feed from here.
     """
 
-    def __init__(
-        self,
-        log: EventLog,
-        graph: SocialGraph,
-        window: tuple[int, int],
-        include_retweets: bool = True,
-    ):
+    def __init__(self, log: EventLog, graph: SocialGraph, window: tuple[int, int]):
         self.log = log
         self.graph = graph
         self.window = window
-        rows = [log.rows(v, window) for v in graph.nodes]  # indexed by node
-        if not include_retweets:
-            rows = [r[~log.forward[r]] for r in rows]
-        self._rows = rows
-
-    def _followee_rows(self, user: str) -> list[np.ndarray]:
-        followees = self.graph.followee_slice(self.graph.index(user))
-        return list(map(self._rows.__getitem__, followees.tolist()))
-
-    def count(self, user: str) -> int:
-        """Number of events in the user's feed."""
-        return sum(len(rows) for rows in self._followee_rows(user))
+        self._rows = [log.rows(v, window) for v in graph.nodes]  # indexed by node
 
     def rows(self, user: str) -> np.ndarray:
         """The user's feed as sorted log rows."""
-        parts = self._followee_rows(user)
+        followees = self.graph.followee_slice(self.graph.index(user))
+        parts = list(map(self._rows.__getitem__, followees.tolist()))
         return np.sort(np.concatenate(parts)) if parts else _NO_ROWS
 
     def locate(self, user: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -649,3 +628,90 @@ class FeedIndex:
         """Rows of the user's own forwards inside the window."""
         rows = self.log.rows(user, self.window)
         return rows[self.log.forward[rows]]
+
+
+class FeedCounts:
+    """Every user's feed counts over a closed window, as columns indexed by node.
+
+    A user's feed holds the in-window rows of her followees; with
+    originals_only, only their original posts. followees is each user's
+    followee count. Each other column is computed when it is asked for, in
+    array passes over the window's rows and forwards.
+    """
+
+    def __init__(self, log: EventLog, graph: SocialGraph, window: tuple[int, int],
+                 originals_only: bool = False):
+        self.log, self.graph, self.originals_only = log, graph, originals_only
+        self.followees = np.diff(graph.followee_indptr)
+        # Each author code's node, -1 for a name that is not in the graph.
+        self._node = np.array([graph._index.get(name, -1) for name in log.names], np.int64)
+        self._lo = int(np.searchsorted(log.ts, window[0]))
+        self._hi = int(np.searchsorted(log.ts, window[1], "right"))
+
+    def _forwards(self) -> np.ndarray:
+        """The in-window forward rows, ascending."""
+        return self._lo + np.flatnonzero(self.log.forward[self._lo:self._hi])
+
+    def _per_node(self, codes: np.ndarray) -> np.ndarray:
+        """Each node's number of the given author codes."""
+        count = np.bincount(codes, minlength=len(self.log.names))
+        known = self._node >= 0
+        out = np.zeros(len(self.graph.nodes), np.int64)
+        out[self._node[known]] = count[known]
+        return out
+
+    def _follows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Whether node u[k] follows node v[k]; False where either is -1."""
+        graph, n = self.graph, len(self.graph.nodes)
+        # Each edge as follower * n + followee, ascending, then a key above all
+        # others, so every search lands on an element. Built here, not kept by
+        # the graph, so that commands without these counts do not hold it.
+        edges = np.append(np.repeat(np.arange(n), np.diff(graph.followee_indptr)) * n
+                          + graph.followee_indices, np.iinfo(np.int64).max)
+        key = u * n + v
+        key[v < 0] = -1  # u * n - 1 would be the edge (u - 1, n - 1)
+        return edges[np.searchsorted(edges, key)] == key
+
+    def _distinct(self, key: np.ndarray, base: int) -> np.ndarray:
+        """Each node's number of distinct keys u * base + x, 0 <= x < base,
+        among the given keys; sorts them in place."""
+        key.sort()  # np.unique would import numpy.ma
+        return np.bincount(key[np.diff(key, prepend=-1) != 0] // base,
+                           minlength=len(self.graph.nodes))
+
+    def posted(self) -> np.ndarray:
+        """Each user's own in-window rows, originals and forwards."""
+        return self._per_node(self.log.author[self._lo:self._hi])
+
+    def received(self) -> np.ndarray:
+        """Each user's number of feed items."""
+        per_node = self.posted()
+        if self.originals_only:
+            per_node -= self._per_node(self.log.author[self._forwards()])
+        ptr = self.graph.followee_indptr
+        sums = np.concatenate(([0], np.cumsum(per_node[self.graph.followee_indices])))
+        return sums[ptr[1:]] - sums[ptr[:-1]]
+
+    def forwarded(self) -> np.ndarray:
+        """Each user's number of distinct feed items she forwarded inside the window."""
+        log, rows = self.log, self._forwards()
+        u, item = self._node[log.author[rows]], log.orig_row[rows]
+        del rows  # every array here is sized to the forwards: hold few at once
+        # orig_row is -1 or an earlier row, so an item at or after lo is in the window.
+        keep = item >= self._lo
+        if self.originals_only:
+            keep &= ~log.forward[item]
+        u, item = u[keep], item[keep]
+        fed = self._follows(u, self._node[log.author[item]])
+        return self._distinct(u[fed] * len(log) + item[fed], len(log))
+
+    def sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's number of distinct followees she forwarded from inside
+        the window, and her in-window forwards of users she does not follow."""
+        rows = self._forwards()
+        u, v = self._node[self.log.author[rows]], self._node[self.log.orig_author[rows]]
+        known = u >= 0
+        u, v = u[known], v[known]
+        fed = self._follows(u, v)
+        n = len(self.graph.nodes)
+        return self._distinct(u[fed] * n + v[fed], n), np.bincount(u[~fed], minlength=n)

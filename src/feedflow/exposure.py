@@ -61,7 +61,7 @@ def build_trace(
     for v, t in adopted_at.items():
         if v not in graph:
             continue
-        for u in graph.followers(v):
+        for u in map(graph.nodes.__getitem__, graph.follower_slice(graph.index(v)).tolist()):
             if u not in pre:
                 times.setdefault(u, []).append(t)
     exposures = {u: tuple(sorted(ts)) for u, ts in times.items()}

@@ -1,37 +1,23 @@
-"""Per-user rate statistics and population-level fits.
+"""Population-level rate curves and fits.
 
-Rates are standardized internally to events/hour except the total out-flow,
-which is reported in events/day to match the usual presentation of posting
-volume. Population curves use logarithmic bins (10 per decade by default).
+Rates are in events/hour; the per-user counts they come from are the columns
+of events.FeedCounts. Population curves use logarithmic bins (10 per decade
+by default).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .events import FeedIndex
-
 SECONDS_PER_HOUR = 3600.0
-HOURS_PER_DAY = 24.0
 
 
 class DegenerateFitError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FlowStats:
-    user: str
-    lam: float          # in-flow rate, tweets/hour
-    out_total: float    # out-flow rate, tweets/day (originals + retweets)
-    lam_r: float        # in-flow rate due to tweets the user retweeted, tweets/hour
-    lam_nr: float       # lam - lam_r
-    beta_r: float       # distinct feed items retweeted / tweets received
-    followees: int
 
 
 def window_hours(window: tuple[int, int]) -> float:
@@ -40,32 +26,6 @@ def window_hours(window: tuple[int, int]) -> float:
     if hours <= 0:
         raise ValueError(f"window length must be positive, got {window}")
     return hours
-
-
-def compute_flow_stats(user: str, feeds: FeedIndex) -> FlowStats:
-    """Rates and retweet probability for one user over the index's window.
-
-    lam_r and beta_r count the distinct items of the user's feed, under the
-    index's retweet filter, that the user forwarded inside the window; a second
-    forward of one item does not count again.
-    """
-    hours = window_hours(feeds.window)
-    received = feeds.count(user)
-    out_count = len(feeds.log.rows(user, feeds.window))
-    _, at = feeds.locate(user, feeds.log.orig_row[feeds.forwards(user)])
-    n_rt = int(np.count_nonzero(np.bincount(at[at >= 0])))  # np.unique imports numpy.ma
-    lam = received / hours
-    lam_r = n_rt / hours
-    beta_r = n_rt / received if received > 0 else 0.0
-    return FlowStats(
-        user=user,
-        lam=lam,
-        out_total=out_count / (hours / HOURS_PER_DAY),
-        lam_r=lam_r,
-        lam_nr=lam - lam_r,
-        beta_r=beta_r,
-        followees=len(feeds.graph.followees(user)),
-    )
 
 
 class EmpiricalDistribution:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
@@ -37,19 +35,8 @@ class RunManifest:
     fit: Optional[dict] = None  # queues --fit-delays: the fit report
     tool_version: str = field(default_factory=_tool_version)
 
-    def write(self, path: str | Path) -> None:
-        """Write atomically: temp file in the target directory, then rename."""
-        path = Path(path)
-        payload = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def manifest_path_for(output: str | Path) -> Path:

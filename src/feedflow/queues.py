@@ -18,8 +18,6 @@ import numpy as np
 from .events import FeedIndex
 from .flows import EmpiricalDistribution
 
-SECONDS_PER_HOUR = 3600.0
-
 
 class FitConvergenceError(ValueError):
     """The optimizer found no finite likelihood."""

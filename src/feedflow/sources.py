@@ -1,4 +1,4 @@
-"""Retweet-source-set statistics and the two-regime source growth fit."""
+"""The two-regime source growth fit; the source sets are events.FeedCounts.sources."""
 
 from __future__ import annotations
 
@@ -7,47 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import EventLog, SocialGraph, UnknownUserError
 from .flows import fit_interior_breakpoint
-
-
-@dataclass(frozen=True)
-class SourceStats:
-    user: str
-    followees: int      # F
-    source_set: int     # S_r: distinct followees the user forwarded from
-    p_src: float        # S_r / F
-    out_of_feed: int    # forwards whose original author is not followed
-
-
-def source_stats(
-    user: str,
-    log: EventLog,
-    graph: SocialGraph,
-    window: tuple[int, int],
-) -> SourceStats:
-    """Distinct forwarded-from followees over the window.
-
-    Forwards of non-followees do not enter the source set (the feed queue only
-    carries followee traffic); their count is reported separately since it
-    indicates information found outside the feed.
-    """
-    if user not in graph:
-        raise UnknownUserError(user)
-    followees = graph.followees(user)
-    rows = log.rows(user, window)
-    cited = [log.names[c] for c in log.orig_author[rows[log.forward[rows]]].tolist()]
-    followed = [a for a in cited if a in followees]
-    sources = set(followed)
-    out_of_feed = len(cited) - len(followed)
-    f = len(followees)
-    return SourceStats(
-        user=user,
-        followees=f,
-        source_set=len(sources),
-        p_src=len(sources) / f if f else 0.0,
-        out_of_feed=out_of_feed,
-    )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .events import EventLog, SocialGraph
+from .events import TS_BOUND, EventLog, SocialGraph
 from .simulate import BetaCurve, DelayModel, beta_of_inflow, check_rates, node_rates
 
 SECONDS_PER_HOUR = 3600
@@ -57,8 +57,9 @@ class WorkloadSpec:
     forward_retweets: bool = False  # allow retweets-of-retweets (depth > 1)
 
     def __post_init__(self):
-        if self.horizon_hours <= 0:
-            raise ValueError("horizon must be positive")
+        # Also false for nan; the log's timestamps must stay below TS_BOUND.
+        if not 0 < self.horizon_hours * SECONDS_PER_HOUR < TS_BOUND:
+            raise ValueError(f"horizon_hours must be in (0, 2^62 s), got {self.horizon_hours}")
         check_rates(self.mu, self.sigma)
 
 

@@ -102,6 +102,16 @@ def graph_of(edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> Soc
                        np.array([index[v] for v in followee], np.int64))
 
 
+def followee_names(graph: SocialGraph, user: str) -> frozenset[str]:
+    """The names of the users the user follows; UnknownUserError if not a node."""
+    return frozenset(graph.nodes[j] for j in graph.followee_slice(graph.index(user)).tolist())
+
+
+def follower_names(graph: SocialGraph, user: str) -> frozenset[str]:
+    """The names of the user's followers; UnknownUserError if not a node."""
+    return frozenset(graph.nodes[j] for j in graph.follower_slice(graph.index(user)).tolist())
+
+
 def tsv_text(obj) -> str:
     """What obj.to_tsv writes, as one string."""
     fh = io.StringIO()
@@ -221,7 +231,7 @@ def random_log(
         author = users[rng.integers(len(users))]
         candidates = []
         if rng.random() < retweet_prob:
-            for v in graph.followees(author):
+            for v in followee_names(graph, author):
                 candidates.extend(by_author[v])
         if candidates:
             orig = candidates[rng.integers(len(candidates))]
@@ -259,7 +269,7 @@ def naive_queue_records(
     chain root (naive_root) instead of the forwarded event.
     """
     start, end = window
-    followees = graph.followees(user)
+    followees = followee_names(graph, user)
     events = events_of(log)
     feed = [
         e for e in events
@@ -300,7 +310,7 @@ def naive_flow_counts(
 ) -> tuple[int, int]:
     """(feed items received, distinct feed items forwarded) inside the window."""
     start, end = window
-    followees = graph.followees(user)
+    followees = followee_names(graph, user)
     events = events_of(log)
     feed = {
         e.event_id for e in events
@@ -323,7 +333,7 @@ def naive_source_set(
 ) -> tuple[set[str], int]:
     """(followees the user forwarded from, forwards of non-followees) inside the window."""
     start, end = window
-    followees = graph.followees(user)
+    followees = followee_names(graph, user)
     cited = [
         r.orig_author for r in events_of(log)
         if r.author == user and r.kind is EventKind.RETWEET and start <= r.ts <= end
@@ -346,6 +356,8 @@ def naive_line_fields(line: str):
     if n is None or len(f) not in (n, n + 1) or not f[1]:
         return None
     if not all(_naive_int64(f[i]) for i in ((0, 3) if n == 4 else (0, 3, 4))):
+        return None
+    if abs(int(f[0])) >= 2 ** 62:
         return None
     if n == 6 and not f[5]:
         return None
@@ -412,7 +424,7 @@ def reachable_followers(graph: SocialGraph, seeds: set[str]) -> set[str]:
     frontier = list(seeds)
     while frontier:
         u = frontier.pop()
-        for w in graph.followers(u):
+        for w in follower_names(graph, u):
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)

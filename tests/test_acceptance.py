@@ -14,13 +14,13 @@ import pytest
 from click.testing import CliRunner
 
 from feedflow.cli import main as cli_main
-from feedflow.events import FeedIndex
+from feedflow.events import FeedCounts, FeedIndex
 from feedflow.exposure import build_trace, exposure_curve, group_users_by_inflow
 from feedflow.flows import (
-    compute_flow_stats,
     fit_power_law_mle,
     fit_two_regime,
     log_binned_curve,
+    window_hours,
 )
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 from feedflow.queues import (
@@ -60,12 +60,11 @@ def test_criterion_1_beta_curve_round_trip(capsys):
                         horizon_hours=100.0, seed=11, mu=1.5, sigma=0.5)
     log, _ = generate_workload(spec)
     window = log.span()
-    hours = (window[1] - window[0]) / 3600.0
-    feeds = FeedIndex(log, graph, window, include_retweets=False)
-    stats = [compute_flow_stats(u, feeds) for u in sorted(graph.nodes)]
-    eligible = [s for s in stats if s.lam * hours >= 50]
-    bins = log_binned_curve([s.lam for s in eligible],
-                            [s.beta_r for s in eligible], bins_per_decade=10)
+    counts = FeedCounts(log, graph, window, originals_only=True)
+    received, forwarded = counts.received(), counts.forwarded()
+    eligible = received >= 50
+    bins = log_binned_curve(received[eligible] / window_hours(window),
+                            forwarded[eligible] / received[eligible], bins_per_decade=10)
     fit = fit_two_regime([(b.center, b.mean) for b in bins if b.n >= 5])
     elapsed = time.time() - t0
     gamma_err = abs(fit.gamma - truth.gamma)
@@ -220,8 +219,9 @@ def test_criterion_7_exposure_curves(capsys):
     log_b, truth_b = generate_workload(spec_b)
     window_b = log_b.span()
     seeds_b = set(truth_b["contagions"][0]["seeds"])
-    feeds_b = FeedIndex(log_b, dense, window_b, include_retweets=False)
-    lam = {u: compute_flow_stats(u, feeds_b).lam for u in dense.nodes if u not in seeds_b}
+    received = FeedCounts(log_b, dense, window_b, originals_only=True).received()
+    lam = {u: r / window_hours(window_b) for u, r in zip(dense.nodes, received.tolist())
+           if u not in seeds_b}
     groups = group_users_by_inflow(lam, [(0.0, 25.0), (35.0, 1e9)])
     trace_b = build_trace("ovl", log_b, dense, window_b)
     low = exposure_curve(trace_b, groups[(0.0, 25.0)], min_e=200)

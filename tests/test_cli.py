@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from feedflow.cli import main
 from feedflow.events import SocialGraph
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel
 from feedflow.synth import WorkloadSpec, generate_workload
-from helpers import tsv_text
+from helpers import followee_names, tsv_text
 
 SYNTH_CONFIG = """
 initiator = 0.9, 0.5, 0.5, 0.3
@@ -402,7 +403,7 @@ def test_duplicate_graph_edges_collapse(tmp_path, runner):
     with open(tmp_path / "graph.tsv", "rb") as fh:
         graph = SocialGraph.from_tsv(fh)
     assert graph.n_edges() == 2
-    assert graph.followees("u") == {"a", "b"}
+    assert followee_names(graph, "u") == {"a", "b"}
     assert graph.followee_slice(graph.index("u")).tolist() == [graph.index("a"), graph.index("b")]
     result = runner.invoke(main, [
         "flows", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
@@ -427,6 +428,20 @@ def test_out_of_range_integer_is_rejected_not_a_crash(tmp_path, runner):
             "--out", str(tmp_path / f"{command}.csv"),
         ])
         assert result.exit_code == 0, (command, result.output)
+
+
+def test_timestamps_whose_difference_would_wrap_are_rejected(tmp_path, runner):
+    (tmp_path / "log.tsv").write_text(
+        "-9000000000000000000\tb\tT\t1\n9000000000000000000\ta\tR\t2\t1\tb\n")
+    (tmp_path / "graph.tsv").write_text("a\tb\n")
+    result = runner.invoke(main, [
+        "queues", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+        "--out", str(tmp_path / "q.csv"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "line 1 rejected: timestamp '-9000000000000000000' is outside (-2^62, 2^62)" in (
+        all_output(result))
+    assert (tmp_path / "q.csv").read_text() == "user,retweet_id,orig_id,q,delay_s\n"
 
 
 def test_cli_builds_no_event_objects(workspace, tmp_path, runner):
@@ -469,6 +484,20 @@ def test_flows_and_curve(workspace, runner):
     curve = (workspace / "curve.csv").read_text().splitlines()
     assert curve[0] == "bin_lo,bin_hi,n,mean,median,p10,p90"
     assert len(curve) > 1
+
+
+def test_min_received_compares_received_items(tmp_path, runner):
+    # u receives exactly 1 item over 4597 s; (1 / h) * h is below 1 for that h.
+    (tmp_path / "log.tsv").write_text("0\ta\tT\t1\n4597\tb\tT\t2\n")
+    (tmp_path / "graph.tsv").write_text("u\ta\n")
+    result = runner.invoke(main, [
+        "flows", "--log", str(tmp_path / "log.tsv"), "--graph", str(tmp_path / "graph.tsv"),
+        "--out", str(tmp_path / "flows.csv"), "--curve-out", str(tmp_path / "curve.csv"),
+        "--min-received", "1",
+    ])
+    assert result.exit_code == 0, result.output
+    curve = list(csv.DictReader((tmp_path / "curve.csv").open()))
+    assert [int(b["n"]) for b in curve] == [1]
 
 
 def test_queues_csv(workspace, runner):
@@ -899,6 +928,61 @@ def test_synth_rejects_bad_rates(tmp_path, runner, setting, key):
     message = all_output(result)
     assert message.startswith("error:") and key in message
     assert list(tmp_path.glob("bad*")) == []
+
+
+@pytest.mark.parametrize("old,new,env,key", [
+    ("horizon_hours = 6", "horizon_hours = inf", {}, "horizon_hours"),
+    ("horizon_hours = 6", "horizon_hours = nan", {}, "horizon_hours"),
+    ("contagion.0.hazard = 0.3", "contagion.0.hazard = 0.3\ncontagion.0.overload_threshold = 40",
+     {}, "contagion.0.overload_hazard"),
+    ("contagion.0.token = tok", "contagion.0.token =", {}, "contagion.0.token"),
+    ("contagion.0.token = tok", "contagion.0.token = a,b", {}, "contagion.0.token"),
+    ("contagion.0.token = tok", "contagion.0.token = a\tb", {}, "contagion.0.token"),
+    ("", "", {"FEEDFLOW_CONTAGION__0__TOKEN": "a\nb"}, "contagion.0.token"),
+])
+def test_synth_rejects_values_its_log_cannot_hold(tmp_path, runner, old, new, env, key):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CONFIG.replace(old, new) if old else SYNTH_CONFIG)
+    out = tmp_path / "bad.tsv"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--seed", "1", "--out", str(out),
+                                  "--graph-out", str(tmp_path / "bad.graph.tsv")], env=env)
+    assert result.exit_code == 1
+    message = all_output(result)
+    assert message.startswith("error:") and key in message, message
+    assert "Traceback" not in message
+    assert list(tmp_path.glob("bad*")) == []
+
+
+def test_manifest_digests_the_inputs_that_were_read(workspace, tmp_path, runner):
+    # The graph is read from g.tsv and written back to it, sorted: the
+    # manifest holds the digest of the bytes that were read.
+    graph = tmp_path / "g.tsv"
+    lines = (workspace / "graph.tsv").read_text().splitlines(keepends=True)
+    graph.write_text("".join(reversed(lines)))
+    read = hashlib.sha256(graph.read_bytes()).hexdigest()
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CONFIG)
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--seed", "1",
+                                  "--graph", str(graph), "--graph-out", str(graph),
+                                  "--out", str(tmp_path / "log.tsv")])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(graph.read_bytes()).hexdigest() != read
+    manifest = json.loads((tmp_path / "log.tsv.manifest.json").read_text())
+    assert manifest["inputs"][str(graph)] == read
+
+
+def test_manifest_mode_matches_the_outputs(workspace, runner):
+    umask = os.umask(0o022)
+    try:
+        result = runner.invoke(main, [
+            "sources", "--log", str(workspace / "log.tsv"),
+            "--graph", str(workspace / "graph.tsv"), "--out", str(workspace / "s.csv")])
+    finally:
+        os.umask(umask)
+    assert result.exit_code == 0, result.output
+    modes = {stat.S_IMODE(os.stat(workspace / name).st_mode)
+             for name in ("s.csv", "s.csv.manifest.json")}
+    assert modes == {0o644}
 
 
 def test_bad_delay_bin_hi_names_the_key(workspace, tmp_path, runner):

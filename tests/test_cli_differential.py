@@ -23,6 +23,7 @@ from helpers import (
     Event,
     EventKind,
     events_of,
+    followee_names,
     graph_of,
     log_of,
     naive_duplicate,
@@ -55,6 +56,7 @@ LINE_DEFECTS = [
     lambda f: [*f[:_base(f)], "tok,,x"],                     # empty mark token
     lambda f: [*f[:3], "x" + f[3], *f[4:]],                  # bad event_id
     lambda f: ["99999999999999999999", *f[1:]],              # timestamp outside int64
+    lambda f: ["-4611686018427387904", *f[1:]],              # timestamp outside +-2^62
     lambda f: [*f[:3], "-9223372036854775809", *f[4:]],      # event_id outside int64
 ]
 REFERENCE_DEFECTS = ["unknown", "author", "precedes"]
@@ -180,7 +182,7 @@ def test_cli_matches_naive_recounts(spec, edges, lo, length, dup_choice):
         assert [r["user"] for r in rows] == users
         for r in rows:
             source_set, out_of_feed = naive_source_set(r["user"], log, graph, window)
-            followees = len(graph.followees(r["user"]))
+            followees = len(followee_names(graph, r["user"]))
             assert (int(r["F"]), int(r["S_r"]), int(r["out_of_feed"])) == (
                 followees, len(source_set), out_of_feed)
             p_src = len(source_set) / followees if followees else 0.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from feedflow import events
 from feedflow.events import (
+    FeedCounts,
     FeedIndex,
     LogFormatError,
     SocialGraph,
@@ -18,6 +19,8 @@ from helpers import (
     Event,
     EventKind,
     events_of,
+    followee_names,
+    follower_names,
     graph_of,
     log_of,
     naive_graph_from_tsv,
@@ -66,6 +69,10 @@ def test_parse_valid_lines():
      "event_id '9223372036854775808' is outside signed 64-bit"),
     ("100\talice\tR\t2\t-9223372036854775809\tbob",
      "orig_event_id '-9223372036854775809' is outside signed 64-bit"),
+    ("4611686018427387904\talice\tT\t1",
+     "timestamp '4611686018427387904' is outside (-2^62, 2^62)"),
+    ("-4611686018427387904\talice\tT\t1",
+     "timestamp '-4611686018427387904' is outside (-2^62, 2^62)"),
 ])
 def test_malformed_lines_rejected(line, reason_part):
     log, report = parse_event_log(tsv_file([line]))
@@ -75,13 +82,14 @@ def test_malformed_lines_rejected(line, reason_part):
 
 
 def test_integer_fields_take_python_int_syntax_within_signed_64_bit():
+    # A timestamp lies within +-2^62, so that every delay fits in 64 bits.
     log, report = parse_event_log(tsv_file([
-        "9223372036854775807\ta\tT\t-9223372036854775808",
+        "4611686018427387903\ta\tT\t-9223372036854775808",
         " 7\ta\tT\t+5",
         "1_000\tb\tR\t3\t+5\ta",
     ]))
     assert report.n_rejected == 0
-    assert log.ts.tolist() == [7, 1000, 9223372036854775807]
+    assert log.ts.tolist() == [7, 1000, 4611686018427387903]
     assert log.ids.tolist() == [5, 3, -9223372036854775808]
     assert log.orig_row.tolist() == [-1, 0, -1]
 
@@ -133,12 +141,12 @@ def test_equal_ts_tiebreak_by_id():
 def test_graph_basics():
     g = graph_of([("a", "b"), ("a", "c"), ("b", "c")], nodes=["d"])
     assert g.nodes == ("a", "b", "c", "d")
-    assert g.followees("a") == {"b", "c"}
-    assert g.followers("c") == {"a", "b"}
-    assert g.followees("d") == frozenset()
+    assert followee_names(g, "a") == {"b", "c"}
+    assert follower_names(g, "c") == {"a", "b"}
+    assert followee_names(g, "d") == frozenset()
     assert g.n_edges() == 3
     with pytest.raises(UnknownUserError):
-        g.followees("nobody")
+        followee_names(g, "nobody")
     with pytest.raises(LogFormatError, match="^self-loop edge for user 'a'$"):
         graph_of([("a", "a")])
 
@@ -211,14 +219,14 @@ def test_graph_follow_relation_is_consistent(seed):
     assert g.nodes == tuple(sorted(users)) and len(g.nodes) == 9
     for i, u in enumerate(g.nodes):
         assert g.index(u) == i
-        assert g.followees(u) == {b for a, b in edges if a == u}
-        assert g.followers(u) == {a for a, b in edges if b == u}
-        assert g.followee_slice(i).tolist() == sorted(map(g.index, g.followees(u)))
-        assert g.follower_slice(i).tolist() == sorted(map(g.index, g.followers(u)))
-        for v in g.followees(u):
-            assert u in g.followers(v)
-        for v in g.followers(u):
-            assert u in g.followees(v)
+        assert followee_names(g, u) == {b for a, b in edges if a == u}
+        assert follower_names(g, u) == {a for a, b in edges if b == u}
+        assert g.followee_slice(i).tolist() == sorted(map(g.index, followee_names(g, u)))
+        assert g.follower_slice(i).tolist() == sorted(map(g.index, follower_names(g, u)))
+        for v in followee_names(g, u):
+            assert u in follower_names(g, v)
+        for v in follower_names(g, u):
+            assert u in followee_names(g, v)
     assert g.n_edges() == len(edges)
 
 
@@ -233,13 +241,15 @@ def test_in_flow_stream_window_and_filter():
     ])
     view = events_of(log)
 
-    def feed_ids(window, include_retweets=True):
-        rows = FeedIndex(log, g, window, include_retweets).rows("u")
-        return [view[r].event_id for r in rows]
+    def feed_ids(window):
+        return [view[r].event_id for r in FeedIndex(log, g, window).rows("u")]
 
-    assert feed_ids((100, 400)) == [1, 2, 3]
-    assert feed_ids((100, 400), include_retweets=False) == [1, 2]
-    assert feed_ids((150, 250)) == [2]
+    def received(window, originals_only=False):
+        return FeedCounts(log, g, window, originals_only).received()[g.index("u")]
+
+    assert feed_ids((100, 400)) == [1, 2, 3] and received((100, 400)) == 3
+    assert received((100, 400), originals_only=True) == 2  # events 1 and 2
+    assert feed_ids((150, 250)) == [2] and received((150, 250)) == 1
     with pytest.raises(UnknownUserError):
         FeedIndex(log, g, (0, 1000)).rows("ghost")
 
@@ -252,15 +262,18 @@ def test_in_flow_stream_matches_brute_force(seed):
     log = random_log(rng, graph, 60)
     lo, hi = sorted(rng.integers(0, 10_000, size=2).tolist())
     feeds = FeedIndex(log, graph, (lo, hi))
+    received = FeedCounts(log, graph, (lo, hi)).received()
+    originals = FeedCounts(log, graph, (lo, hi), originals_only=True).received()
     view = events_of(log)
     for user in sorted(graph.nodes):
         rows = feeds.rows(user)
         expected = [
             e for e in view
-            if e.author in graph.followees(user) and lo <= e.ts <= hi
+            if e.author in followee_names(graph, user) and lo <= e.ts <= hi
         ]
         assert [view[r] for r in rows] == expected
-        assert feeds.count(user) == len(rows)
+        assert received[graph.index(user)] == len(rows)
+        assert originals[graph.index(user)] == sum(e.kind is EventKind.TWEET for e in expected)
 
 
 def test_event_log_span_and_indices():

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedflow.events import FeedIndex
+from feedflow.events import FeedCounts, FeedIndex
 from feedflow.flows import (
     DegenerateFitError,
     EmpiricalDistribution,
-    compute_flow_stats,
     fit_power_law_mle,
     fit_two_regime,
     log_binned_curve,
+    window_hours,
 )
 from feedflow.queues import queue_positions
 from helpers import Event, EventKind, graph_of, log_of
@@ -36,16 +36,15 @@ def small_fixture():
 
 def test_compute_flow_stats_hand_counts():
     g, log = small_fixture()
-    window = (0, 12 * HOUR)
-    st_ = compute_flow_stats("u", FeedIndex(log, g, window))
+    counts = FeedCounts(log, g, (0, 12 * HOUR))
+    assert g.nodes == ("a", "b", "c", "u")
     # u receives events 1,2,3 over 12 h; retweets one of them (event 4).
-    assert st_.lam == pytest.approx(3 / 12)
-    assert st_.lam_r == pytest.approx(1 / 12)
-    assert st_.lam_nr == pytest.approx(2 / 12)
-    assert st_.beta_r == pytest.approx(1 / 3)
+    assert counts.received().tolist() == [0, 0, 0, 3]
+    assert counts.forwarded().tolist() == [0, 0, 0, 1]
+    assert (counts.received() - counts.forwarded()).tolist() == [0, 0, 0, 2]
     # u posts events 4, 5, 7 -> 3 posts per half day = 6/day.
-    assert st_.out_total == pytest.approx(6.0)
-    assert st_.followees == 2
+    assert counts.posted().tolist() == [2, 1, 1, 3]
+    assert counts.followees.tolist() == [0, 0, 0, 2]
 
 
 def test_repeated_forwards_of_one_item_count_once():
@@ -56,31 +55,48 @@ def test_repeated_forwards_of_one_item_count_once():
         *(Event(i, 600 * i, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a")
           for i in (3, 4, 5)),
     ])
-    feeds = FeedIndex(log, g, (0, HOUR))
-    st_ = compute_flow_stats("u", feeds)
-    assert (st_.lam, st_.lam_r, st_.lam_nr, st_.beta_r) == (2.0, 1.0, 1.0, 0.5)
+    counts = FeedCounts(log, g, (0, HOUR))
+    u = g.index("u")
+    received, forwarded = counts.received()[u], counts.forwarded()[u]
+    assert (received, forwarded, received - forwarded, forwarded / received) == (2, 1, 1, 0.5)
     # Queue positions still give one record per forward.
-    cols, _ = queue_positions("u", feeds)
+    cols, _ = queue_positions("u", FeedIndex(log, g, (0, HOUR)))
     assert cols.retweet_id.tolist() == [3, 4, 5]
 
 
 def test_retweet_of_non_followee_not_counted():
     g, log = small_fixture()
-    st_ = compute_flow_stats("u", FeedIndex(log, g, (0, 12 * HOUR)))
-    assert st_.lam_r == pytest.approx(1 / 12)  # only event 4; event 7 forwards a non-followee
+    counts = FeedCounts(log, g, (0, 12 * HOUR))
+    assert counts.forwarded()[g.index("u")] == 1  # only event 4; event 7 forwards a non-followee
 
 
 def test_retweet_of_out_of_window_original_not_counted():
     g, log = small_fixture()
     # Window starts after event 1 was posted, so its retweet has no in-window source.
-    st_ = compute_flow_stats("u", FeedIndex(log, g, (HOUR, 12 * HOUR)))
-    assert st_.lam_r == 0.0
+    assert FeedCounts(log, g, (HOUR, 12 * HOUR)).forwarded()[g.index("u")] == 0
+
+
+def test_original_author_outside_the_graph_is_not_followed():
+    # b is node 1 of 3 and a (node 0) follows z (node 2): the key b * 3 + (-1)
+    # of b's forward of x, who is no node, must not read as the edge a -> z.
+    g = graph_of([("a", "z"), ("b", "a")])
+    log = log_of([
+        Event(1, 100, "x", EventKind.TWEET),
+        Event(2, 200, "b", EventKind.RETWEET, orig_event_id=1, orig_author="x"),
+        Event(3, 300, "z", EventKind.TWEET),
+    ])
+    counts = FeedCounts(log, g, (0, 1000))
+    assert g.nodes == ("a", "b", "z")
+    assert counts.received().tolist() == [1, 0, 0]
+    assert counts.posted().tolist() == [0, 1, 1]
+    assert counts.forwarded().tolist() == [0, 0, 0]
+    source_set, out_of_feed = counts.sources()
+    assert (source_set.tolist(), out_of_feed.tolist()) == ([0, 0, 0], [0, 1, 0])
 
 
 def test_flow_stats_bad_window():
-    g, log = small_fixture()
     with pytest.raises(ValueError):
-        compute_flow_stats("u", FeedIndex(log, g, (5, 5)))
+        window_hours((5, 5))
 
 
 def test_empirical_distribution_ccdf():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+from feedflow.cli import _Outputs
 from feedflow.manifest import RunManifest, file_digest, manifest_path_for
 
 
@@ -17,31 +18,33 @@ def test_manifest_path_for():
 def test_manifest_write_and_reload(tmp_path):
     data = tmp_path / "in.tsv"
     data.write_text("1\ta\tT\t1\n")
-    m = RunManifest(
-        command="flows",
-        config={"window": [0, 100]},
-        inputs={str(data): file_digest(data)},
-        seed=None,
-        outputs=["out.csv"],
-    )
+    out = str(tmp_path / "out.csv")
+    with _Outputs() as outputs:
+        outputs.write_csv(out, "a,b", [[1, 2]])
+        outputs.commit("flows", {"window": [0, 100]}, [str(data)], None)
     target = tmp_path / "out.csv.manifest.json"
-    m.write(target)
     loaded = json.loads(target.read_text())
     assert loaded["command"] == "flows"
     assert loaded["seed"] is None
     assert loaded["inputs"][str(data)] == file_digest(data)
-    assert loaded["outputs"] == ["out.csv"]
+    assert loaded["outputs"] == [out]
     assert "tool_version" in loaded
+    assert target.read_text() == RunManifest(**loaded).to_json()
     # No stray temp files left behind.
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tsv", "out.csv.manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "in.tsv", "out.csv", "out.csv.manifest.json"]
 
 
 def test_manifest_overwrite_is_atomic_replacement(tmp_path):
-    target = tmp_path / "m.json"
-    m = RunManifest("a", {}, {}, 1, [])
-    m.write(target)
+    out = str(tmp_path / "m.csv")
+    target = tmp_path / "m.csv.manifest.json"
+    with _Outputs() as outputs:
+        outputs.write_csv(out, "a", [])
+        outputs.commit("a", {}, [], 1)
     first = target.read_text()
-    m2 = RunManifest("b", {}, {}, 2, [])
-    m2.write(target)
+    with _Outputs() as outputs:
+        outputs.write_csv(out, "a", [])
+        outputs.commit("b", {}, [], 2)
     assert json.loads(target.read_text())["command"] == "b"
     assert first != target.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.csv.manifest.json"]

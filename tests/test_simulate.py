@@ -19,7 +19,14 @@ from feedflow.simulate import (
     simulate_ic_bg,
     truncated_normal_rates,
 )
-from helpers import cascade_view, graph_of, naive_cascades, reachable_followers
+from helpers import (
+    cascade_view,
+    follower_names,
+    graph_of,
+    naive_cascades,
+    reachable_followers,
+    tsv_text,
+)
 
 CURVE = BetaCurve(lambda_c=30.0, beta0=0.05, gamma=0.65)
 ALL_LIVE = BetaCurve(lambda_c=30.0, beta0=1.0, gamma=0.0)  # every coin is below 1
@@ -101,12 +108,13 @@ def small_graph():
 
 
 def test_follow_view_matches_graph():
-    # The index slices the simulators read name the same users as the name sets.
+    # The index slices the simulators read name the same users as the graph's edge lines.
     g = small_graph()
     assert list(g.nodes) == sorted(g.nodes)
+    edges = [line.split("\t") for line in tsv_text(g).splitlines()]
     for i, u in enumerate(g.nodes):
-        assert [g.nodes[j] for j in g.follower_slice(i)] == sorted(g.followers(u))
-        assert [g.nodes[j] for j in g.followee_slice(i)] == sorted(g.followees(u))
+        assert [g.nodes[j] for j in g.follower_slice(i)] == sorted(a for a, b in edges if b == u)
+        assert [g.nodes[j] for j in g.followee_slice(i)] == sorted(b for a, b in edges if a == u)
 
 
 def isolated_graph():
@@ -226,7 +234,7 @@ def test_ct_times_are_hop_distances_with_fixed_delays():
         hops, frontier = {seed_node: 0}, [seed_node]
         while frontier:
             u = frontier.pop(0)
-            for w in g.followers(u):
+            for w in follower_names(g, u):
                 if w not in hops:
                     hops[w] = hops[u] + 1
                     frontier.append(w)

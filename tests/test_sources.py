@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from feedflow.events import UnknownUserError
-from feedflow.sources import fit_source_regimes, source_stats
+from feedflow.events import FeedCounts, UnknownUserError
+from feedflow.sources import fit_source_regimes
 from helpers import Event, EventKind, graph_of, log_of
 
 
@@ -23,28 +23,32 @@ def fixture():
 
 def test_source_stats_counts():
     g, log = fixture()
-    st = source_stats("u", log, g, (0, 1000))
-    assert st.followees == 3
-    assert st.source_set == 2          # a and b; x is not followed
-    assert st.p_src == pytest.approx(2 / 3)
-    assert st.out_of_feed == 1         # the forward from x
+    counts = FeedCounts(log, g, (0, 1000))
+    u = g.index("u")
+    source_set, out_of_feed = counts.sources()
+    assert counts.followees[u] == 3
+    assert source_set[u] == 2          # a and b; x is not followed
+    assert source_set[u] / counts.followees[u] == pytest.approx(2 / 3)
+    assert out_of_feed[u] == 1         # the forward from x
 
 
 def test_source_stats_window():
     g, log = fixture()
-    st = source_stats("u", log, g, (450, 1000))
-    assert st.source_set == 2          # forwards 5 and 8 (from b and a)
-    assert st.out_of_feed == 1
-    st = source_stats("u", log, g, (0, 450))
-    assert st.source_set == 1
+    u = g.index("u")
+    source_set, out_of_feed = FeedCounts(log, g, (450, 1000)).sources()
+    assert source_set[u] == 2          # forwards 5 and 8 (from b and a)
+    assert out_of_feed[u] == 1         # forward 6 of x, whose original is before the window
+    source_set, _ = FeedCounts(log, g, (0, 450)).sources()
+    assert source_set[u] == 1
 
 
 def test_source_stats_no_followees():
     g, log = fixture()
-    st = source_stats("x", log, g, (0, 1000))
-    assert st.followees == 0 and st.p_src == 0.0
+    counts = FeedCounts(log, g, (0, 1000))
+    x = g.index("x")
+    assert counts.followees[x] == 0 and counts.sources()[0][x] == 0
     with pytest.raises(UnknownUserError):
-        source_stats("ghost", log, g, (0, 1000))
+        g.index("ghost")
 
 
 def piecewise_points(f_c=100.0, e_low=0.9, e_high=0.4, s_c=30.0):

@@ -8,7 +8,7 @@ from feedflow.events import parse_event_log
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel
 from feedflow.synth import ContagionPlan, WorkloadSpec, generate_workload, ground_truth_text
-from helpers import EventKind, events_of, reachable_followers, tsv_text
+from helpers import EventKind, events_of, followee_names, reachable_followers, tsv_text
 
 CURVE = BetaCurve(lambda_c=30.0, beta0=0.1, gamma=0.65)
 DELAYS = DelayModel(bins=(DelayBin(0.0, math.inf, 3.0, 0.5, 2.0, 0.5),))
@@ -82,7 +82,7 @@ def test_truth_report_contents():
     # In-flow truth is the followee sum of out-flow truth.
     g = graph()
     for u in list(g.nodes)[:10]:
-        want = sum(truth["lam_out"][v] for v in g.followees(u))
+        want = sum(truth["lam_out"][v] for v in followee_names(g, u))
         assert truth["lam_in"][u] == pytest.approx(want)
 
 
