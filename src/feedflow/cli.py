@@ -10,34 +10,44 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import importlib
 import itertools
 import math
 import os
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import click
-import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    beta_curve_from,
-    check_known_keys,
-    contagions_from,
-    delay_model_from,
-    get_float,
-    get_int,
-    kronecker_params_from,
-    parse_config,
-)
-from .events import EventLog, FeedCounts, FeedIndex, LogFormatError, SocialGraph, parse_event_log
-from .exposure import aggregate_curves, build_trace, exposure_curve, group_users_by_inflow
-from .flows import log_binned_curve, window_hours
-from .graphgen import kronecker_generate
-from .manifest import RunManifest, file_digest, manifest_path_for
-from .queues import QueuePositions, fit_lognormal_convolution, queue_positions
-from .simulate import SimConfig, distribution_report, simulate_ct_bg, simulate_ic_bg
-from .synth import WorkloadSpec, generate_workload, ground_truth_text
+
+if TYPE_CHECKING:
+    from .events import EventLog, SocialGraph
+
+
+def _deferred(module: str, names: str) -> Iterator[Callable]:
+    """Stand-ins for callables of feedflow.<module> that import it when called, so that a
+    command loads only the modules it runs. perfbench/tracer.py wraps the stand-ins here."""
+    def call(name: str, *args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+    return (functools.partial(call, name) for name in names.split())
+
+
+(beta_curve_from, check_known_keys, contagions_from, delay_model_from, get_float, get_int,
+ kronecker_params_from, parse_config) = _deferred("config", "beta_curve_from check_known_keys "
+    "contagions_from delay_model_from get_float get_int kronecker_params_from parse_config")
+parse_event_log, FeedCounts, FeedIndex = _deferred("events", "parse_event_log FeedCounts FeedIndex")
+aggregate_curves, build_trace, exposure_curve, group_users_by_inflow = _deferred(
+    "exposure", "aggregate_curves build_trace exposure_curve group_users_by_inflow")
+log_binned_curve, window_hours = _deferred("flows", "log_binned_curve window_hours")
+kronecker_generate, = _deferred("graphgen", "kronecker_generate")
+RunManifest, file_digest, manifest_path_for = _deferred(
+    "manifest", "RunManifest file_digest manifest_path_for")
+QueuePositions, fit_lognormal_convolution, queue_positions = _deferred(
+    "queues", "QueuePositions fit_lognormal_convolution queue_positions")
+SimConfig, distribution_report, simulate_ct_bg, simulate_ic_bg = _deferred(
+    "simulate", "SimConfig distribution_report simulate_ct_bg simulate_ic_bg")
+WorkloadSpec, generate_workload, ground_truth_text = _deferred(
+    "synth", "WorkloadSpec generate_workload ground_truth_text")
 
 
 def _fail(message: str) -> "click.exceptions.Exit":
@@ -50,7 +60,7 @@ def command_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, LogFormatError, ValueError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:
             raise _fail(str(exc))
         except OSError as exc:
             raise _fail(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
@@ -81,6 +91,7 @@ def _load_log(path: str, listed: bool = False) -> EventLog:
 
 
 def _load_graph(path: str) -> SocialGraph:
+    from .events import SocialGraph
     with open(path, "rb") as fh:
         return SocialGraph.from_tsv(fh)
 
@@ -118,6 +129,9 @@ class _Outputs:
                 os.unlink(tmp)
 
     def open(self, path: str) -> TextIO:
+        # Two outputs with one target would share a temp file, and the second would win.
+        if any(os.path.abspath(path) == os.path.abspath(target) for _, target in self._staged):
+            raise ValueError(f"{path}: named for more than one output")
         tmp = f"{path}.{os.getpid()}.tmp"
         fh = open(tmp, "w", encoding="utf-8")
         self._staged.append((tmp, path))
@@ -191,6 +205,7 @@ def validate(log_path, graph_path):
 def flows(log_path, graph_path, window, out_path, curve_path, min_received,
           bins_per_decade, originals_only):
     """Per-user rate statistics and the population retweet-probability curve."""
+    import numpy as np
     log, graph, win = _load_inputs(log_path, graph_path, window)
     hours = window_hours(win)
     counts = FeedCounts(log, graph, win, originals_only)
@@ -228,6 +243,7 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
 @command_errors
 def queues(log_path, graph_path, window, out_path, source, fit_path):
     """Queue positions and delays for every forward in the window."""
+    import numpy as np
     log, graph, win = _load_inputs(log_path, graph_path, window)
     feeds = FeedIndex(log, graph, win)
     parts = [queue_positions(u, feeds, source=source) for u in graph.nodes]
@@ -263,6 +279,7 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
 @command_errors
 def sources(log_path, graph_path, window, out_path):
     """Retweet source-set statistics per user."""
+    import numpy as np
     log, graph, win = _load_inputs(log_path, graph_path, window)
     counts = FeedCounts(log, graph, win)
     source_set, out_of_feed = counts.sources()
@@ -412,6 +429,7 @@ def synth(config_path, graph_path, seed, out_path, graph_out, truth_path):
     else:
         graph_seed = get_int(cfg, "graph_seed", seed)
         if graph_seed < 0:
+            from .config import ConfigError
             raise ConfigError(f"config key 'graph_seed': not a non-negative integer: {graph_seed}")
         graph = kronecker_generate(kronecker_params_from(cfg, graph_seed))
     spec = WorkloadSpec(

@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .graphgen import KroneckerParams
-from .simulate import BetaCurve, DelayBin, DelayModel
-from .synth import ContagionPlan
+if TYPE_CHECKING:  # each builder imports its type: a command loads only what it runs
+    from .graphgen import KroneckerParams
+    from .simulate import BetaCurve, DelayModel
+    from .synth import ContagionPlan
 
 ENV_PREFIX = "FEEDFLOW_"
+MAX_LOG_DELAY = 700  # exp(700) is about 1e304, short of the float maximum 1.8e308
 
 
 class ConfigError(ValueError):
@@ -90,6 +92,7 @@ def _get(cfg: dict[str, str], key: str, default, kind: type, what: str):
 
 
 def beta_curve_from(cfg: dict[str, str]) -> BetaCurve:
+    from .simulate import BetaCurve
     return BetaCurve(
         lambda_c=get_float(cfg, "lambda_c"),
         beta0=get_float(cfg, "beta0"),
@@ -105,27 +108,34 @@ def _group_indices(cfg: dict[str, str], group: str) -> list[int]:
 
 def delay_model_from(cfg: dict[str, str]) -> DelayModel:
     """Collect delay_bin.<i>.{lo,hi,mu1,sigma1,mu2,sigma2}; hi defaults to inf."""
+    from .simulate import DelayBin, DelayModel
     indices = _group_indices(cfg, "delay_bin")
     if not indices:
         raise ConfigError("no delay_bin.<i>.* keys in config")
     bins = []
     for i in indices:
         p = f"delay_bin.{i}."
-        bins.append(
-            DelayBin(
-                lo=get_float(cfg, p + "lo"),
-                hi=get_float(cfg, p + "hi", math.inf),
-                mu1=get_float(cfg, p + "mu1"),
-                sigma1=get_float(cfg, p + "sigma1"),
-                mu2=get_float(cfg, p + "mu2"),
-                sigma2=get_float(cfg, p + "sigma2"),
-            )
+        b = DelayBin(
+            lo=get_float(cfg, p + "lo"),
+            hi=get_float(cfg, p + "hi", math.inf),
+            mu1=get_float(cfg, p + "mu1"),
+            sigma1=get_float(cfg, p + "sigma1"),
+            mu2=get_float(cfg, p + "mu2"),
+            sigma2=get_float(cfg, p + "sigma2"),
         )
+        # A delay is exp(mu + sigma * z) for a standard normal z. simulate's Box-Muller
+        # draws never exceed 8.6, and one of synth's reaches 10 with odds of about 1e-23.
+        for j, mu, sigma in ((1, b.mu1, b.sigma1), (2, b.mu2, b.sigma2)):
+            if mu + 10 * sigma > MAX_LOG_DELAY:
+                raise ConfigError(f"config key '{p}mu{j}': mu{j} + 10 * sigma{j} = "
+                                  f"{mu + 10 * sigma:g} exceeds {MAX_LOG_DELAY}: delays overflow")
+        bins.append(b)
     return DelayModel(bins=tuple(bins))
 
 
 def contagions_from(cfg: dict[str, str]) -> tuple[ContagionPlan, ...]:
     """Collect contagion.<i>.{token,n_seeds,hazard,...} for every index present, ascending."""
+    from .synth import ContagionPlan
     plans = []
     for i in _group_indices(cfg, "contagion"):
         p = f"contagion.{i}."
@@ -167,5 +177,6 @@ def initiator_from(cfg: dict[str, str]) -> tuple[tuple[float, float], tuple[floa
 
 
 def kronecker_params_from(cfg: dict[str, str], seed: int) -> KroneckerParams:
+    from .graphgen import KroneckerParams
     return KroneckerParams(initiator=initiator_from(cfg), k=get_int(cfg, "k"),
                            target_edges=get_int(cfg, "target_edges"), seed=seed)

@@ -4,17 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
-from importlib.metadata import PackageNotFoundError, version
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-
-def _tool_version() -> str:
-    try:
-        return version("feedflow")
-    except PackageNotFoundError:
-        return "unknown"
+from . import __version__
 
 
 def file_digest(path: str | Path) -> str:
@@ -33,7 +27,7 @@ class RunManifest:
     seed: Optional[int]
     outputs: list[str]
     fit: Optional[dict] = None  # queues --fit-delays: the fit report
-    tool_version: str = field(default_factory=_tool_version)
+    tool_version: str = __version__  # the version --version prints
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"

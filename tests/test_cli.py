@@ -486,6 +486,17 @@ def test_flows_and_curve(workspace, runner):
     assert len(curve) > 1
 
 
+@pytest.mark.parametrize("curve_out", ["f.csv", "./f.csv"])
+def test_two_outputs_with_one_target_write_nothing(workspace, runner, monkeypatch, curve_out):
+    monkeypatch.chdir(workspace)
+    before = sorted(p.name for p in workspace.iterdir())
+    result = runner.invoke(main, ["flows", "--log", "log.tsv", "--graph", "graph.tsv",
+                                  "--out", "f.csv", "--curve-out", curve_out])
+    assert result.exit_code == 1
+    assert f"error: {curve_out}: named for more than one output" in all_output(result)
+    assert sorted(p.name for p in workspace.iterdir()) == before
+
+
 def test_min_received_compares_received_items(tmp_path, runner):
     # u receives exactly 1 item over 4597 s; (1 / h) * h is below 1 for that h.
     (tmp_path / "log.tsv").write_text("0\ta\tT\t1\n4597\tb\tT\t2\n")
@@ -810,7 +821,7 @@ def test_simulate_rejects_worker_count_below_one(workspace, tmp_path, runner, wo
 
 @pytest.mark.parametrize("setting", [
     "gamma = nan", "mu = nan", "sigma = nan", "max_time = nan",
-    "delay_bin.0.mu1 = nan", "delay_bin.0.sigma1 = -0.5",
+    "delay_bin.0.mu1 = nan", "delay_bin.0.sigma1 = -0.5", "delay_bin.0.mu1 = 800",
 ])
 def test_simulate_rejects_bad_parameters(workspace, tmp_path, runner, setting):
     cfg = tmp_path / "sim.cfg"
@@ -939,6 +950,8 @@ def test_synth_rejects_bad_rates(tmp_path, runner, setting, key):
     ("contagion.0.token = tok", "contagion.0.token = a,b", {}, "contagion.0.token"),
     ("contagion.0.token = tok", "contagion.0.token = a\tb", {}, "contagion.0.token"),
     ("", "", {"FEEDFLOW_CONTAGION__0__TOKEN": "a\nb"}, "contagion.0.token"),
+    ("delay_bin.0.mu1 = 3.0", "delay_bin.0.mu1 = 800", {}, "delay_bin.0.mu1"),
+    ("delay_bin.0.sigma2 = 0.5", "delay_bin.0.sigma2 = 70", {}, "delay_bin.0.mu2"),
 ])
 def test_synth_rejects_values_its_log_cannot_hold(tmp_path, runner, old, new, env, key):
     cfg = tmp_path / "synth.cfg"
@@ -1059,6 +1072,27 @@ NUMPY_MA_FREE = {
 }
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def loaded_modules(args):
+    """The names in sys.modules after a fresh interpreter imports feedflow.cli and, when
+    args are given, runs them."""
+    script = (
+        "import json, sys\n"
+        "from feedflow.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    main(sys.argv[1:], standalone_mode=False)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
 @pytest.mark.parametrize("command", sorted(NUMPY_MA_FREE))
 def test_command_leaves_numpy_ma_unloaded(workspace, tmp_path, command):
     # The first np.unique, np.median or np.quantile call imports numpy.ma (10-30 ms).
@@ -1066,21 +1100,42 @@ def test_command_leaves_numpy_ma_unloaded(workspace, tmp_path, command):
     out = tmp_path / "o.csv"
     args = [a.format(graph=workspace / "graph.tsv", log=workspace / "log.tsv",
                      sim=tmp_path / "sim.cfg", out=out) for a in NUMPY_MA_FREE[command]]
-    script = (
-        "import json, sys\n"
-        "from feedflow.cli import main\n"
-        "main(json.loads(sys.argv[1]), standalone_mode=False)\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m == 'numpy.ma' or m.startswith('numpy.ma.'))))\n"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(args + ["--out", str(out)])],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    loaded = loaded_modules(args + ["--out", str(out)])
     assert out.stat().st_size > 0
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert sorted(m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")) == []
+
+
+FEEDFLOW = {f"feedflow.{p.stem}" for p in (SRC / "feedflow").glob("*.py")} - {
+    "feedflow.__init__", "feedflow.cli"}
+UNUSED_BY_FEED_COUNTS = {f"feedflow.{m}" for m in
+                         ("queues", "exposure", "config", "simulate", "synth", "graphgen")}
+INPUTS = ["--log", "{log}", "--graph", "{graph}"]
+# command -> (its arguments, modules it must not load)
+NOT_LOADED = {
+    "import": ([], FEEDFLOW | {"numpy"}),
+    "validate": (["validate", "--log", "{log}"], FEEDFLOW - {"feedflow.events"}),
+    "flows": (["flows", *INPUTS, "--out", "{out}"], UNUSED_BY_FEED_COUNTS),
+    "sources": (["sources", *INPUTS, "--out", "{out}"], UNUSED_BY_FEED_COUNTS),
+    "simulate": (["simulate", "--model", "ct", "--graph", "{graph}", "--config", "{sim}",
+                  "--seed", "3", "--out", "{out}"], {"feedflow.synth", "feedflow.graphgen"}),
+    "queues": (["queues", *INPUTS, "--out", "{out}"], set()),
+    "exposure": (["exposure", *INPUTS, "--token", "tok", "--out", "{out}"], set()),
+    "graphgen": (["graphgen", "--initiator", "0.9,0.5,0.5,0.3", "--k", "4", "--target-edges",
+                  "30", "--seed", "1", "--out", "{out}"], set()),
+    "synth": (["synth", "--config", "{synth}", "--graph", "{graph}", "--seed", "1",
+               "--out", "{out}"], set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_command_loads_only_the_modules_it_runs(workspace, tmp_path, command):
+    (tmp_path / "sim.cfg").write_text(SIM_CONFIG)
+    args, forbidden = NOT_LOADED[command]
+    args = [a.format(graph=workspace / "graph.tsv", log=workspace / "log.tsv",
+                     sim=tmp_path / "sim.cfg", synth=workspace / "synth.cfg",
+                     out=tmp_path / "o.out") for a in args]
+    loaded = loaded_modules(args)
+    assert sorted(loaded & (forbidden | {"importlib.metadata"})) == []
 
 
 def test_version_flag(runner):

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
+from feedflow import __version__
 from feedflow.cli import _Outputs
 from feedflow.manifest import RunManifest, file_digest, manifest_path_for
 
@@ -9,6 +12,13 @@ def test_file_digest(tmp_path):
     p = tmp_path / "data.txt"
     p.write_bytes(b"hello\n")
     assert file_digest(p) == hashlib.sha256(b"hello\n").hexdigest()
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib: Python 3.10 has no tomllib.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1) == __version__
 
 
 def test_manifest_path_for():
@@ -28,7 +38,7 @@ def test_manifest_write_and_reload(tmp_path):
     assert loaded["seed"] is None
     assert loaded["inputs"][str(data)] == file_digest(data)
     assert loaded["outputs"] == [out]
-    assert "tool_version" in loaded
+    assert loaded["tool_version"] == __version__
     assert target.read_text() == RunManifest(**loaded).to_json()
     # No stray temp files left behind.
     assert sorted(p.name for p in tmp_path.iterdir()) == [
