@@ -1,8 +1,9 @@
 """Command-line front end: reproducible file-in/file-out pipelines.
 
-Every command reads and writes plain files, digests its inputs before
-processing, and drops a RunManifest JSON next to its primary output. Plots
-are never rendered here; commands emit CSV for external plotting.
+Every command reads and writes plain files, digests its inputs before the
+first rename of an output into place, and drops a RunManifest JSON next to its
+primary output. Plots are never rendered here; commands emit CSV for external
+plotting.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import csv
 import dataclasses
 import functools
 import importlib
-import itertools
 import math
 import os
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -252,11 +252,17 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
                                for j in range(4)))
     n_out_of_feed = sum(n for _, n in parts)
     click.echo(f"{len(columns.q)} queue records, {n_out_of_feed} out-of-feed forwards")
-    users = itertools.chain.from_iterable(
-        map(itertools.repeat, graph.nodes, (len(c.q) for c, _ in parts)))
+    user = np.repeat(np.arange(len(graph.nodes)), [len(c.q) for c, _ in parts])
+
+    def records():  # _ROW_BLOCK rows at a time: bounds the tolist() copies
+        from .events import _ROW_BLOCK
+        for lo in range(0, len(user), _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            yield from zip(map(graph.nodes.__getitem__, user[rows].tolist()),
+                           *(col[rows].tolist() for col in columns))
+
     with _Outputs() as out:
-        out.write_csv(out_path, "user,retweet_id,orig_id,q,delay_s",
-                      zip(users, *(col.tolist() for col in columns)))
+        out.write_csv(out_path, "user,retweet_id,orig_id,q,delay_s", records())
         report = None
         if fit_path:
             fit = fit_lognormal_convolution(columns.delay_s)

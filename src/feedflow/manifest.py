@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -10,9 +9,19 @@ from typing import Optional
 
 from . import __version__
 
+# CPython's own SHA-256, not hashlib's: hashlib maps OpenSSL's libcrypto, about
+# 3.4 MiB resident, and the digest runs when a command's memory is at its peak.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def file_digest(path: str | Path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
@@ -23,7 +32,7 @@ def file_digest(path: str | Path) -> str:
 class RunManifest:
     command: str
     config: dict
-    inputs: dict[str, str]   # path -> sha256, digested before processing
+    inputs: dict[str, str]   # path -> sha256, digested before the first output rename
     seed: Optional[int]
     outputs: list[str]
     fit: Optional[dict] = None  # queues --fit-delays: the fit report

@@ -11,12 +11,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .events import FeedIndex
-from .flows import EmpiricalDistribution
+
+if TYPE_CHECKING:  # delay_histogram imports it: no command calls it
+    from .flows import EmpiricalDistribution
 
 
 class FitConvergenceError(ValueError):
@@ -78,6 +80,7 @@ class DelaySummary:
 
 def delay_histogram(delays: Sequence[float]) -> tuple[EmpiricalDistribution, DelaySummary]:
     """Pooled delay distribution for a user group plus the headline statistics."""
+    from .flows import EmpiricalDistribution
     if len(delays) == 0:
         raise ValueError("empty delay group")
     dist = EmpiricalDistribution(delays)

@@ -87,11 +87,14 @@ class DelayModel:
             raise DelayBinError("last delay bin must extend to infinity")
         object.__setattr__(self, "bins", tuple(bins))
 
-    def bin_for(self, lam_in: float) -> DelayBin:
-        for b in self.bins:
-            if b.lo <= lam_in < b.hi:
-                return b
-        raise DelayBinError(f"no delay bin covers in-flow rate {lam_in}")
+    def bin_index(self, lam_in: np.ndarray) -> np.ndarray:
+        """The index in bins of the bin whose [lo, hi) holds each in-flow rate."""
+        at = np.searchsorted([b.lo for b in self.bins], lam_in, "right") - 1
+        # ~(rate < hi), not rate >= hi: a NaN rate is uncovered too.
+        uncovered = (at < 0) | ~(lam_in < np.array([b.hi for b in self.bins])[at])
+        if uncovered.any():
+            raise DelayBinError(f"no delay bin covers in-flow rate {lam_in[uncovered][0]}")
+        return at
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,11 @@ def node_rates(
     if not graph.nodes:
         raise ValueError("empty graph")
     lam_out = truncated_normal_rates(rng, mu, sigma, len(graph.nodes))
-    return lam_out, graph.followee_sums(lam_out)
+    with np.errstate(over="ignore"):
+        lam_in = graph.followee_sums(lam_out)
+    if not (np.isfinite(lam_out).all() and np.isfinite(lam_in).all()):
+        raise ValueError(f"mu = {mu:g} and sigma = {sigma:g} give a rate that overflows")
+    return lam_out, lam_in
 
 
 # Every random draw hashes (seed, cascade_id, slot) with SplitMix64's finaliser
@@ -222,9 +229,9 @@ def _simulate(graph: SocialGraph, config: SimConfig,
     ptr, indices = graph.follower_indptr, graph.follower_indices
     n, degree, timed = len(graph.nodes), np.diff(ptr), delay_model is not None
     if timed:
-        bins = [delay_model.bin_for(float(l)) for l in lam_in]
-        loc = np.array([(b.mu1, b.mu2) for b in bins])
-        scale = np.array([(b.sigma1, b.sigma2) for b in bins])
+        at = delay_model.bin_index(lam_in)
+        loc = np.array([(b.mu1, b.mu2) for b in delay_model.bins])[at]
+        scale = np.array([(b.sigma1, b.sigma2) for b in delay_model.bins])[at]
     chunk = max(1, _CHUNK_CELLS // n)
     seed_cols, size_cols, node_cols, time_cols = [], [], [], []
     for first in range(0, config.n_cascades, chunk):

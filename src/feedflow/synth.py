@@ -80,6 +80,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     horizon_s = int(round(spec.horizon_hours * SECONDS_PER_HOUR))
 
     lam_out, lam_in = node_rates(graph, rng, spec.mu, spec.sigma)
+    delay_bin = spec.delay_model.bin_index(lam_in)
 
     # Events under construction, one row each in creation order. Final ids are
     # assigned after the global sort.
@@ -122,7 +123,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
             hits = [e for e, m in zip(incoming, mask.tolist()) if m]
             if not hits:
                 continue
-            b = spec.delay_model.bin_for(float(lam_in[u]))
+            b = spec.delay_model.bins[delay_bin[u]]
             delays = rng.lognormal(b.mu1, b.sigma1, len(hits)) + rng.lognormal(
                 b.mu2, b.sigma2, len(hits)
             )

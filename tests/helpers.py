@@ -461,7 +461,8 @@ def naive_cascades(
     ptr, followers = graph.follower_indptr.tolist(), graph.follower_indices.tolist()
     slots = 3 * np.arange(len(followers), dtype=np.uint64)
     if timed:  # each edge's follower's delay bin
-        bins = [config.delay_model.bin_for(float(lam_in[j])) for j in followers]
+        bins = [next(b for b in config.delay_model.bins if b.lo <= lam_in[j] < b.hi)
+                for j in followers]
         mu = np.array([(b.mu1, b.mu2) for b in bins]).reshape(-1, 2)
         sigma = np.array([(b.sigma1, b.sigma2) for b in bins]).reshape(-1, 2)
     keys = cascade_keys(config.seed, np.arange(config.n_cascades))

@@ -535,6 +535,19 @@ def test_queues_on_a_graph_without_users(tmp_path, runner):
     assert out.read_text() == "user,retweet_id,orig_id,q,delay_s\n"
 
 
+def test_queues_writes_the_same_bytes_in_row_blocks(workspace, runner, monkeypatch):
+    args = ["queues", "--log", str(workspace / "log.tsv"), "--graph", str(workspace / "graph.tsv")]
+    result = runner.invoke(main, [*args, "--out", str(workspace / "whole.csv")])
+    assert result.exit_code == 0, result.output
+    whole = (workspace / "whole.csv").read_bytes()
+    n_records = whole.count(b"\n") - 1
+    assert n_records > 3 and n_records % 3 != 0
+    monkeypatch.setattr(events, "_ROW_BLOCK", 3)
+    result = runner.invoke(main, [*args, "--out", str(workspace / "blocks.csv")])
+    assert result.exit_code == 0, result.output
+    assert (workspace / "blocks.csv").read_bytes() == whole
+
+
 FIT_KEYS = [
     "mu1", "sigma1", "mu2", "sigma2", "loglik", "n", "n_rejected", "n_unique", "nfev",
     "converged", "se_mu1", "se_sigma1", "se_mu2", "se_sigma2", "identifiable",
@@ -1110,16 +1123,19 @@ FEEDFLOW = {f"feedflow.{p.stem}" for p in (SRC / "feedflow").glob("*.py")} - {
 UNUSED_BY_FEED_COUNTS = {f"feedflow.{m}" for m in
                          ("queues", "exposure", "config", "simulate", "synth", "graphgen")}
 INPUTS = ["--log", "{log}", "--graph", "{graph}"]
+# OpenSSL's libcrypto, about 3.4 MiB resident. numpy.random imports it (through secrets),
+# so only the commands that draw no random numbers can leave it unloaded.
+OPENSSL = {"_hashlib"}
 # command -> (its arguments, modules it must not load)
 NOT_LOADED = {
-    "import": ([], FEEDFLOW | {"numpy"}),
-    "validate": (["validate", "--log", "{log}"], FEEDFLOW - {"feedflow.events"}),
-    "flows": (["flows", *INPUTS, "--out", "{out}"], UNUSED_BY_FEED_COUNTS),
-    "sources": (["sources", *INPUTS, "--out", "{out}"], UNUSED_BY_FEED_COUNTS),
+    "import": ([], FEEDFLOW | {"numpy"} | OPENSSL),
+    "validate": (["validate", "--log", "{log}"], FEEDFLOW - {"feedflow.events"} | OPENSSL),
+    "flows": (["flows", *INPUTS, "--out", "{out}"], UNUSED_BY_FEED_COUNTS | OPENSSL),
+    "sources": (["sources", *INPUTS, "--out", "{out}"], UNUSED_BY_FEED_COUNTS | OPENSSL),
     "simulate": (["simulate", "--model", "ct", "--graph", "{graph}", "--config", "{sim}",
                   "--seed", "3", "--out", "{out}"], {"feedflow.synth", "feedflow.graphgen"}),
-    "queues": (["queues", *INPUTS, "--out", "{out}"], set()),
-    "exposure": (["exposure", *INPUTS, "--token", "tok", "--out", "{out}"], set()),
+    "queues": (["queues", *INPUTS, "--out", "{out}"], {"feedflow.flows"} | OPENSSL),
+    "exposure": (["exposure", *INPUTS, "--token", "tok", "--out", "{out}"], OPENSSL),
     "graphgen": (["graphgen", "--initiator", "0.9,0.5,0.5,0.3", "--k", "4", "--target-edges",
                   "30", "--seed", "1", "--out", "{out}"], set()),
     "synth": (["synth", "--config", "{synth}", "--graph", "{graph}", "--seed", "1",

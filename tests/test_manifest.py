@@ -1,17 +1,43 @@
 import hashlib
+import importlib
 import json
 import re
+import sys
 from pathlib import Path
 
-from feedflow import __version__
+from feedflow import __version__, manifest
 from feedflow.cli import _Outputs
 from feedflow.manifest import RunManifest, file_digest, manifest_path_for
 
 
+def digest_cases(tmp_path) -> dict[Path, str]:
+    """Files of 0 bytes, 1 byte, 6 bytes and 3 MiB (three reads), each with hashlib's digest."""
+    cases = {}
+    for name, data in (("empty", b""), ("one", b"x"), ("data.txt", b"hello\n"),
+                       ("big", bytes(range(256)) * (3 << 12))):
+        (tmp_path / name).write_bytes(data)
+        cases[tmp_path / name] = hashlib.sha256(data).hexdigest()
+    return cases
+
+
 def test_file_digest(tmp_path):
-    p = tmp_path / "data.txt"
-    p.write_bytes(b"hello\n")
-    assert file_digest(p) == hashlib.sha256(b"hello\n").hexdigest()
+    for path, digest in digest_cases(tmp_path).items():
+        assert file_digest(path) == digest
+
+
+def test_file_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
+    cases = digest_cases(tmp_path)
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # None makes the import fail
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    try:
+        importlib.reload(manifest)
+        assert manifest.sha256 is hashlib.sha256
+        for path, digest in cases.items():
+            assert manifest.file_digest(path) == digest
+    finally:
+        monkeypatch.undo()
+        importlib.reload(manifest)
+    assert manifest.sha256 is not hashlib.sha256
 
 
 def test_version_matches_pyproject():

@@ -77,9 +77,11 @@ def test_delay_model_validation():
 def test_delay_model_bin_selection_and_sampling():
     dm = DelayModel(bins=(DelayBin(0.0, 100.0, 3, 0.5, 2, 0.5),
                           DelayBin(100.0, math.inf, 4, 2.0, 3.5, 2.0)))
-    assert dm.bin_for(0.0).hi == 100.0
-    assert dm.bin_for(99.9).hi == 100.0
-    assert dm.bin_for(100.0).lo == 100.0   # boundary belongs to the upper bin
+    # The boundary belongs to the upper bin.
+    assert dm.bin_index(np.array([0.0, 99.9, 100.0, 1e300])).tolist() == [0, 0, 1, 1]
+    for rate in (-1.0, math.inf, math.nan):
+        with pytest.raises(DelayBinError, match=f"no delay bin covers in-flow rate {rate}$"):
+            dm.bin_index(np.array([50.0, rate]))
 
 
 def test_truncated_normal_rates():
