@@ -212,9 +212,10 @@ class EventLog:
     def rows_of(self, event_ids: Sequence[int]) -> np.ndarray:
         """Rows of the given event ids; -1 for an id not in the log."""
         ids = np.asarray(event_ids, dtype=np.int64)
-        at = np.searchsorted(self._sorted_ids, ids)
-        found = at < np.searchsorted(self._sorted_ids, ids, "right")
-        return np.where(found, self._id_order[np.where(found, at, 0)], -1)
+        if not len(self):
+            return np.full(ids.shape, -1, dtype=self._id_order.dtype)
+        at = np.minimum(np.searchsorted(self._sorted_ids, ids), len(self) - 1)
+        return np.where(self._sorted_ids[at] == ids, self._id_order[at], -1)
 
     def token_rows(self, token: str) -> np.ndarray:
         """Rows of the events marked with the token, ascending."""

@@ -182,11 +182,13 @@ def _horner(x, coefs, monic=False):
 
 
 def _ndtr(a):
-    """Standard normal CDF by Cephes' ndtr, from the mass below -|a|:
-    erfc(|a|/sqrt 2)/2, taken as 1/2 - erf(|a|/sqrt 2)/2 for |a| < sqrt 2.
+    """Standard normal CDF and density at a.
 
-    The P/Q rational, which most arguments need, runs over the whole array on
-    arguments clipped into its range; T/U and R/S run on their own elements.
+    The CDF is Cephes' ndtr, from the mass below -|a|: erfc(|a|/sqrt 2)/2,
+    taken as 1/2 - erf(|a|/sqrt 2)/2 for |a| < sqrt 2. The P/Q rational, which
+    most arguments need, runs over the whole array on arguments clipped into
+    its range; T/U and R/S run on their own elements. The density is the
+    exp(-a^2/2) that erfc's tail already takes, scaled.
     """
     a = np.asarray(a, dtype=float)
     z = np.abs(a)
@@ -202,6 +204,7 @@ def _ndtr(a):
     tail = np.multiply(z, z)
     np.negative(tail, out=tail)
     np.exp(tail, out=tail)
+    density = tail * _INV_SQRT_2PI
     tail *= ratio
     tail *= 0.5
     near = z < 1.0
@@ -209,7 +212,7 @@ def _ndtr(a):
         zn = z[near]
         zz = zn * zn
         tail[near] = 0.5 - 0.5 * (zn * _horner(zz, _ERF_T) / _horner(zz, _ERF_U, monic=True))
-    return np.subtract(1.0, tail, out=tail, where=a > 0.0)
+    return np.subtract(1.0, tail, out=tail, where=a > 0.0), density
 
 
 @dataclass(frozen=True)
@@ -283,11 +286,14 @@ def _edge_probabilities(z, sign, mu_n, s_n, mu_w, s_w):
 
     Y ~ LN(mu_n, s_n) is the narrower component. The CDF is
     F(z) = int_0^z f_Y(y) Phi(u) dy with u = (log(z - y) - mu_w) / s_w. The
-    y-range is split at z/2 into two 32-node Gauss-Legendre panels: below it
-    the variable is Y's standard score t, above it r = log(z - y), which
-    resolves the steep part next to y = z. The survival function integrates
-    Phi(-u) instead and adds P(Y > y_c), where y_c is the top of the upper
-    panel, beyond which Phi(-u) = 1 to within Phi(-9).
+    y-range is split into two 32-node Gauss-Legendre panels at
+    y_s = z s_w / (s_n + s_w), where both standard scores change at one rate.
+    Below it the variable is Y's standard score t, and |du/dt| <= 1 there,
+    so the nodes that resolve f_Y also resolve Phi(u). Above it the variable
+    is r = log(z - y): u is linear in r, and t changes by at most 1/s_w per
+    unit of r, so both factors are resolved next to y = z. The survival
+    function integrates Phi(-u) instead and adds P(Y > y_c), where y_c is the
+    top of the upper panel, beyond which Phi(-u) = 1 to within Phi(-9).
 
     Returns the values and their gradient with respect to
     (mu_n, log s_n, mu_w, log s_w), taken under the integral: the scores of
@@ -296,40 +302,44 @@ def _edge_probabilities(z, sign, mu_n, s_n, mu_w, s_w):
     nodes, weights = _gauss_legendre()
     k = len(nodes)
     log_z = np.log(z)[:, None]
-    log_half = log_z - math.log(2.0)
     t = np.empty((len(z), 2 * k))
-    u = np.empty_like(t)
-    w = np.empty_like(t)
-    # Lower panel, y in (0, z/2]: standard score t of log y.
-    t_hi = np.minimum((log_half - mu_n) / s_n, _TAIL_Z)
+    # The arguments of Phi: u (signed below) in the first 2k columns, -t_c in the last.
+    a = np.empty((len(z), 2 * k + 1))
+    u = a[:, :-1]
+    # Lower panel, y in (0, y_s]: standard score t of log y.
+    t_hi = np.minimum((log_z + math.log(s_w / (s_n + s_w)) - mu_n) / s_n, _TAIL_Z)
     t_lo = np.minimum(-_TAIL_Z, t_hi - 2.0)
     t[:, :k] = t_lo + (t_hi - t_lo) * nodes
     u[:, :k] = (log_z + np.log1p(-np.exp(mu_n + s_n * t[:, :k] - log_z)) - mu_w) / s_w
-    w[:, :k] = (t_hi - t_lo) * weights * _phi(t[:, :k])
-    # Upper panel, y in (z/2, y_c): r = log(z - y), so u is linear in r.
-    r_hi = log_half
+    # Upper panel, y in (y_s, y_c): r = log(z - y), so u is linear in r.
+    r_hi = log_z + math.log(s_n / (s_n + s_w))
     r_lo = np.minimum(mu_w - _TAIL_Z * s_w, r_hi - 2.0)
     r = r_lo + (r_hi - r_lo) * nodes
-    gap = np.exp(r - log_z)  # (z - y) / z, at most 1/2
+    gap = np.exp(r - log_z)  # (z - y) / z, at most s_n / (s_n + s_w) <= 1/2
     t[:, k:] = (log_z + np.log1p(-gap) - mu_n) / s_n
     u[:, k:] = (r - mu_w) / s_w
-    w[:, k:] = (r_hi - r_lo) * weights * _phi(t[:, k:]) * gap / ((1.0 - gap) * s_n)
+    # Quadrature weights times f_Y's density in each panel's variable.
+    w = _phi(t)
+    w[:, :k] *= (t_hi - t_lo) * weights
+    w[:, k:] *= (r_hi - r_lo) * weights * gap / ((1.0 - gap) * s_n)
 
     # P(Y > y_c), for the survival function, rides along as one more column.
     t_c = (log_z[:, 0] + np.log1p(-np.exp(r_lo[:, 0] - log_z[:, 0])) - mu_n) / s_n
-    sign = sign[:, None]
-    p = _ndtr(np.concatenate([sign * u, -t_c[:, None]], axis=1))
+    u *= sign[:, None]
+    a[:, -1] = -t_c
+    p, dens = _ndtr(a)
+    # phi is even, so dens holds phi(u); in X's scores, sign * u is the signed u.
     wp = w * p[:, :-1]
-    wd = w * _phi(u) * sign
+    wd = w * dens[:, :-1]
     value = wp.sum(axis=1)
     grad = np.empty((len(z), 4))
-    grad[:, 0] = (wp * t).sum(axis=1) / s_n
-    grad[:, 1] = (wp * (t * t - 1.0)).sum(axis=1)
-    grad[:, 2] = -wd.sum(axis=1) / s_w
-    grad[:, 3] = -(wd * u).sum(axis=1)
+    grad[:, 0] = np.einsum("ij,ij->i", wp, t) / s_n
+    grad[:, 1] = np.einsum("ij,ij,ij->i", wp, t, t) - value
+    grad[:, 2] = -sign * wd.sum(axis=1) / s_w
+    grad[:, 3] = -np.einsum("ij,ij->i", wd, u)
 
-    upper = sign[:, 0] < 0
-    dens_c = np.where(upper, _phi(t_c), 0.0)
+    upper = sign < 0
+    dens_c = np.where(upper, dens[:, -1], 0.0)
     value += np.where(upper, p[:, -1], 0.0)
     grad[:, 0] += dens_c / s_n
     grad[:, 1] += dens_c * t_c

@@ -20,6 +20,9 @@ from .events import TS_BOUND, EventLog, SocialGraph
 from .simulate import BetaCurve, DelayModel, beta_of_inflow, check_rates, node_rates
 
 SECONDS_PER_HOUR = 3600
+# The largest expected post count of one node: numpy's Poisson sampler
+# rejects means from just under 2^63, and event ids are signed 64-bit.
+_MAX_EXPECTED_POSTS = float(1 << 62)
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,10 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     horizon_s = int(round(spec.horizon_hours * SECONDS_PER_HOUR))
 
     lam_out, lam_in = node_rates(graph, rng, spec.mu, spec.sigma)
+    posts = float(np.max(lam_out)) * spec.horizon_hours
+    if not posts < _MAX_EXPECTED_POSTS:
+        raise ValueError(f"mu = {spec.mu:g} and horizon_hours = {spec.horizon_hours:g} give "
+                         f"{posts:.3g} expected posts for one node, above 2^62")
     delay_bin = spec.delay_model.bin_index(lam_in)
 
     # Events under construction, one row each in creation order. Final ids are

@@ -965,6 +965,7 @@ def test_synth_rejects_bad_rates(tmp_path, runner, setting, key):
     ("", "", {"FEEDFLOW_CONTAGION__0__TOKEN": "a\nb"}, "contagion.0.token"),
     ("delay_bin.0.mu1 = 3.0", "delay_bin.0.mu1 = 800", {}, "delay_bin.0.mu1"),
     ("delay_bin.0.sigma2 = 0.5", "delay_bin.0.sigma2 = 70", {}, "delay_bin.0.mu2"),
+    ("mu = 2.0", "mu = 1e30", {}, "mu = 1e+30 and horizon_hours = 6"),
 ])
 def test_synth_rejects_values_its_log_cannot_hold(tmp_path, runner, old, new, env, key):
     cfg = tmp_path / "synth.cfg"

@@ -289,6 +289,16 @@ def test_event_log_span_and_indices():
         log_of([Event(1, 100, "a", EventKind.TWEET), Event(1, 200, "b", EventKind.TWEET)])
 
 
+def test_rows_of_matches_a_dict_of_ids():
+    assert log_of([]).rows_of([1, 2]).tolist() == [-1, -1]
+    rng = np.random.default_rng(4)
+    ids = rng.choice(np.arange(-50, 50), size=30, replace=False)
+    log = log_of([Event(int(i), int(rng.integers(0, 5)), "a", EventKind.TWEET) for i in ids])
+    row = {e.event_id: r for r, e in enumerate(events_of(log))}
+    query = np.arange(-60, 60)
+    assert log.rows_of(query).tolist() == [row.get(i, -1) for i in query.tolist()]
+
+
 def test_event_log_row_columns():
     log = log_of([
         Event(4, 300, "b", EventKind.RETWEET, orig_event_id=2, orig_author="a"),

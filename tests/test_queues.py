@@ -214,6 +214,40 @@ def test_bin_mass_gradient_matches_central_differences(params):
         assert np.all(np.abs(numeric - grad[:, j])[kept] <= 1e-5 * mass[kept]), j
 
 
+# One narrow component whose density peak lies in the upper part of (0, d):
+# (theta, delays) with the narrow sigma on either side of the pair.
+SMALL_SIGMA_CASES = [
+    ((1.0, 2.0, 5.0, 0.05), [150, 200, 234, 280]),
+    ((6.0, 0.01, 0.0, 3.0), [400, 451, 500]),
+]
+
+
+@pytest.mark.parametrize("params,delays", SMALL_SIGMA_CASES)
+def test_bin_masses_match_quadrature_at_small_sigma(params, delays):
+    got, _ = lognormal_sum_bin_masses(delays, *params)
+    for d, mass in zip(delays, got):
+        assert mass == pytest.approx(quad_bin_mass(d, *params), rel=1e-4), d
+
+
+@pytest.mark.parametrize("params,delays", SMALL_SIGMA_CASES)
+def test_bin_mass_gradient_matches_central_differences_at_small_sigma(params, delays):
+    # At sigma = 0.01 a step of 1e-5 has a truncation error above the tolerance.
+    mu1, s1, mu2, s2 = params
+    theta = np.array([mu1, math.log(s1), mu2, math.log(s2)])
+    mass, grad = lognormal_sum_bin_masses(delays, *params)
+    h = 1e-6
+    for j in range(4):
+        step = np.zeros(4)
+        step[j] = h
+        up, down = theta + step, theta - step
+        m_up, _ = lognormal_sum_bin_masses(
+            delays, up[0], math.exp(up[1]), up[2], math.exp(up[3]))
+        m_down, _ = lognormal_sum_bin_masses(
+            delays, down[0], math.exp(down[1]), down[2], math.exp(down[3]))
+        numeric = (m_up - m_down) / (2 * h)
+        assert np.all(np.abs(numeric - grad[:, j]) <= 1e-5 * mass), j
+
+
 def test_bin_masses_sum_to_one_and_clamp_at_zero():
     mass, _ = lognormal_sum_bin_masses(np.arange(0, 20_000), 3.0, 0.5, 2.0, 0.5)
     assert mass.sum() == pytest.approx(1.0, abs=1e-9)
@@ -250,6 +284,15 @@ def test_fit_lognormal_convolution_identifiable_for_distinct_components():
     assert all(0 < se <= 0.15 for se in ses)
 
 
+def test_fit_lognormal_convolution_evaluation_count():
+    # Criterion 9's truth on another seed. With the likelihood wrong along
+    # the sigma = 0.01 bound, one start wandered there: 197 evaluations.
+    rng = np.random.default_rng(3)
+    fit = fit_lognormal_convolution(sample_lognormal_sum(rng, 4.0, 0.3, 3.0, 1.2, 10_000))
+    assert fit.converged and fit.identifiable
+    assert fit.nfev <= 140
+
+
 def test_fit_lognormal_convolution_not_identifiable_for_equal_sigmas():
     rng = np.random.default_rng(0)
     fit = fit_lognormal_convolution(sample_lognormal_sum(rng, 3.0, 0.5, 2.0, 0.5, 2000))
@@ -261,8 +304,13 @@ def test_ndtr_matches_scipy():
     edges = np.concatenate([edges, -edges])
     x = np.concatenate([np.linspace(-37.0, 9.0, 460_001), edges,
                         np.nextafter(edges, 0.0), np.nextafter(edges, 2.0 * edges)])
-    np.testing.assert_allclose(queues._ndtr(x), special.ndtr(x), rtol=1e-14, atol=0.0)
-    assert queues._ndtr(np.array([-np.inf, 0.0, np.inf])).tolist() == [0.0, 0.5, 1.0]
+    cdf, density = queues._ndtr(x)
+    np.testing.assert_allclose(cdf, special.ndtr(x), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(density, np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                               rtol=1e-12, atol=0.0)
+    cdf, density = queues._ndtr(np.array([-np.inf, 0.0, np.inf]))
+    assert cdf.tolist() == [0.0, 0.5, 1.0]
+    assert density.tolist() == [0.0, 1.0 / math.sqrt(2.0 * math.pi), 0.0]
 
 
 def _lbfgsb(fun, x0, args, bounds):
