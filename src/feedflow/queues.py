@@ -138,6 +138,7 @@ _PGTOL = 1e-5           # L-BFGS-B's default projected-gradient tolerance
 _FTOL = 2.2e-9          # L-BFGS-B's default relative decrease, factr * machine epsilon
 _STALL = 3              # successive iterations under _FTOL that end a run
 _MAX_STEP = 2.0         # largest move of one parameter per step: a factor e^2 in a scale
+_EIG_FLOOR = 1e-8       # smallest Hessian eigenvalue a Newton step uses, relative to the largest
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -145,12 +146,17 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [0, 1].
 
-    Computed on first use, not at import: the eigenvalue solve behind them
-    starts the linear-algebra library, about 1 MiB of RSS that commands
-    without a fit would otherwise pay.
+    Golub-Welsch: the nodes are the eigenvalues of the Legendre Jacobi
+    matrix and each weight is twice the squared first component of its
+    eigenvector. numpy's leggauss would import numpy.polynomial, about 4 ms.
+    Computed on first use, not at import: the eigenvalue solve starts the
+    linear-algebra library, about 1 MiB of RSS that commands without a fit
+    would otherwise pay.
     """
-    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
-    return (x + 1.0) / 2.0, w / 2.0
+    k = np.arange(1.0, _GL_POINTS)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return (x + 1.0) / 2.0, v[0] ** 2
 
 
 # Cephes' rational approximations of erf and erfc (Moshier, 1989), highest
@@ -224,65 +230,75 @@ class MinimizeResult:
 
 
 def minimize(fun, x0, args, bounds) -> MinimizeResult:
-    """Minimize fun(x, *args) -> (value, gradient) on a box by projected BFGS.
+    """Minimize fun(x, *args) -> (value, gradient, Hessian) on a box by
+    projected Newton steps.
 
     bounds holds one (lo, hi) pair per variable, None for no bound. Each
     iteration freezes the variables at a bound whose gradient points out of
-    the box, steps along a dense inverse-Hessian direction in the others (no
-    variable moving more than _MAX_STEP) and halves the projected step until
-    it decreases fun enough (Armijo). The stopping rules are L-BFGS-B's
-    defaults: a projected gradient of at most _PGTOL, or a relative decrease
-    of at most _FTOL, here on _STALL successive iterations, since on a flat
-    ridge one short step is no sign of a minimum.
+    the box and steps along the Newton direction of the others. That
+    direction solves with their Hessian after each eigenvalue is replaced by
+    its absolute value, floored at _EIG_FLOOR times the largest, so it
+    descends where the Hessian is indefinite or singular. No variable moves
+    more than _MAX_STEP, and the projected step is halved until it decreases
+    fun enough (Armijo). The stopping rules are L-BFGS-B's defaults: a
+    projected gradient of at most _PGTOL, or a relative decrease of at most
+    _FTOL, here on _STALL successive iterations, since on a flat ridge one
+    short step is no sign of a minimum. An evaluation of fun counts once.
     """
     n = len(x0)
     lo = np.array([-np.inf if b is None else b for b, _ in bounds])
     hi = np.array([np.inf if b is None else b for _, b in bounds])
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g = fun(x, *args)
+    f, g, h = fun(x, *args)
     nfev, stalled = 1, 0
-    h, scaled = np.eye(n), False
     for _ in range(_MAX_ITER):
         if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= _PGTOL:
             return MinimizeResult(x, f, nfev, True)
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        eig, vec = np.linalg.eigh(h[np.ix_(free, free)])
+        eig = np.abs(eig)
+        eig = np.maximum(eig, _EIG_FLOOR * eig.max())
         d = np.zeros(n)
-        d[free] = -h[np.ix_(free, free)] @ g[free]
-        if g @ d >= 0:  # not a descent direction: restart from steepest descent
-            h, scaled = np.eye(n), False
-            d = np.where(free, -g, 0.0)
+        d[free] = -vec @ ((vec.T @ g[free]) / eig)
         step = min(1.0, _MAX_STEP / np.max(np.abs(d)))
-        if not scaled:  # no curvature seen yet: a first step of unit length
-            step = min(step, 1.0 / np.linalg.norm(d))
         while True:
             x_new = np.clip(x + step * d, lo, hi)
-            f_new, g_new = fun(x_new, *args)
+            f_new, g_new, h_new = fun(x_new, *args)
             nfev += 1
             if f_new <= f + 1e-4 * (g @ (x_new - x)):
                 break
             step /= 2.0
             if step < 1e-20:
                 return MinimizeResult(x, f, nfev, False)
-        s, y = x_new - x, g_new - g
         stalled = stalled + 1 if f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0) else 0
-        x, f, g = x_new, f_new, g_new
+        x, f, g, h = x_new, f_new, g_new, h_new
         if stalled == _STALL:
             return MinimizeResult(x, f, nfev, True)
-        sy = s @ y
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            if not scaled:
-                h, scaled = h * (sy / (y @ y)), True
-            hy = h @ y
-            h += (np.outer(s, s) * (1.0 + (y @ hy) / sy) - np.outer(hy, s) - np.outer(s, hy)) / sy
     return MinimizeResult(x, f, nfev, False)
+
+
+def _moments(a, x, out):
+    """Row sums of a * x**i into out[i], i = 0, 1, ...; a is overwritten.
+
+    A matrix-vector product sums short rows about twice as fast as sum(axis=1).
+    """
+    one = np.ones(a.shape[1])
+    np.matmul(a, one, out=out[0])
+    for row in out[1:]:
+        a *= x
+        np.matmul(a, one, out=row)
 
 
 def _phi(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def _edge_probabilities(z, sign, mu_n, s_n, mu_w, s_w):
-    """CDF (sign +1) or survival function (sign -1) of Y + X at edges z > 0.
+_N_SUMS = 18  # rows of _edge_sums
+
+
+def _edge_sums(z, sign, mu_n, s_n, mu_w, s_w) -> np.ndarray:
+    """Quadrature sums behind the CDF (sign +1) or survival function (sign -1)
+    of Y + X at edges z > 0 and their derivatives; _derivatives combines them.
 
     Y ~ LN(mu_n, s_n) is the narrower component. The CDF is
     F(z) = int_0^z f_Y(y) Phi(u) dy with u = (log(z - y) - mu_w) / s_w. The
@@ -295,9 +311,18 @@ def _edge_probabilities(z, sign, mu_n, s_n, mu_w, s_w):
     function integrates Phi(-u) instead and adds P(Y > y_c), where y_c is the
     top of the upper panel, beyond which Phi(-u) = 1 to within Phi(-9).
 
-    Returns the values and their gradient with respect to
-    (mu_n, log s_n, mu_w, log s_w), taken under the integral: the scores of
-    f_Y for Y's parameters and the derivative of u for X's.
+    The derivatives with respect to (mu_n, log s_n, mu_w, log s_w) are taken
+    under the integral: f_Y's are f_Y times polynomials in t, Phi's are phi(u)
+    times polynomials in u, and the cross terms are products of the two. So
+    each is a fixed combination of these sums over the nodes, one column per
+    edge, with p = Phi(sign u) and w the quadrature weight times f_Y:
+      0-4    sign * sum w p t^i, i = 0..4
+      5-8    sum w phi(u) u^j, j = 0..3
+      9-10   sum w phi(u) t u^j, j = 0, 1
+      11-12  sum w phi(u) t^2 u^j, j = 0, 1
+      13-17  -P(Y > y_c) and -phi(t_c) t_c^i, i = 0..3, where sign is -1; else 0
+    The sign makes every row a derivative of the CDF, less 1 where the
+    survival function is used: Phi(-u) = 1 - Phi(u).
     """
     nodes, weights = _gauss_legendre()
     k = len(nodes)
@@ -328,22 +353,53 @@ def _edge_probabilities(z, sign, mu_n, s_n, mu_w, s_w):
     u *= sign[:, None]
     a[:, -1] = -t_c
     p, dens = _ndtr(a)
-    # phi is even, so dens holds phi(u); in X's scores, sign * u is the signed u.
-    wp = w * p[:, :-1]
+    u *= sign[:, None]  # phi is even, so dens holds phi(u) for the unsigned u too
+    sums = np.empty((_N_SUMS, len(z)))
+    _moments(w * p[:, :-1], t, sums[0:5])
+    sums[0:5] *= sign
     wd = w * dens[:, :-1]
-    value = wp.sum(axis=1)
-    grad = np.empty((len(z), 4))
-    grad[:, 0] = np.einsum("ij,ij->i", wp, t) / s_n
-    grad[:, 1] = np.einsum("ij,ij,ij->i", wp, t, t) - value
-    grad[:, 2] = -sign * wd.sum(axis=1) / s_w
-    grad[:, 3] = -np.einsum("ij,ij->i", wd, u)
+    wdt = wd * t
+    wdtt = wdt * t
+    _moments(wd, u, sums[5:9])
+    _moments(wdt, u, sums[9:11])
+    _moments(wdtt, u, sums[11:13])
+    survival = np.minimum(sign, 0.0)  # -1 where the survival function is used, else 0
+    np.multiply(survival, p[:, -1], out=sums[13])
+    np.multiply(survival, dens[:, -1], out=sums[14])
+    for i in range(15, 18):
+        np.multiply(sums[i - 1], t_c, out=sums[i])
+    return sums
 
-    upper = sign < 0
-    dens_c = np.where(upper, dens[:, -1], 0.0)
-    value += np.where(upper, p[:, -1], 0.0)
-    grad[:, 0] += dens_c / s_n
-    grad[:, 1] += dens_c * t_c
-    return value, grad
+
+def _derivatives(sums, s_n, s_w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The value, gradient and Hessian with respect to
+    (mu_n, log s_n, mu_w, log s_w) that columns of _edge_sums give.
+
+    Every result is linear in the sums, so a difference of columns gives the
+    derivatives of a difference of CDFs.
+    """
+    p0, p1, p2, p3, p4, d0, d1, d2, d3, dt, dtu, dtt, dttu, c0, c1, c2, c3, c4 = sums
+    grad = np.empty((sums.shape[1], 4))
+    hess = np.empty((sums.shape[1], 4, 4))
+    # f_Y's scores in mu_n and log s_n are t/s_n and t^2 - 1.
+    grad[:, 0] = (p1 + c1) / s_n
+    grad[:, 1] = p2 - p0 + c2
+    hess[:, 0, 0] = (p2 - p0 + c2) / (s_n * s_n)
+    hess[:, 0, 1] = (p3 - 3.0 * p1 + c3 - c1) / s_n
+    hess[:, 1, 1] = p4 - 4.0 * p2 + p0 + c4 - c2
+    # Phi(u)'s derivatives in mu_w and log s_w are -phi(u)/s_w and -u phi(u).
+    grad[:, 2] = -d0 / s_w
+    grad[:, 3] = -d1
+    hess[:, 2, 2] = -d1 / (s_w * s_w)
+    hess[:, 2, 3] = (d0 - d2) / s_w
+    hess[:, 3, 3] = d1 - d3
+    hess[:, 0, 2] = -dt / (s_n * s_w)
+    hess[:, 0, 3] = -dtu / s_n
+    hess[:, 1, 2] = (d0 - dtt) / s_w
+    hess[:, 1, 3] = d1 - dttu
+    lower = np.tril_indices(4, -1)
+    hess[:, lower[0], lower[1]] = hess[:, lower[1], lower[0]]
+    return p0 + c0, grad, hess
 
 
 def _bin_edges(delays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,8 +410,9 @@ def _bin_edges(delays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, index[: len(delays)], index[len(delays):]
 
 
-def _bin_masses(theta, edges, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Bin masses and their gradient with respect to (mu1, log s1, mu2, log s2).
+def _bin_masses(theta, edges, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin masses, their gradient and their Hessian with respect to
+    (mu1, log s1, mu2, log s2).
 
     Edges up to exp(mu1) + exp(mu2), where the CDF is between 1/4 and 3/4, use
     the CDF and the rest the survival function, so that no mass is the
@@ -366,21 +423,18 @@ def _bin_masses(theta, edges, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     s1, s2 = math.exp(log_s1), math.exp(log_s2)
     if s1 <= s2:
         narrow, order = (mu1, s1, mu2, s2), [0, 1, 2, 3]
-    else:
+    else:  # the swap is its own inverse
         narrow, order = (mu2, s2, mu1, s1), [2, 3, 0, 1]
     with np.errstate(divide="ignore"):  # log(0) = -inf: the clamped edge 0 is below it
         sign = np.where(np.log(edges) <= np.logaddexp(mu1, mu2), 1.0, -1.0)
-    value = np.zeros(len(edges))
-    grad = np.zeros((len(edges), 4))
-    first = int(edges[0] <= 0.0)  # the CDF at the clamped edge 0 is 0
+    sums = np.zeros((_N_SUMS, len(edges)))
+    first = int(len(edges) > 0 and edges[0] <= 0.0)  # the CDF at the clamped edge 0 is 0
     for i in range(first, len(edges), _EDGE_BLOCK):
         block = slice(i, i + _EDGE_BLOCK)
-        value[block], grad[block][:, order] = _edge_probabilities(
-            edges[block], sign[block], *narrow
-        )
-    s_lo, s_hi = sign[lo], sign[hi]
-    mass = s_hi * value[hi] - s_lo * value[lo] + (s_lo != s_hi)
-    return mass, s_hi[:, None] * grad[hi] - s_lo[:, None] * grad[lo]
+        sums[:, block] = _edge_sums(edges[block], sign[block], *narrow)
+    mass, grad, hess = _derivatives(sums[:, hi] - sums[:, lo], narrow[1], narrow[3])
+    mass += sign[lo] != sign[hi]
+    return mass, grad[:, order], hess[:, order][:, :, order]
 
 
 def lognormal_sum_bin_masses(
@@ -393,37 +447,24 @@ def lognormal_sum_bin_masses(
     """
     d = np.atleast_1d(np.asarray(delays, dtype=float))
     theta = (mu1, math.log(sigma1), mu2, math.log(sigma2))
-    return _bin_masses(theta, *_bin_edges(d))
+    mass, grad, _ = _bin_masses(theta, *_bin_edges(d))
+    return mass, grad
 
 
-def _interval_nll(theta, edges, lo, hi, weights) -> tuple[float, np.ndarray]:
-    """Weighted negative interval log-likelihood and its gradient."""
-    mass, grad = _bin_masses(theta, edges, lo, hi)
+def _interval_nll(theta, edges, lo, hi, weights) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted negative interval log-likelihood, its gradient and its Hessian.
+
+    The Hessian is sum w (g g^T / m^2 - H_m / m) over the bins, from each
+    mass m and its gradient g and Hessian H_m. Bins at the mass floor add
+    nothing to either derivative.
+    """
+    mass, grad, hess = _bin_masses(theta, edges, lo, hi)
     kept = mass > _MASS_FLOOR
     mass = np.where(kept, mass, _MASS_FLOOR)
-    return -float(weights @ np.log(mass)), -((weights * kept / mass) @ grad)
-
-
-def _standard_errors(theta, bins, counts, step: float = 1e-4) -> tuple[np.ndarray, bool]:
-    """Standard errors of (mu1, log s1, mu2, log s2) from the observed information.
-
-    The information is a central difference of the analytic gradient of the
-    negative log-likelihood. Returns nan errors and False when it is not
-    positive definite.
-    """
-    info = np.empty((4, 4))
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = step
-        info[:, j] = (
-            _interval_nll(theta + e, *bins, counts)[1] - _interval_nll(theta - e, *bins, counts)[1]
-        ) / (2.0 * step)
-    info = (info + info.T) / 2.0
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        return np.full(4, np.nan), False
-    return np.sqrt(np.diag(np.linalg.inv(info))), True
+    c = weights * kept
+    score = grad / mass[:, None]
+    info = (score.T * c) @ score - np.einsum("i,ijk->jk", c / mass, hess)
+    return -float(weights @ np.log(mass)), -(c @ score), info
 
 
 def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFit:
@@ -432,8 +473,9 @@ def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFi
     Delays are whole seconds: each positive delay is rounded to the nearest
     second (halves to even) and the likelihood is that of the interval
     (d - 1/2, d + 1/2], evaluated once per distinct delay. It is maximized
-    by `minimize` with its analytic gradient from four moment-based starting
-    points. Components are reported with mu1 >= mu2 (the slower one first).
+    by `minimize` with its analytic gradient and Hessian from four
+    moment-based starting points. Components are reported with mu1 >= mu2
+    (the slower one first).
     """
     d = np.asarray(delays, dtype=float)
     n_rejected = int((d <= 0).sum())
@@ -465,7 +507,14 @@ def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFi
             best = res
     if best is None or not np.isfinite(best.fun):
         raise FitConvergenceError("optimizer failed to produce a finite likelihood")
-    se, positive_definite = _standard_errors(best.x, bins, counts)
+    # Standard errors from the observed information: the Hessian at the fit.
+    info = _interval_nll(best.x, *bins, counts)[2]
+    try:
+        np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        se, positive_definite = np.full(4, np.nan), False
+    else:
+        se, positive_definite = np.sqrt(np.diag(np.linalg.inv(info))), True
     mu1, log_s1, mu2, log_s2 = best.x
     s1, s2 = math.exp(log_s1), math.exp(log_s2)
     se_mu1, se_s1, se_mu2, se_s2 = se * (1.0, s1, 1.0, s2)  # delta method for sigma

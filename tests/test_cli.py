@@ -1136,6 +1136,9 @@ NOT_LOADED = {
     "simulate": (["simulate", "--model", "ct", "--graph", "{graph}", "--config", "{sim}",
                   "--seed", "3", "--out", "{out}"], {"feedflow.synth", "feedflow.graphgen"}),
     "queues": (["queues", *INPUTS, "--out", "{out}"], {"feedflow.flows"} | OPENSSL),
+    # leggauss would import numpy.polynomial, about 4 ms and 9 modules.
+    "queues-fit": (["queues", *INPUTS, "--out", "{out}", "--fit-delays", "{out}.fit"],
+                   {"numpy.polynomial", "feedflow.flows"} | OPENSSL),
     "exposure": (["exposure", *INPUTS, "--token", "tok", "--out", "{out}"], OPENSSL),
     "graphgen": (["graphgen", "--initiator", "0.9,0.5,0.5,0.3", "--k", "4", "--target-edges",
                   "30", "--seed", "1", "--out", "{out}"], set()),

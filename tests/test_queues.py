@@ -248,6 +248,75 @@ def test_bin_mass_gradient_matches_central_differences_at_small_sigma(params, de
         assert np.all(np.abs(numeric - grad[:, j]) <= 1e-5 * mass), j
 
 
+def _bin_mass_hessian_errors(params, delays, h):
+    """|central difference of the analytic gradient - analytic Hessian| per bin,
+    and the masses."""
+    mu1, s1, mu2, s2 = params
+    theta = np.array([mu1, math.log(s1), mu2, math.log(s2)])
+    bins = queues._bin_edges(np.asarray(delays, dtype=float))
+    mass, _, hess = queues._bin_masses(theta, *bins)
+    errors = np.empty_like(hess)
+    for j in range(4):
+        step = np.zeros(4)
+        step[j] = h
+        numeric = (queues._bin_masses(theta + step, *bins)[1]
+                   - queues._bin_masses(theta - step, *bins)[1]) / (2 * h)
+        errors[:, :, j] = np.abs(numeric - hess[:, :, j])
+    return errors, mass
+
+
+def _nll_hessian_errors(params, delays, h):
+    """|central difference of the analytic nll gradient - analytic nll Hessian|,
+    with equal weights on the delays whose bins hold more than 1e-10."""
+    mu1, s1, mu2, s2 = params
+    theta = np.array([mu1, math.log(s1), mu2, math.log(s2)])
+    mass, _ = lognormal_sum_bin_masses(delays, *params)
+    d = np.asarray(delays, dtype=float)[mass > 1e-10]
+    bins = queues._bin_edges(d)
+    weights = np.full(len(d), 1.0 / len(d))
+    _, _, info = queues._interval_nll(theta, *bins, weights)
+    errors = np.empty((4, 4))
+    for j in range(4):
+        step = np.zeros(4)
+        step[j] = h
+        numeric = (queues._interval_nll(theta + step, *bins, weights)[1]
+                   - queues._interval_nll(theta - step, *bins, weights)[1]) / (2 * h)
+        errors[:, j] = np.abs(numeric - info[:, j])
+    return errors
+
+
+@pytest.mark.parametrize("params", BIN_PARAMS)
+def test_bin_mass_hessian_matches_central_differences(params):
+    errors, mass = _bin_mass_hessian_errors(params, BIN_DELAYS, 1e-5)
+    kept = mass > 1e-10
+    assert np.all(errors[kept] <= 1e-5 * mass[kept, None, None])
+    assert np.all(_nll_hessian_errors(params, BIN_DELAYS, 1e-5) <= 1e-5)
+
+
+@pytest.mark.parametrize("params,delays", SMALL_SIGMA_CASES)
+def test_bin_mass_hessian_matches_central_differences_at_small_sigma(params, delays):
+    # Each derivative in the narrow mu scales by 1/sigma. The 32-node panels
+    # get the mu-mu entry, of size mass/sigma^2, to about 1e-8 of itself: 2e-5
+    # and 9e-5 of the mass here, no worse than the central difference does
+    # against 128 nodes. So the tolerance carries one factor 1/sigma.
+    tol = 1e-5 / min(params[1], params[3])
+    errors, mass = _bin_mass_hessian_errors(params, delays, 1e-6)
+    assert np.all(errors <= tol * mass[:, None, None])
+    assert np.all(_nll_hessian_errors(params, delays, 1e-6) <= tol)
+
+
+def test_bin_masses_of_no_delays_are_empty():
+    mass, grad = lognormal_sum_bin_masses([], 3.0, 0.5, 2.0, 0.5)
+    assert mass.shape == (0,) and grad.shape == (0, 4)
+
+
+def test_gauss_legendre_nodes_match_leggauss():
+    x, w = np.polynomial.legendre.leggauss(queues._GL_POINTS)
+    nodes, weights = queues._gauss_legendre()
+    np.testing.assert_allclose(nodes, (x + 1.0) / 2.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(weights, w / 2.0, rtol=0.0, atol=1e-15)
+
+
 def test_bin_masses_sum_to_one_and_clamp_at_zero():
     mass, _ = lognormal_sum_bin_masses(np.arange(0, 20_000), 3.0, 0.5, 2.0, 0.5)
     assert mass.sum() == pytest.approx(1.0, abs=1e-9)
@@ -293,6 +362,32 @@ def test_fit_lognormal_convolution_evaluation_count():
     assert fit.nfev <= 140
 
 
+def test_fit_lognormal_convolution_evaluation_count_with_newton_steps():
+    rng = np.random.default_rng(3)
+    fit = fit_lognormal_convolution(sample_lognormal_sum(rng, 4.0, 0.3, 3.0, 1.2, 10_000))
+    assert fit.converged and fit.nfev <= 70
+
+
+def test_standard_errors_match_central_differences():
+    # Criterion 9's sample: the observed information from the analytic Hessian
+    # against a central difference of the analytic gradient.
+    d = sample_lognormal_sum(np.random.default_rng(0), 4.0, 0.3, 3.0, 1.2, 10_000)
+    fit = fit_lognormal_convolution(d)
+    values, counts = np.unique(np.rint(d), return_counts=True)
+    bins = queues._bin_edges(values)
+    theta = np.array([fit.mu1, math.log(fit.sigma1), fit.mu2, math.log(fit.sigma2)])
+    info = np.empty((4, 4))
+    h = 1e-4
+    for j in range(4):
+        step = np.zeros(4)
+        step[j] = h
+        info[:, j] = (queues._interval_nll(theta + step, *bins, counts)[1]
+                      - queues._interval_nll(theta - step, *bins, counts)[1]) / (2 * h)
+    se = np.sqrt(np.diag(np.linalg.inv((info + info.T) / 2))) * (1.0, fit.sigma1, 1.0, fit.sigma2)
+    got = (fit.se_mu1, fit.se_sigma1, fit.se_mu2, fit.se_sigma2)
+    np.testing.assert_allclose(got, se, rtol=1e-3)
+
+
 def test_fit_lognormal_convolution_not_identifiable_for_equal_sigmas():
     rng = np.random.default_rng(0)
     fit = fit_lognormal_convolution(sample_lognormal_sum(rng, 3.0, 0.5, 2.0, 0.5, 2000))
@@ -314,8 +409,10 @@ def test_ndtr_matches_scipy():
 
 
 def _lbfgsb(fun, x0, args, bounds):
-    return optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", bounds=bounds,
-                             options={"maxiter": queues._MAX_ITER})
+    def value_and_gradient(x, *a):
+        return fun(x, *a)[:2]
+    return optimize.minimize(value_and_gradient, x0, args=args, jac=True, method="L-BFGS-B",
+                             bounds=bounds, options={"maxiter": queues._MAX_ITER})
 
 
 # (truth, size, seed): criterion 9's identifiable sample, the equal-sigma
@@ -347,7 +444,7 @@ def test_minimize_matches_scipy_lbfgsb(name, monkeypatch):
 
 def test_minimize_respects_bounds_and_counts_evaluations():
     def quadratic(x):
-        return float((x - 3.0) @ (x - 3.0)), 2.0 * (x - 3.0)
+        return float((x - 3.0) @ (x - 3.0)), 2.0 * (x - 3.0), 2.0 * np.eye(len(x))
 
     res = queues.minimize(quadratic, np.zeros(2), (), [(None, None), (-1.0, 1.0)])
     assert res.success and res.nfev > 1
