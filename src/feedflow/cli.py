@@ -23,6 +23,11 @@ from . import __version__
 if TYPE_CHECKING:
     from .events import EventLog, SocialGraph
 
+# numpy's OpenBLAS otherwise starts a worker thread at import that spins beside this one, and
+# no BLAS call in feedflow is large enough for it to help. A caller's own setting is kept.
+# This runs at import, not in main(), because perfbench/tracer.py imports numpy before main().
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 
 def _deferred(module: str, names: str) -> Iterator[Callable]:
     """Stand-ins for callables of feedflow.<module> that import it when called, so that a

@@ -473,7 +473,7 @@ def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFi
     Delays are whole seconds: each positive delay is rounded to the nearest
     second (halves to even) and the likelihood is that of the interval
     (d - 1/2, d + 1/2], evaluated once per distinct delay. It is maximized
-    by `minimize` with its analytic gradient and Hessian from four
+    by `minimize` with its analytic gradient and Hessian from two
     moment-based starting points. Components are reported with mu1 >= mu2
     (the slower one first).
     """
@@ -492,10 +492,8 @@ def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFi
     m = float(weights @ logs)
     s = max(math.sqrt(float(weights @ (logs - m) ** 2)), 0.05)
     starts = [
-        (m - 0.2, math.log(s), m - 1.5, math.log(s)),
         (m - 0.7, math.log(s * 1.2), m - 0.7, math.log(s * 0.6)),
         (m - 0.1, math.log(s * 0.7), m - 2.5, math.log(s * 1.5)),
-        (m - 1.0, math.log(s), m - 1.0, math.log(s)),
     ]
     bounds = [(None, None), _LOG_SIGMA_BOUNDS, (None, None), _LOG_SIGMA_BOUNDS]
     best = None

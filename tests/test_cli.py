@@ -1158,6 +1158,32 @@ def test_command_loads_only_the_modules_it_runs(workspace, tmp_path, command):
     assert sorted(loaded & (forbidden | {"importlib.metadata"})) == []
 
 
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")])
+def test_cli_runs_openblas_on_one_thread_unless_told(workspace, given, seen):
+    # Importing feedflow.cli sets the variable in this process too, so each case removes it
+    # from the child's environment before setting its own.
+    script = (
+        "import json, os, sys\n"
+        "from feedflow.cli import main\n"
+        "main(sys.argv[1:], standalone_mode=False)\n"
+        "task = '/proc/self/task'\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                  len(os.listdir(task)) if os.path.isdir(task) else None]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", script, "validate", "--log",
+                           str(workspace / "log.tsv")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert value == seen
+    if given is None and threads is not None:
+        assert threads == 1
+
+
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0

@@ -368,6 +368,29 @@ def test_fit_lognormal_convolution_evaluation_count_with_newton_steps():
     assert fit.converged and fit.nfev <= 70
 
 
+def test_fit_lognormal_convolution_evaluation_count_from_two_starts():
+    rng = np.random.default_rng(3)
+    fit = fit_lognormal_convolution(sample_lognormal_sum(rng, 4.0, 0.3, 3.0, 1.2, 10_000))
+    assert fit.converged and fit.nfev <= 35
+
+
+def test_no_start_gives_both_components_the_same_parameters(monkeypatch):
+    # The likelihood is symmetric under swapping the components, so from such a start
+    # every step keeps them equal and the run cannot reach a two-component fit.
+    starts = []
+    minimize = queues.minimize
+
+    def recording(fun, x0, args, bounds):
+        starts.append(np.array(x0))
+        return minimize(fun, x0, args, bounds)
+
+    monkeypatch.setattr(queues, "minimize", recording)
+    rng = np.random.default_rng(0)
+    fit_lognormal_convolution(sample_lognormal_sum(rng, 4.0, 0.3, 3.0, 1.2, 2000))
+    assert starts
+    assert [x0 for x0 in starts if np.array_equal(x0[:2], x0[2:])] == []
+
+
 def test_standard_errors_match_central_differences():
     # Criterion 9's sample: the observed information from the analytic Hessian
     # against a central difference of the analytic gradient.
