@@ -12,9 +12,10 @@ import csv
 import dataclasses
 import functools
 import importlib
+import io
 import math
 import os
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TextIO
 
 import click
 
@@ -113,6 +114,9 @@ def _parse_window(window: Optional[str], log: EventLog) -> tuple[int, int]:
     return (lo, hi)
 
 
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
 class _Outputs:
     """A command's outputs, staged in temp files next to their targets.
 
@@ -142,12 +146,25 @@ class _Outputs:
         self._staged.append((tmp, path))
         return fh
 
-    def write_csv(self, path: str, header: str, rows: Iterable[Sequence]) -> None:
-        """A CSV file; fields holding a comma or a quote are quoted."""
+    def write_csv(self, path: str, header: str, columns: Sequence) -> None:
+        """A CSV file of the header and a line per row of the columns, through
+        events.write_table; a text is quoted as csv.writer quotes a field."""
+        from .events import write_table
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+
+        def quoted(text: str) -> str:  # as the second field of a row: csv quotes a lone ""
+            if _CSV_SPECIAL.isdisjoint(text):  # csv quotes only a text holding one of them
+                return text
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(["", text])
+            return buf.getvalue()[1:-1]
+
         with self.open(path) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header.split(","))
-            writer.writerows(rows)
+            fh.write(header + "\n")
+            write_table(fh, [(list(map(quoted, c[0])), c[1]) if isinstance(c, tuple) else c
+                             for c in columns], ",")
 
     def commit(self, command: str, cfg: dict, inputs: list[str], seed,
                fit: Optional[dict] = None) -> None:
@@ -218,20 +235,16 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
     lam, lam_r = received / hours, forwarded / hours
     beta_r = np.divide(forwarded, received, out=np.zeros(len(received)), where=received > 0)
     with _Outputs() as out:
-        out.write_csv(out_path, "user,lambda,lambda_r,beta_r,F", (
-            [user, f"{a:.10g}", f"{b:.10g}", f"{c:.10g}", f] for user, a, b, c, f in zip(
-                graph.nodes, lam.tolist(), lam_r.tolist(), beta_r.tolist(),
-                counts.followees.tolist())
-        ))
+        out.write_csv(out_path, "user,lambda,lambda_r,beta_r,F", [
+            (graph.nodes, np.arange(len(graph.nodes))), lam, lam_r, beta_r, counts.followees])
         if curve_path:
             eligible = received >= min_received
             curve = log_binned_curve(lam[eligible], beta_r[eligible],
                                      bins_per_decade=bins_per_decade)
-            out.write_csv(curve_path, "bin_lo,bin_hi,n,mean,median,p10,p90", (
-                [f"{b.lo:.10g}", f"{b.hi:.10g}", b.n, f"{b.mean:.10g}",
-                 f"{b.median:.10g}", f"{b.p10:.10g}", f"{b.p90:.10g}"]
-                for b in curve
-            ))
+            table = np.array([(b.lo, b.hi, b.n, b.mean, b.median, b.p10, b.p90)
+                              for b in curve]).reshape(-1, 7).T
+            out.write_csv(curve_path, "bin_lo,bin_hi,n,mean,median,p10,p90",
+                          [*table[:2], table[2].astype(np.int64), *table[3:]])
         out.commit("flows", {"window": list(win), "min_received": min_received},
                    [log_path, graph_path], None)
 
@@ -258,16 +271,9 @@ def queues(log_path, graph_path, window, out_path, source, fit_path):
     n_out_of_feed = sum(n for _, n in parts)
     click.echo(f"{len(columns.q)} queue records, {n_out_of_feed} out-of-feed forwards")
     user = np.repeat(np.arange(len(graph.nodes)), [len(c.q) for c, _ in parts])
-
-    def records():  # _ROW_BLOCK rows at a time: bounds the tolist() copies
-        from .events import _ROW_BLOCK
-        for lo in range(0, len(user), _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            yield from zip(map(graph.nodes.__getitem__, user[rows].tolist()),
-                           *(col[rows].tolist() for col in columns))
-
     with _Outputs() as out:
-        out.write_csv(out_path, "user,retweet_id,orig_id,q,delay_s", records())
+        out.write_csv(out_path, "user,retweet_id,orig_id,q,delay_s",
+                      [(graph.nodes, user), *columns])
         report = None
         if fit_path:
             fit = fit_lognormal_convolution(columns.delay_s)
@@ -297,11 +303,8 @@ def sources(log_path, graph_path, window, out_path):
     followees = counts.followees
     p_src = np.divide(source_set, followees, out=np.zeros(len(followees)), where=followees > 0)
     with _Outputs() as out:
-        out.write_csv(out_path, "user,F,S_r,p_src,out_of_feed", (
-            [user, f, s, f"{p:.10g}", o] for user, f, s, p, o in zip(
-                graph.nodes, followees.tolist(), source_set.tolist(), p_src.tolist(),
-                out_of_feed.tolist())
-        ))
+        out.write_csv(out_path, "user,F,S_r,p_src,out_of_feed", [
+            (graph.nodes, np.arange(len(graph.nodes))), followees, source_set, p_src, out_of_feed])
         out.commit("sources", {"window": list(win)}, [log_path, graph_path], None)
 
 
@@ -336,12 +339,12 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
             continue
         curves = [exposure_curve(trace, users) for trace in traces]
         agg = aggregate_curves(curves, mode=aggregate)
-        for k in range(agg.k_max + 1):
-            p = agg.p[k]
-            rows.append([f"{lo:.10g}", f"{hi:.10g}", k, f"{agg.e[k]:.10g}",
-                         f"{agg.i[k]:.10g}", "" if p != p else format(p, ".10g")])
-    with _Outputs() as out:
-        out.write_csv(out_path, "group_lo,group_hi,k,E,I,P", rows)
+        rows += [(lo, hi, k, *eip) for k, eip in enumerate(zip(agg.e, agg.i, agg.p))]
+    import numpy as np
+    table = np.array(rows).reshape(-1, 6).T
+    with _Outputs() as out:  # an undefined P (NaN) is an empty field
+        out.write_csv(out_path, "group_lo,group_hi,k,E,I,P",
+                      [*table[:2], table[2].astype(np.int64), *table[3:]])
         out.commit("exposure", {"window": list(win), "tokens": list(tokens),
                                 "ranges": ranges, "aggregate": aggregate},
                    [log_path, graph_path], None)
@@ -402,19 +405,16 @@ def simulate(model, graph_path, config_path, seed, workers, out_path, report_pat
     )
     run = simulate_ic_bg if model == "ic" else simulate_ct_bg
     cascades = run(graph, sim_cfg)
+    import numpy as np  # after the run: imported before, the run's peak RSS read 0.3-0.9 MiB more
     size, duration = cascades.size, cascades.duration
     with _Outputs() as out:
-        out.write_csv(out_path, "cascade_id,seed_node,size,duration", (
-            [cascade_id, graph.nodes[seed], n, f"{d:.10g}"] for cascade_id, (seed, n, d)
-            in enumerate(zip(cascades.seed.tolist(), size.tolist(), duration.tolist()))
-        ))
+        out.write_csv(out_path, "cascade_id,seed_node,size,duration", [
+            np.arange(len(size)), (graph.nodes, cascades.seed), size, duration])
         if report_path:
             size_ccdf, duration_ccdf = distribution_report(size, duration)
+            table = np.array([*size_ccdf, *duration_ccdf], float).reshape(-1, 2)
             out.write_csv(report_path, "metric,value,ccdf", [
-                [metric, f"{v:.10g}", f"{c:.10g}"]
-                for metric, table in (("size", size_ccdf), ("duration", duration_ccdf))
-                for v, c in table
-            ])
+                (("size", "duration"), np.arange(len(table)) >= len(size_ccdf)), *table.T])
             if not duration_ccdf:
                 click.echo("note: no cascades with 2+ nodes; duration table empty", err=True)
         out.commit("simulate", dict(cfg) | {"model": model, "workers": workers},

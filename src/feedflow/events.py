@@ -9,8 +9,6 @@ same deterministic timeline.
 from __future__ import annotations
 
 import codecs
-import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator, Sequence, TextIO
 
@@ -30,12 +28,6 @@ class UnknownUserError(KeyError):
 
     def __str__(self) -> str:
         return f"unknown user: {self.user!r}"
-
-
-def _tsv_line(event_id, ts, author, orig_id, orig_author, marks) -> str:
-    """A log line; orig_author None for an original, marks sorted."""
-    ids = f"T\t{event_id}" if orig_author is None else f"R\t{event_id}\t{orig_id}\t{orig_author}"
-    return f"{ts}\t{author}\t{ids}" + ("\t" + ",".join(marks) if marks else "")
 
 
 @dataclass(frozen=True)
@@ -114,10 +106,7 @@ class SocialGraph:
     def to_tsv(self, fh: TextIO) -> None:
         """Write one 'follower<TAB>followee' line per edge, sorted, to the text file."""
         follower = np.repeat(np.arange(len(self.nodes)), np.diff(self.followee_indptr))
-        heads = [f"{u}\t" for u in self.nodes]
-        tails = [f"{v}\n" for v in self.nodes]
-        fh.writelines(map(operator.add, map(heads.__getitem__, follower.tolist()),
-                          map(tails.__getitem__, self.followee_indices.tolist())))
+        write_table(fh, [(self.nodes, follower), (self.nodes, self.followee_indices)])
 
     @classmethod
     def from_tsv(cls, fh: BinaryIO) -> "SocialGraph":
@@ -182,24 +171,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.ts)
 
-    def _records(self) -> Iterator[tuple]:
-        """Each row's event_id, ts, author, orig_event_id, orig_author (None
-        for an original) and sorted marks, made _ROW_BLOCK rows at a time."""
-        marks: dict[int, list[str]] = {}  # the marked rows only
-        for token in sorted(self._marks):
-            for r in self._marks[token].tolist():
-                marks.setdefault(r, []).append(token)
-        names = [*self.names, None]  # code -1 reads None
-        orig_ids = np.where(self.forward, self.orig_ids, -1)
-        for lo in range(0, len(self), _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, len(self))
-            rows = slice(lo, hi)
-            yield from zip(self.ids[rows].tolist(), self.ts[rows].tolist(),
-                           map(names.__getitem__, self.author[rows].tolist()),
-                           orig_ids[rows].tolist(),
-                           map(names.__getitem__, self.orig_author[rows].tolist()),
-                           map(marks.get, range(lo, hi), itertools.repeat(())))
-
     def rows(self, author: str, window: tuple[int, int]) -> np.ndarray:
         """The author's rows with ts inside the closed window, ascending."""
         code = self._code.get(author)
@@ -225,8 +196,18 @@ class EventLog:
         return (int(self.ts[0]), int(self.ts[-1])) if len(self) else (0, 0)
 
     def to_tsv(self, fh: TextIO) -> None:
-        """Write one line per event, in row order, to the text file."""
-        fh.writelines(_tsv_line(*record) + "\n" for record in self._records())
+        """Write one line per event, in row order, to the text file: ts, author, T and
+        event_id, or R, event_id, orig_event_id and orig_author, then any tokens."""
+        marks: dict[int, list[str]] = {}  # the marked rows only
+        for token in sorted(self._marks):
+            for r in self._marks[token].tolist():
+                marks.setdefault(r, []).append(token)
+        code = {t: i for i, t in enumerate(["", *sorted({",".join(m) for m in marks.values()})])}
+        mark = np.zeros(len(self), np.int64)
+        mark[list(marks)] = [code[",".join(m)] for m in marks.values()]
+        write_table(fh, [self.ts, (self.names, self.author), (("T", "R"), self.forward), self.ids,
+                         self.orig_ids, (self.names, self.orig_author), (list(code), mark)],
+                    present={4: self.forward, 5: self.forward, 6: mark > 0})
 
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
@@ -234,11 +215,73 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 # any two, such as a forward's delay, fits in signed 64 bits.
 TS_BOUND = 1 << 62
 _BLOCK = 1 << 22  # bytes read at once; bounds the parse's transient memory
-_ROW_BLOCK = 1 << 13  # log rows formatted at once; bounds to_tsv's transient memory
+_ROW_BLOCK = 1 << 12  # rows formatted at once; bounds write_table's transient memory
 # The widest name or marks field the array path codes; a line with a wider
 # one goes through _parse_line. It bounds the words a field is packed into.
 _WIDE = 64
 _TAB, _NL, _COMMA, _MINUS = 9, 10, 44, 45
+
+
+def _text_table(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each text, left-aligned in the rows of a matrix, and their mask."""
+    data = [t.encode() for t in texts]
+    lens = np.array([len(b) for b in data], np.int64)
+    keep = np.arange(lens.max(initial=0)) < lens[:, None]
+    table = np.zeros(keep.shape, np.uint8)
+    table[keep] = np.frombuffer(b"".join(data), np.uint8)
+    return table, keep
+
+
+def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each int64 in decimal, right-aligned in the rows of a matrix, and their mask."""
+    neg = values < 0
+    mag = np.where(neg, 0 - values.astype(np.uint64), values.astype(np.uint64))  # 2^63 fits
+    width = len(str(mag.max(initial=0))) + 1  # and a sign
+    mat, rest = np.empty((len(values), width), np.uint8), mag
+    for j in range(width - 1, 0, -1):
+        rest, digit = rest // np.uint64(10), rest
+        mat[:, j] = digit - rest * np.uint64(10) + ord("0")
+    lens = 1 + neg + np.searchsorted(10 ** np.arange(1, width - 1, dtype=np.uint64), mag, "right")
+    mat[neg, width - lens[neg]] = ord("-")
+    return mat, np.arange(width) >= width - lens[:, None]
+
+
+def write_table(fh: TextIO, columns: Sequence, sep: str = "\t",
+                present: dict[int, np.ndarray] | None = None) -> None:
+    """Write a line per row of the columns, their fields joined by sep. A column is
+    an integer array; a float array, written as format(v, ".10g") and NaN as an
+    empty field; or a pair (texts, codes) of strings and each row's index into
+    them. present maps a column's place to the rows that hold it: the other rows
+    leave out the field and the separator before it. Each block of _ROW_BLOCK
+    rows is one byte matrix, field by field, whose bytes one boolean mask keeps.
+    """
+    present, tables, cols = present or {}, {}, []
+    for col in columns:
+        if not isinstance(col, tuple) and np.asarray(col).dtype.kind == "f":
+            # Distinct by bits, so -0.0 is not 0.0 (np.unique merges them, and imports numpy.ma).
+            bits = np.ascontiguousarray(col, np.float64).view(np.int64)
+            distinct = np.sort(bits)
+            distinct = distinct[np.diff(distinct, prepend=distinct[:1] ^ 1) != 0]
+            col = (["" if v != v else format(v, ".10g") for v in distinct.view(float).tolist()],
+                   np.searchsorted(distinct, bits))
+        if isinstance(col, tuple) and id(col[0]) not in tables:  # held, so the id stays theirs
+            tables[id(col[0])] = col[0], _text_table(col[0])
+        cols.append((tables[id(col[0])][1], col[1]) if isinstance(col, tuple) else np.asarray(col))
+    n = len(cols[0][1] if isinstance(cols[0], tuple) else cols[0])
+    for lo in range(0, n, _ROW_BLOCK):
+        rows, m = slice(lo, lo + _ROW_BLOCK), min(n - lo, _ROW_BLOCK)
+        mats, keeps = [], []
+        for j, col in enumerate(cols):
+            if isinstance(col, tuple):
+                codes = col[1][rows].astype(np.intp)
+                mat, keep = col[0][0][codes], col[0][1][codes]
+            else:
+                mat, keep = _decimal(col[rows].astype(np.int64))
+            held = present[j][rows, None] if j in present else np.ones((m, 1), bool)
+            mats += [np.full((m, 1), ord(sep if j else "\n"), np.uint8), mat]
+            keeps += [held, keep & held]
+        mat, keep = np.hstack(mats[1:] + mats[:1]), np.hstack(keeps[1:] + keeps[:1])
+        fh.write(np.compress(keep.ravel(), mat).tobytes().decode())  # the newline went last
 
 
 def _int64(text: str, field_name: str) -> str:

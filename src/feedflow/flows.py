@@ -51,10 +51,18 @@ class EmpiricalDistribution:
         return uniq, self.ccdf(uniq)
 
     def quantile(self, q: float) -> float:
-        return float(np.quantile(self.values, q))
+        """np.quantile's linear interpolation, by hand: np.quantile and np.median
+        import numpy.ma (about 14 ms) through np.unique and a NaN check."""
+        v, x = self.values, (self.n - 1) * q
+        if x >= self.n - 1:
+            return float(v[-1])
+        i = math.floor(x)
+        a, b, t = v[i], v[i + 1], x - i
+        return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
     def median(self) -> float:
-        return float(np.median(self.values))
+        v = self.values  # the mean of the middle two, as np.median takes it
+        return float((v[(self.n - 1) // 2] + v[self.n // 2]) / 2)
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,7 @@ def log_binned_curve(
         lo = 10 ** (b / bins_per_decade)
         hi = 10 ** ((b + 1) / bins_per_decade)
         ys = y[mask]
+        dist = EmpiricalDistribution(ys)
         out.append(
             BinStat(
                 lo=lo,
@@ -105,9 +114,9 @@ def log_binned_curve(
                 center=math.sqrt(lo * hi),
                 n=n,
                 mean=float(ys.mean()),
-                median=float(np.median(ys)),
-                p10=float(np.quantile(ys, 0.10)),
-                p90=float(np.quantile(ys, 0.90)),
+                median=dist.median(),
+                p10=dist.quantile(0.10),
+                p90=dist.quantile(0.90),
             )
         )
     return out

@@ -56,14 +56,19 @@ class KroneckerParams:
         return positive**self.k - diag_positive**self.k
 
 
+def _cells(rng: np.random.Generator, cdf: np.ndarray, rows: int, k: int) -> np.ndarray:
+    """The initiator cells of rows edges, k levels each: rng.choice(4, (rows, k), p)
+    on the same draws, for the cdf that choice builds from p, without its search."""
+    u = rng.random((rows, k))
+    return (u >= cdf[0]).view(np.int8) + (u >= cdf[1]) + (u >= cdf[2])
+
+
 def _edge_keys(cells: np.ndarray) -> np.ndarray:
     """Each row's edge u -> v as the key u << k | v. Level j's cell gives bit
     k - 1 - j of u (the cell's row) and of v (its column)."""
     k = cells.shape[1]
-    keys = np.zeros(len(cells), np.int64)
-    for j, cell in enumerate(cells.T):
-        keys |= (cell >> 1) << (2 * k - 1 - j) | (cell & 1) << (k - 1 - j)
-    return keys
+    pow2 = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
+    return (cells >> 1) @ pow2 << k | (cells & 1) @ pow2
 
 
 def kronecker_edges(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +86,8 @@ def kronecker_edges(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
         )
     rng = np.random.default_rng(params.seed)
     flat = np.array([p for row in params.initiator for p in row], dtype=float)
-    probs = flat / flat.sum()
+    cdf = np.cumsum(flat / flat.sum())
+    cdf /= cdf[-1]  # as rng.choice normalises p
     k, mask = params.k, (1 << params.k) - 1
     held = np.array([np.iinfo(np.int64).max])  # the keys so far, sorted, then a sentinel
     need = params.target_edges
@@ -90,11 +96,11 @@ def kronecker_edges(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
         while need and left:
             rows = min(ROW_CHUNK, left)
             left -= rows
-            keys = _edge_keys(rng.choice(4, size=(rows, k), p=probs))
+            keys = _edge_keys(_cells(rng, cdf, rows, k))
             keys = keys[(keys >> k) != (keys & mask)]
-            _, first = np.unique(keys, return_index=True)
-            keys = keys[np.sort(first)]  # distinct, in draw order
-            keys = np.sort(keys[held[np.searchsorted(held, keys)] != keys][:need])
+            distinct, first = np.unique(keys, return_index=True)  # sorted: a fast search
+            first = np.sort(first[held[np.searchsorted(held, distinct)] != distinct])
+            keys = np.sort(keys[first[:need]])  # the first new ones, in draw order
             held = np.insert(held, np.searchsorted(held, keys), keys)
             need -= len(keys)
     return held[:-1] >> k, held[:-1] & mask

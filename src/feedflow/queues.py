@@ -227,6 +227,7 @@ class MinimizeResult:
     fun: float
     nfev: int       # objective evaluations
     success: bool   # a stopping rule was met; False after _MAX_ITER or a failed line search
+    hess: np.ndarray  # fun's Hessian at x
 
 
 def minimize(fun, x0, args, bounds) -> MinimizeResult:
@@ -253,7 +254,7 @@ def minimize(fun, x0, args, bounds) -> MinimizeResult:
     nfev, stalled = 1, 0
     for _ in range(_MAX_ITER):
         if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= _PGTOL:
-            return MinimizeResult(x, f, nfev, True)
+            return MinimizeResult(x, f, nfev, True, h)
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
         eig, vec = np.linalg.eigh(h[np.ix_(free, free)])
         eig = np.abs(eig)
@@ -269,12 +270,12 @@ def minimize(fun, x0, args, bounds) -> MinimizeResult:
                 break
             step /= 2.0
             if step < 1e-20:
-                return MinimizeResult(x, f, nfev, False)
+                return MinimizeResult(x, f, nfev, False, h)
         stalled = stalled + 1 if f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0) else 0
         x, f, g, h = x_new, f_new, g_new, h_new
         if stalled == _STALL:
-            return MinimizeResult(x, f, nfev, True)
-    return MinimizeResult(x, f, nfev, False)
+            return MinimizeResult(x, f, nfev, True, h)
+    return MinimizeResult(x, f, nfev, False, h)
 
 
 def _moments(a, x, out):
@@ -505,8 +506,9 @@ def fit_lognormal_convolution(delays: Sequence[float]) -> LognormalConvolutionFi
             best = res
     if best is None or not np.isfinite(best.fun):
         raise FitConvergenceError("optimizer failed to produce a finite likelihood")
-    # Standard errors from the observed information: the Hessian at the fit.
-    info = _interval_nll(best.x, *bins, counts)[2]
+    # Standard errors from the observed information: the counts' Hessian at the fit,
+    # which is len(d) times the per-sample one minimize returns.
+    info = len(d) * best.hess
     try:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError:

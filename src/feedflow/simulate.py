@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .events import SocialGraph
-from .flows import EmpiricalDistribution
 
 
 class DelayBinError(ValueError):
@@ -317,6 +316,7 @@ def distribution_report(size: np.ndarray, duration: np.ndarray) -> tuple[tuple, 
     CCDF covers only cascades with 2 or more nodes (a single-node cascade has
     no propagation to time), and is empty when there are none.
     """
+    from .flows import EmpiricalDistribution  # here, so synth does not load flows
     size_vals, size_cc = EmpiricalDistribution(size).ccdf_points()
     multi = duration[size >= 2]
     dur_table = ()

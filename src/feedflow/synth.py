@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -23,6 +22,9 @@ SECONDS_PER_HOUR = 3600
 # The largest expected post count of one node: numpy's Poisson sampler
 # rejects means from just under 2^63, and event ids are signed 64-bit.
 _MAX_EXPECTED_POSTS = float(1 << 62)
+# Received items gathered at once; the forwards do not depend on it, and it
+# bounds the gather's transient arrays.
+_GATHER_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,61 +91,60 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
                          f"{posts:.3g} expected posts for one node, above 2^62")
     delay_bin = spec.delay_model.bin_index(lam_in)
 
-    # Events under construction, one row each in creation order. Final ids are
-    # assigned after the global sort.
-    raw_ts = array("q")
-    raw_depth = array("q")  # originals sort before forwards at equal timestamps
-    raw_author = array("q")
-    raw_orig = array("q")   # row of the forwarded event, -1 for an original
-    token_rows: dict[str, list[int]] = {}
-
-    def push(ts, depth, author, orig=-1) -> int:
-        raw_ts.append(ts)
-        raw_depth.append(depth)
-        raw_author.append(author)
-        raw_orig.append(orig)
-        return len(raw_ts) - 1
-
-    # Poisson posting per node.
-    tweets_by_author: list[list[int]] = [[] for _ in range(n)]
+    # Events under construction, in stages of creation: originals, forwards by
+    # depth, adoptions. A stage is its rows' (ts, author, orig row or -1, depth);
+    # final ids are assigned after the global sort. Poisson posting per node
+    # groups the originals' rows by author.
+    counts, stamps = np.zeros(n, np.int64), []
     for i in range(n):
-        count = rng.poisson(lam_out[i] * spec.horizon_hours)
-        ts = np.sort(rng.integers(0, horizon_s + 1, size=count))
-        for t in ts.tolist():
-            tweets_by_author[i].append(push(t, 0, i))
+        counts[i] = rng.poisson(lam_out[i] * spec.horizon_hours)
+        stamps.append(np.sort(rng.integers(0, horizon_s + 1, size=counts[i])))
+    stages = [(np.concatenate(stamps), np.repeat(np.arange(n), counts),
+               np.full(counts.sum(), -1), 0)]
 
     # Forwarding: each received post is forwarded with the beta-curve
-    # probability after a delay from the receiver's in-flow bin.
-    frontier: list[list[int]] = tweets_by_author
-    depth = 1
+    # probability after a delay from the receiver's in-flow bin. The frontier,
+    # the last stage, starts at row first, and ptr groups its rows by author.
+    beta = [beta_of_inflow(lam, spec.beta_curve) for lam in lam_in.tolist()]
+    bins = [spec.delay_model.bins[b] for b in delay_bin.tolist()]
+    fptr, followee = graph.followee_indptr, graph.followee_indices
+    first, ptr = 0, np.concatenate(([0], np.cumsum(counts)))
     while True:
-        produced: list[list[int]] = [[] for _ in range(n)]
-        any_forward = False
-        for u in range(n):
-            incoming: list[int] = []
-            for v in graph.followee_slice(u).tolist():
-                incoming.extend(frontier[v])
-            if not incoming:
-                continue
-            beta = beta_of_inflow(float(lam_in[u]), spec.beta_curve)
-            mask = rng.random(len(incoming)) < beta
-            hits = [e for e, m in zip(incoming, mask.tolist()) if m]
-            if not hits:
-                continue
-            b = spec.delay_model.bins[delay_bin[u]]
-            delays = rng.lognormal(b.mu1, b.sigma1, len(hits)) + rng.lognormal(
-                b.mu2, b.sigma2, len(hits)
-            )
-            for e, d in zip(hits, delays.tolist()):
-                rt_ts = raw_ts[e] + int(round(d))
-                if rt_ts > horizon_s:
-                    continue
-                produced[u].append(push(rt_ts, depth, u, orig=e))
-                any_forward = True
-        if not spec.forward_retweets or not any_forward:
+        # Frontier items per followee edge, and the items before each user's first edge.
+        size = np.diff(ptr)[followee]
+        before = np.concatenate(([0], np.cumsum(size)))[fptr]
+        hits, delays, receivers, lo = [np.empty(0, np.int64)], [np.empty(0)], [], 0
+        while lo < n:  # users lo..hi-1: at most _GATHER_CELLS items, or one user
+            hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _GATHER_CELLS, "right")) - 1)
+            # The frontier row of each item users lo..hi-1 receive, by followee.
+            c = size[fptr[lo]:fptr[hi]]
+            item = np.repeat(ptr[followee[fptr[lo]:fptr[hi]]] - np.cumsum(c) + c, c)
+            item += np.arange(item.size)
+            ends = before[lo:hi + 1] - before[lo]
+            for u in np.flatnonzero(np.diff(ends)).tolist():
+                incoming = item[ends[u]:ends[u + 1]]
+                hit = incoming[rng.random(incoming.size) < beta[lo + u]]
+                if hit.size:
+                    b = bins[lo + u]
+                    delays.append(rng.lognormal(b.mu1, b.sigma1, hit.size)
+                                  + rng.lognormal(b.mu2, b.sigma2, hit.size))
+                    hits.append(hit)
+                    receivers.append(lo + u)
+            lo = hi
+        hit = np.concatenate(hits)
+        author = np.repeat(np.array(receivers, np.int64), [h.size for h in hits[1:]])
+        ts = stages[-1][0][hit]
+        # rint rounds halves to even, as round does. 2^62 is past every horizon
+        # and converts exactly, also for an infinite delay.
+        d = np.minimum(np.rint(np.concatenate(delays)), 2.0**62).astype(np.int64)
+        kept = d <= horizon_s - ts
+        stages.append((ts[kept] + d[kept], author[kept], first + hit[kept], len(stages)))
+        first += len(stages[-2][0])
+        if not spec.forward_retweets or not kept.any():
             break
-        frontier = produced
-        depth += 1
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(author[kept], minlength=n))))
+    del hits, delays, hit, author, ts, d, kept  # the last depth's, before the log's peak
+    n_rows, adopt_ts, adopt_author, token_rows = first + len(stages[-1][0]), [], [], {}
 
     # Contagion injection: each exposure (a followee's adoption) gives a
     # follower one independent chance to adopt after a short jittered delay.
@@ -167,7 +168,9 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
             if u in adopted or t > horizon_s:
                 continue
             adopted.add(u)
-            token_rows.setdefault(plan.token, []).append(push(t, 1, u))
+            token_rows.setdefault(plan.token, []).append(n_rows + len(adopt_ts))
+            adopt_ts.append(t)
+            adopt_author.append(u)
             for w in graph.follower_slice(u).tolist():
                 if w in adopted:
                     continue
@@ -188,13 +191,18 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
 
     # Event ids follow (ts, depth, row); lexsort is stable, so rows break ties.
     # An event's id is its row in the log.
+    stages.append((np.array(adopt_ts, np.int64), np.array(adopt_author, np.int64),
+                   np.full(len(adopt_ts), -1), 1))
+    raw_depth = np.repeat([s[3] for s in stages], [len(s[0]) for s in stages])
+    raw_ts, raw_author, raw_orig = (np.concatenate(c) for c in list(zip(*stages))[:3])
+    del stages
     order = np.lexsort((raw_depth, raw_ts))
     event_id = np.empty_like(order)
     event_id[order] = np.arange(len(order))
-    author, orig = np.array(raw_author, dtype=np.int32), np.array(raw_orig, dtype=np.int64)[order]
+    author, orig = raw_author.astype(np.int32), raw_orig[order]
     forward, orig = orig >= 0, np.maximum(orig, 0)
     log = EventLog(
-        np.array(raw_ts, dtype=np.int64)[order], np.arange(len(order), dtype=np.int64),
+        raw_ts[order], np.arange(len(order), dtype=np.int64),
         author[order], np.where(forward, author[orig], -1), np.where(forward, event_id[orig], 0),
         list(graph.nodes), {token: np.sort(event_id[rows]) for token, rows in token_rows.items()})
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import heapq
 import io
+import itertools
 import math
 import operator
 import re
@@ -21,7 +23,6 @@ from feedflow.events import (
     SocialGraph,
     _check_references,
     _parse_line,
-    _tsv_line,
 )
 from feedflow.graphgen import KroneckerParams
 from feedflow.simulate import (
@@ -33,6 +34,48 @@ from feedflow.simulate import (
     seed_nodes,
     slot_uniform,
 )
+
+
+def tsv_line(event_id, ts, author, orig_id, orig_author, marks) -> str:
+    """A log line, formatted per line as an oracle for EventLog.to_tsv:
+    orig_author None for an original, marks sorted."""
+    ids = f"T\t{event_id}" if orig_author is None else f"R\t{event_id}\t{orig_id}\t{orig_author}"
+    return f"{ts}\t{author}\t{ids}" + ("\t" + ",".join(marks) if marks else "")
+
+
+def log_records(log: EventLog):
+    """Each row's event_id, ts, author, orig_event_id, orig_author (None
+    for an original) and sorted marks."""
+    marks: dict[int, list[str]] = {}  # the marked rows only
+    for token in sorted(log._marks):
+        for r in log._marks[token].tolist():
+            marks.setdefault(r, []).append(token)
+    names = [*log.names, None]  # code -1 reads None
+    orig_ids = np.where(log.forward, log.orig_ids, -1)
+    return zip(log.ids.tolist(), log.ts.tolist(), map(names.__getitem__, log.author.tolist()),
+               orig_ids.tolist(), map(names.__getitem__, log.orig_author.tolist()),
+               map(marks.get, range(len(log)), itertools.repeat(())))
+
+
+def log_tsv_oracle(log: EventLog) -> str:
+    """What EventLog.to_tsv writes, one line at a time."""
+    return "".join(tsv_line(*record) + "\n" for record in log_records(log))
+
+
+def graph_tsv_oracle(graph: SocialGraph) -> str:
+    """What SocialGraph.to_tsv writes, one line at a time."""
+    follower = np.repeat(np.arange(len(graph.nodes)), np.diff(graph.followee_indptr))
+    return "".join(f"{graph.nodes[u]}\t{graph.nodes[v]}\n"
+                   for u, v in zip(follower.tolist(), graph.followee_indices.tolist()))
+
+
+def csv_oracle(header: str, rows) -> str:
+    """A CSV file as csv.writer writes the rows."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return fh.getvalue()
 
 
 class EventKind(Enum):
@@ -57,7 +100,7 @@ class Event:
 
     def to_tsv(self) -> str:
         orig_author = self.orig_author if self.kind is EventKind.RETWEET else None
-        return _tsv_line(self.event_id, self.ts, self.author, self.orig_event_id, orig_author,
+        return tsv_line(self.event_id, self.ts, self.author, self.orig_event_id, orig_author,
                          sorted(self.marks))
 
 
@@ -90,7 +133,7 @@ def events_of(log: EventLog) -> list[Event]:
     """Every row of the log as an Event, in row order."""
     return [Event(i, t, a, EventKind.TWEET if o is None else EventKind.RETWEET,
                   None if o is None else oid, o, frozenset(m))
-            for i, t, a, oid, o, m in log._records()]
+            for i, t, a, oid, o, m in log_records(log)]
 
 
 def graph_of(edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> SocialGraph:

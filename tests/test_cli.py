@@ -592,8 +592,8 @@ def _stuck_at(x):
     """An optimizer that evaluates the objective once, at x, and reports no
     finite likelihood."""
     def minimize(fun, x0, args, bounds):
-        fun(np.asarray(x, dtype=float), *args)
-        return queues.MinimizeResult(np.asarray(x, dtype=float), float("nan"), 1, False)
+        hess = fun(np.asarray(x, dtype=float), *args)[2]
+        return queues.MinimizeResult(np.asarray(x, dtype=float), float("nan"), 1, False, hess)
     return minimize
 
 
@@ -1083,6 +1083,8 @@ NUMPY_MA_FREE = {
     "simulate-ct": ["simulate", "--model", "ct", "--graph", "{graph}", "--config", "{sim}",
                     "--seed", "3", "--report", "{out}.report"],
     "flows": ["flows", "--log", "{log}", "--graph", "{graph}"],
+    "flows-curve": ["flows", "--log", "{log}", "--graph", "{graph}", "--curve-out", "{out}.curve"],
+    "synth": ["synth", "--config", "{synth}", "--seed", "1"],
 }
 
 
@@ -1113,7 +1115,8 @@ def test_command_leaves_numpy_ma_unloaded(workspace, tmp_path, command):
     (tmp_path / "sim.cfg").write_text(SIM_CONFIG)
     out = tmp_path / "o.csv"
     args = [a.format(graph=workspace / "graph.tsv", log=workspace / "log.tsv",
-                     sim=tmp_path / "sim.cfg", out=out) for a in NUMPY_MA_FREE[command]]
+                     sim=tmp_path / "sim.cfg", synth=workspace / "synth.cfg", out=out)
+            for a in NUMPY_MA_FREE[command]]
     loaded = loaded_modules(args + ["--out", str(out)])
     assert out.stat().st_size > 0
     assert sorted(m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")) == []
@@ -1142,8 +1145,9 @@ NOT_LOADED = {
     "exposure": (["exposure", *INPUTS, "--token", "tok", "--out", "{out}"], OPENSSL),
     "graphgen": (["graphgen", "--initiator", "0.9,0.5,0.5,0.3", "--k", "4", "--target-edges",
                   "30", "--seed", "1", "--out", "{out}"], set()),
+    # simulate imports flows only for its --report.
     "synth": (["synth", "--config", "{synth}", "--graph", "{graph}", "--seed", "1",
-               "--out", "{out}"], set()),
+               "--out", "{out}"], {"feedflow.flows"}),
 }
 
 

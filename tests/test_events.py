@@ -1,5 +1,8 @@
 import dataclasses
 import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedflow import events
+from feedflow.cli import _Outputs
 from feedflow.events import (
     FeedCounts,
     FeedIndex,
@@ -18,11 +22,14 @@ from feedflow.events import (
 from helpers import (
     Event,
     EventKind,
+    csv_oracle,
     events_of,
     followee_names,
     follower_names,
     graph_of,
+    graph_tsv_oracle,
     log_of,
+    log_tsv_oracle,
     naive_graph_from_tsv,
     naive_parse_event_log,
     random_graph,
@@ -447,3 +454,81 @@ def test_not_utf8_names_its_line_in_a_later_block(monkeypatch, block):
         parse_event_log(io.BytesIO(log))
     with pytest.raises(LogFormatError, match=r"^graph line 124: not UTF-8"):
         SocialGraph.from_tsv(io.BytesIO(edges))
+
+
+# Names and tokens with the bytes a writer may mishandle: separators, quotes,
+# NUL and multi-byte text. Tokens hold no comma, which joins a row's tokens.
+NAMES = st.text(st.sampled_from(["a", "b", ",", '"', "\x00", "é", "中", " ", "\r"]),
+                min_size=1, max_size=4)
+TOKENS = st.text(st.sampled_from(["t", "x", '"', "\x00", "é"]), min_size=1, max_size=3)
+TS = st.integers(-(2**62 - 1), 2**62 - 1)
+ID = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def logs(draw):
+    """Events with distinct ids: extreme timestamps and ids, forwards that may name an
+    absent original, and marks."""
+    ids = draw(st.lists(ID, max_size=12, unique=True))
+    names = draw(st.lists(NAMES, min_size=1, max_size=4))
+    out = []
+    for event_id in ids:
+        forward = draw(st.booleans())
+        out.append(Event(event_id, draw(TS), draw(st.sampled_from(names)),
+                         EventKind.RETWEET if forward else EventKind.TWEET,
+                         draw(ID) if forward else None,
+                         draw(st.sampled_from(names)) if forward else None,
+                         frozenset(draw(st.lists(TOKENS, max_size=3)))))
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 3, events._ROW_BLOCK])
+@settings(max_examples=60, deadline=None)
+@given(logs(), st.lists(st.tuples(NAMES, NAMES), max_size=10), st.lists(NAMES, max_size=3))
+def test_writers_match_the_per_line_oracle(rows, events_, edges, isolated):
+    edges = [(u, v) for u, v in edges if u != v]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events, "_ROW_BLOCK", rows)
+        log, graph = log_of(events_), graph_of(edges, isolated)
+        assert tsv_text(log) == log_tsv_oracle(log)
+        assert tsv_text(graph) == graph_tsv_oracle(graph)
+
+
+@pytest.mark.parametrize("rows", [1, 3, events._ROW_BLOCK])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(NAMES, ID, st.floats() | st.sampled_from([0.0, -0.0])), max_size=10))
+def test_csv_writer_matches_csv_writer_rows(rows, table):
+    names = sorted({name for name, _, _ in table})
+    header = "user,id,duration"
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(events, "_ROW_BLOCK", rows)
+        path = str(Path(tmp) / "out.csv")
+        with _Outputs() as out:
+            out.write_csv(path, header, [
+                (names, np.array([names.index(name) for name, _, _ in table], np.int64)),
+                np.array([i for _, i, _ in table], np.int64),
+                np.array([d for _, _, d in table], float)])
+            out.commit("test", {}, [], None)
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    # The writer's rule for floats: format(d, ".10g"), and NaN as an empty field.
+    assert text == csv_oracle(header, [
+        [name, i, "" if d != d else format(d, ".10g")] for name, i, d in table])
+
+
+def test_log_writer_at_the_extremes():
+    big, small = 2**62 - 1, -(2**62 - 1)
+    log = log_of([
+        Event(2**63 - 1, big, "a,\"b\"", EventKind.TWEET, marks=frozenset(["t", "é"])),
+        Event(-(2**63), small, "\x00中", EventKind.RETWEET, 2**63 - 1, "a,\"b\""),
+        Event(0, 0, "z", EventKind.RETWEET, -(2**63), "\x00中", frozenset(["\x00"])),
+    ])
+    text = tsv_text(log)
+    assert text == log_tsv_oracle(log)
+    assert f"{small}\t\x00中\tR\t{-(2**63)}\t{2**63 - 1}\ta,\"b\"\n" in text
+
+
+def test_writers_on_an_empty_log_and_graph():
+    log, graph = log_of([]), graph_of([])
+    assert tsv_text(log) == log_tsv_oracle(log) == ""
+    assert tsv_text(graph) == graph_tsv_oracle(graph) == ""

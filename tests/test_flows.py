@@ -209,3 +209,19 @@ def test_fit_two_regime_increasing_curve_not_overload():
 def test_fit_two_regime_needs_points():
     with pytest.raises(ValueError):
         fit_two_regime([(1.0, 0.1), (2.0, 0.1), (0.0, 0.5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, 0.5, 1.0]), min_size=1,
+                max_size=30))
+def test_curve_quantiles_are_numpys(values):
+    # No -0.0: np.sort and np.quantile's partition may order it either way round 0.0,
+    # and the curve's y (forwarded / received) holds none.
+    values = [v + 0.0 for v in values]
+    dist = EmpiricalDistribution(values)
+    for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+        assert repr(dist.quantile(q)) == repr(float(np.quantile(values, q)))
+    assert repr(dist.median()) == repr(float(np.median(values)))
+    curve = log_binned_curve(np.ones(len(values)), values)
+    assert curve[0].median == np.median(values)
+    assert (curve[0].p10, curve[0].p90) == (np.quantile(values, 0.1), np.quantile(values, 0.9))

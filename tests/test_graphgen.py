@@ -155,3 +155,31 @@ def test_edges_do_not_depend_on_row_chunk(monkeypatch, rows):
     assert whole == naive_kronecker_edges(params)
     monkeypatch.setattr(graphgen, "ROW_CHUNK", rows)
     assert edge_list(params) == whole
+
+
+@pytest.mark.parametrize("initiator", [PAPER_INITIATOR, ((0.9, 0.0), (0.5, 0.3))])
+@pytest.mark.parametrize("seed", range(5))
+def test_cells_are_rng_choice_cells_on_the_same_draws(initiator, seed):
+    flat = np.array(initiator, float).ravel()
+    probs = flat / flat.sum()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rows, k in [(1, 1), (1000, 13), (77, 31)]:
+        assert graphgen._cells(mine, cdf, rows, k).tolist() == \
+            theirs.choice(4, size=(rows, k), p=probs).tolist()
+    assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("initiator", [PAPER_INITIATOR, ((0.9, 0.0), (0.5, 0.3))])
+def test_edges_are_those_of_rng_choice_draws(monkeypatch, initiator):
+    params = KroneckerParams(initiator, k=9, target_edges=3000, seed=4)
+    edges = edge_list(params)
+
+    def choice_cells(rng, cdf, rows, k):
+        probs = np.diff(cdf, prepend=0.0)
+        return rng.choice(4, size=(rows, k), p=probs)
+
+    monkeypatch.setattr(graphgen, "_cells", choice_cells)
+    monkeypatch.setattr(graphgen, "ROW_CHUNK", 100)
+    assert edge_list(params) == edges

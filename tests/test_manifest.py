@@ -56,7 +56,7 @@ def test_manifest_write_and_reload(tmp_path):
     data.write_text("1\ta\tT\t1\n")
     out = str(tmp_path / "out.csv")
     with _Outputs() as outputs:
-        outputs.write_csv(out, "a,b", [[1, 2]])
+        outputs.write_csv(out, "a,b", [[1], [2]])
         outputs.commit("flows", {"window": [0, 100]}, [str(data)], None)
     target = tmp_path / "out.csv.manifest.json"
     loaded = json.loads(target.read_text())
@@ -75,11 +75,11 @@ def test_manifest_overwrite_is_atomic_replacement(tmp_path):
     out = str(tmp_path / "m.csv")
     target = tmp_path / "m.csv.manifest.json"
     with _Outputs() as outputs:
-        outputs.write_csv(out, "a", [])
+        outputs.write_csv(out, "a", [[]])
         outputs.commit("a", {}, [], 1)
     first = target.read_text()
     with _Outputs() as outputs:
-        outputs.write_csv(out, "a", [])
+        outputs.write_csv(out, "a", [[]])
         outputs.commit("b", {}, [], 2)
     assert json.loads(target.read_text())["command"] == "b"
     assert first != target.read_text()

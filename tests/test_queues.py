@@ -432,10 +432,13 @@ def test_ndtr_matches_scipy():
 
 
 def _lbfgsb(fun, x0, args, bounds):
+    """scipy's L-BFGS-B in place of minimize, with the Hessian at its x added."""
     def value_and_gradient(x, *a):
         return fun(x, *a)[:2]
-    return optimize.minimize(value_and_gradient, x0, args=args, jac=True, method="L-BFGS-B",
-                             bounds=bounds, options={"maxiter": queues._MAX_ITER})
+    res = optimize.minimize(value_and_gradient, x0, args=args, jac=True, method="L-BFGS-B",
+                            bounds=bounds, options={"maxiter": queues._MAX_ITER})
+    res.hess = fun(res.x, *args)[2]
+    return res
 
 
 # (truth, size, seed): criterion 9's identifiable sample, the equal-sigma

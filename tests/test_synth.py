@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from feedflow import synth
 from feedflow.events import parse_event_log
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel
@@ -153,3 +154,16 @@ def test_ground_truth_text_is_flat_and_sorted():
     keys = [l.split(" = ")[0] for l in lines]
     assert "beta_curve.gamma" in keys
     assert "n_events" in keys
+
+
+@pytest.mark.parametrize("forward_retweets", [False, True])
+def test_log_does_not_depend_on_the_gather_block(monkeypatch, forward_retweets):
+    sp = spec(forward_retweets=forward_retweets,
+              beta_curve=BetaCurve(lambda_c=1000.0, beta0=0.12, gamma=0.0),
+              contagions=(ContagionPlan("tok", n_seeds=3, hazard=0.3),))
+    log, truth = generate_workload(sp)
+    assert log.orig_row.max() >= 0 and len(log.token_rows("tok")) >= 3
+    for cells in (1, 7):
+        monkeypatch.setattr(synth, "_GATHER_CELLS", cells)
+        small, small_truth = generate_workload(sp)
+        assert tsv_text(small) == tsv_text(log) and small_truth == truth
