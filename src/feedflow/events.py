@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -74,15 +74,16 @@ class SocialGraph:
         self.follower_indptr = np.searchsorted(v[by_followee], np.arange(n + 1))
         self.follower_indices = f[by_followee]
 
-    def __contains__(self, user: str) -> bool:
-        return user in self._index
-
     def index(self, user: str) -> int:
         """The user's node index."""
         try:
             return self._index[user]
         except KeyError:
             raise UnknownUserError(user) from None
+
+    def nodes_of(self, names: Sequence[str]) -> np.ndarray:
+        """Each name's node index, -1 for a name that is not a node."""
+        return lookup(self._index, names)
 
     def followee_slice(self, i: int) -> np.ndarray:
         """Indices of the nodes node i follows, ascending."""
@@ -643,6 +644,18 @@ def _mark_rows(mark: np.ndarray, fields: list[str]) -> dict[str, np.ndarray]:
     return {token: np.sort(np.concatenate(r)) for token, r in by_token.items()}
 
 
+def lookup(table: Mapping[str, int], names: Sequence[str]) -> np.ndarray:
+    """Each name's index in the table, -1 for a name that is not in it."""
+    return np.array([table.get(name, -1) for name in names], np.int64)
+
+
+def csr_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges start[k] .. start[k] + count[k] - 1, concatenated in order."""
+    at = np.repeat(start - np.cumsum(count) + count, count)
+    at += np.arange(at.size)
+    return at
+
+
 class FeedIndex:
     """Every user's feed over a closed window, as sorted rows of the log.
 
@@ -687,8 +700,7 @@ class FeedCounts:
                  originals_only: bool = False):
         self.log, self.graph, self.originals_only = log, graph, originals_only
         self.followees = np.diff(graph.followee_indptr)
-        # Each author code's node, -1 for a name that is not in the graph.
-        self._node = np.array([graph._index.get(name, -1) for name in log.names], np.int64)
+        self._node = graph.nodes_of(log.names)  # each author code's node
         self._lo = int(np.searchsorted(log.ts, window[0]))
         self._hi = int(np.searchsorted(log.ts, window[1], "right"))
 

@@ -12,7 +12,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .events import EventLog, SocialGraph
+from .events import EventLog, SocialGraph, csr_ranges, lookup
 
 
 class TokenNotFoundError(KeyError):
@@ -24,21 +24,28 @@ class TokenNotFoundError(KeyError):
         return f"token {self.token!r} does not occur in the log"
 
 
+NEVER = np.iinfo(np.int64).max  # the first use of a user who makes none in the window
+
+
 @dataclass(frozen=True)
 class ContagionTrace:
+    """One token's adoptions and exposures, as columns over user positions.
+
+    Node i of the graph is position i; the in-window adopters that are not
+    nodes follow, at the positions outsiders gives them.
+    """
     token: str
     window: tuple[int, int]
-    adopted_at: dict[str, int]          # user -> first in-window use
-    exposures: dict[str, tuple[int, ...]]  # user -> sorted followee first-adoption times
+    graph: SocialGraph
+    outsiders: dict[str, int]   # in-window adopter outside the graph -> position
+    adopted_at: np.ndarray      # position -> first in-window use, NEVER if none
+    exposed: np.ndarray         # each exposure's position, sorted by position then time
+    exposed_at: np.ndarray      # each exposure's time: a followee's first in-window use
     n_pre_window_adopters: int
 
 
-def build_trace(
-    token: str,
-    log: EventLog,
-    graph: SocialGraph,
-    window: tuple[int, int],
-) -> ContagionTrace:
+def build_trace(token: str, log: EventLog, graph: SocialGraph,
+                window: tuple[int, int]) -> ContagionTrace:
     """Per-user adoption and exposure timeline for one contagion token.
 
     Users who used the token before the window start are excluded entirely:
@@ -49,29 +56,27 @@ def build_trace(
     rows = log.token_rows(token)
     if not rows.size:
         raise TokenNotFoundError(token)
-    # Each author's first use is the first of its rows among the token's.
+    # Each author's first use is the first of its rows among the token's, in time order.
     first = rows[np.sort(np.unique(log.author[rows], return_index=True)[1])]
-    first_use = dict(zip([log.names[c] for c in log.author[first].tolist()],
-                         log.ts[first].tolist()))
-
-    pre = {u for u, t in first_use.items() if t < start}
-    adopted_at = {u: t for u, t in first_use.items() if start <= t <= end}
-
-    times: dict[str, list[int]] = {}
-    for v, t in adopted_at.items():
-        if v not in graph:
-            continue
-        for u in map(graph.nodes.__getitem__, graph.follower_slice(graph.index(v)).tolist()):
-            if u not in pre:
-                times.setdefault(u, []).append(t)
-    exposures = {u: tuple(sorted(ts)) for u, ts in times.items()}
-    return ContagionTrace(
-        token=token,
-        window=window,
-        adopted_at=adopted_at,
-        exposures=exposures,
-        n_pre_window_adopters=len(pre),
-    )
+    names = np.asarray(log.names, object)[log.author[first]]
+    ts, node = log.ts[first], graph.nodes_of(names)
+    pre, adopted = ts < start, (start <= ts) & (ts <= end)
+    inside, outside = adopted & (node >= 0), adopted & (node < 0)
+    n, v, tv = len(graph.nodes), node[inside], ts[inside]
+    outsiders = dict(zip(names[outside].tolist(), range(n, n + int(outside.sum()))))
+    adopted_at = np.concatenate((np.full(n, NEVER), ts[outside]))
+    adopted_at[v] = tv
+    # Every follower of each in-window adopter, less the pre-window adopters, keyed
+    # as follower * len(v) + the adopter's place in v, which is in time order.
+    ptr = graph.follower_indptr
+    count = ptr[v + 1] - ptr[v]
+    exposed = graph.follower_indices[csr_ranges(ptr[v], count)]
+    key = exposed * v.size + np.repeat(np.arange(v.size), count)
+    excluded = np.zeros(n, bool)
+    excluded[node[pre & (node >= 0)]] = True
+    exposed, by = np.divmod(np.sort(key[~excluded[exposed]]), max(v.size, 1))
+    return ContagionTrace(token, window, graph, outsiders, adopted_at, exposed, tv[by],
+                          int(pre.sum()))
 
 
 @dataclass(frozen=True)
@@ -85,60 +90,41 @@ class ExposureCurve:
         return len(self.e) - 1
 
 
-def _user_exposure_path(
-    transitions: Sequence[int], adoption: Optional[int]
-) -> tuple[list[int], Optional[int]]:
-    """k values a user visits pre-adoption, and the k at adoption (if any).
-
-    Simultaneous exposures make k jump by the group size: skipped values are
-    never visited. An adoption at the exact time of an exposure counts at the
-    new k (exposures are processed first).
-    """
-    visited = [0]
-    k = 0
-    idx = 0
-    n = len(transitions)
-    while idx < n:
-        t = transitions[idx]
-        if adoption is not None and t > adoption:
-            break
-        j = idx
-        while j < n and transitions[j] == t:
-            j += 1
-        k += j - idx
-        visited.append(k)
-        idx = j
-    return visited, (k if adoption is not None else None)
-
-
-def exposure_curve(
-    trace: ContagionTrace,
-    users: Sequence[str],
-    min_e: int = 50,
-    k_max: Optional[int] = None,
-) -> ExposureCurve:
+def exposure_curve(trace: ContagionTrace, users: Sequence[str], min_e: int = 50,
+                   k_max: Optional[int] = None) -> ExposureCurve:
     """Ordinal-time exposure curve for a user group.
 
-    k_max defaults to the largest k with E(k) >= min_e to suppress noisy
-    tails; pass k_max explicitly to override.
+    A user's k steps up at each distinct time of her exposures, by the number
+    of exposures at that time, so simultaneous exposures skip k values. An
+    adoption at the time of an exposure counts at the new k. k_max defaults
+    to the largest k with E(k) >= min_e to suppress noisy tails; pass k_max
+    explicitly to override.
     """
     if len(users) == 0:
         raise ValueError("empty user group")
-    e_counts: dict[int, int] = {}
-    i_counts: dict[int, int] = {}
-    for u in users:
-        transitions = trace.exposures.get(u, ())
-        adoption = trace.adopted_at.get(u)
-        visited, k_adopt = _user_exposure_path(transitions, adoption)
-        for k in visited:
-            e_counts[k] = e_counts.get(k, 0) + 1
-        if k_adopt is not None:
-            i_counts[k_adopt] = i_counts.get(k_adopt, 0) + 1
+    names = np.asarray(users, object)
+    at = trace.graph.nodes_of(names)
+    at[at < 0] = lookup(trace.outsiders, names[at < 0])
+    at = at[at >= 0]
+    # The exposures up to each user's adoption; k is an exposure's rank within its user.
+    u, t = trace.exposed, trace.exposed_at
+    kept = t <= trace.adopted_at[u]
+    u, t = u[kept], t[kept]
+    n_kept = np.bincount(u, minlength=len(trace.adopted_at))
+    k = np.arange(1, u.size + 1) - (np.cumsum(n_kept) - n_kept)[u]
+    # A user visits the k of the last of her exposures at each distinct time.
+    last = np.diff(u, append=-1) != 0
+    last[:-1] |= t[1:] != t[:-1]
+    weight = np.bincount(at, minlength=len(n_kept))  # how often users names each position
+    e_counts = np.bincount(k[last], weights=weight[u[last]], minlength=1)
+    e_counts[0] += len(users)
+    i_counts = np.bincount(n_kept[at[trace.adopted_at[at] != NEVER]])
     if k_max is None:
-        eligible = [k for k, c in e_counts.items() if c >= min_e]
-        k_max = max(eligible) if eligible else max(e_counts)
-    e = np.array([e_counts.get(k, 0) for k in range(k_max + 1)], dtype=float)
-    i = np.array([i_counts.get(k, 0) for k in range(k_max + 1)], dtype=float)
+        visited = e_counts > 0
+        eligible = np.flatnonzero(visited & (e_counts >= min_e))
+        k_max = int((eligible if eligible.size else np.flatnonzero(visited))[-1])
+    # k = 0..k_max: each count cut there or padded with zeros.
+    e, i = (np.append(c, np.zeros(k_max + 1))[:k_max + 1] for c in (e_counts, i_counts))
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(e > 0, i / e, np.nan)
     return ExposureCurve(e=e, i=i, p=p)
@@ -158,11 +144,12 @@ def group_users_by_inflow(
         if lo1 < hi0:
             raise ValueError(f"overlapping ranges at {hi0} and {lo1}")
     groups: dict[tuple[float, float], list[str]] = {tuple(r): [] for r in ranges}
-    for user, rate in lam.items():
-        for lo, hi in bounds:
-            if lo < rate <= hi:
-                groups[(lo, hi)].append(user)
-                break
+    users = np.fromiter(lam, object, len(lam))
+    rate = np.fromiter(lam.values(), float, len(lam))
+    # The last range whose lower edge is below the rate is the only one that can hold it.
+    at = np.searchsorted(np.array([lo for lo, _ in bounds], float), rate) - 1
+    for j, (lo, hi) in enumerate(bounds):
+        groups[(lo, hi)] = users[(at == j) & (rate <= hi)].tolist()
     return groups
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .events import SocialGraph
+from .events import SocialGraph, csr_ranges
 
 
 class DelayBinError(ValueError):
@@ -245,8 +245,7 @@ def _simulate(graph: SocialGraph, config: SimConfig,
             i = frontier % n
             counts = degree[i]
             # The CSR edges e of every frontier key, and their (cascade, follower) keys.
-            e = np.repeat(ptr[i] - np.cumsum(counts) + counts, counts)
-            e += np.arange(e.size)
+            e = csr_ranges(ptr[i], counts)
             target = indices[e]
             target += np.repeat(frontier - i, counts)
             # Only a later arrival can be improved on; an edge's coin is fixed.

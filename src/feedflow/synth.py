@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .events import TS_BOUND, EventLog, SocialGraph
+from .events import TS_BOUND, EventLog, SocialGraph, csr_ranges
 from .simulate import BetaCurve, DelayModel, beta_of_inflow, check_rates, node_rates
 
 SECONDS_PER_HOUR = 3600
@@ -117,9 +117,8 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
         while lo < n:  # users lo..hi-1: at most _GATHER_CELLS items, or one user
             hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _GATHER_CELLS, "right")) - 1)
             # The frontier row of each item users lo..hi-1 receive, by followee.
-            c = size[fptr[lo]:fptr[hi]]
-            item = np.repeat(ptr[followee[fptr[lo]:fptr[hi]]] - np.cumsum(c) + c, c)
-            item += np.arange(item.size)
+            edges = slice(fptr[lo], fptr[hi])
+            item = csr_ranges(ptr[followee[edges]], size[edges])
             ends = before[lo:hi + 1] - before[lo]
             for u in np.flatnonzero(np.diff(ends)).tolist():
                 incoming = item[ends[u]:ends[u + 1]]

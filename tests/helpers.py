@@ -24,6 +24,7 @@ from feedflow.events import (
     _check_references,
     _parse_line,
 )
+from feedflow.exposure import ExposureCurve
 from feedflow.graphgen import KroneckerParams
 from feedflow.simulate import (
     Cascades,
@@ -382,6 +383,84 @@ def naive_source_set(
         if r.author == user and r.kind is EventKind.RETWEET and start <= r.ts <= end
     ]
     return {a for a in cited if a in followees}, sum(a not in followees for a in cited)
+
+
+@dataclass(frozen=True)
+class NaiveTrace:
+    adopted_at: dict[str, int]             # user -> first in-window use
+    exposures: dict[str, tuple[int, ...]]  # user -> sorted followee first-adoption times
+    n_pre_window_adopters: int
+
+
+def naive_build_trace(token: str, log: EventLog, graph: SocialGraph,
+                      window: tuple[int, int]) -> NaiveTrace:
+    """build_trace's oracle, by name: a user's first use of the token, and for
+    each user the first-use times of her in-window adopting followees.
+    Pre-window adopters are neither tracked nor expose anyone."""
+    start, end = window
+    rows = log.token_rows(token)
+    first = rows[np.sort(np.unique(log.author[rows], return_index=True)[1])]
+    first_use = dict(zip([log.names[c] for c in log.author[first].tolist()],
+                         log.ts[first].tolist()))
+    pre = {u for u, t in first_use.items() if t < start}
+    adopted_at = {u: t for u, t in first_use.items() if start <= t <= end}
+    times: dict[str, list[int]] = {}
+    for v, t in adopted_at.items():
+        if v not in graph.nodes:
+            continue
+        for u in follower_names(graph, v):
+            if u not in pre:
+                times.setdefault(u, []).append(t)
+    return NaiveTrace(adopted_at, {u: tuple(sorted(ts)) for u, ts in times.items()}, len(pre))
+
+
+def naive_user_exposure_path(
+    transitions: list[int], adoption: Optional[int]
+) -> tuple[list[int], Optional[int]]:
+    """k values a user visits pre-adoption, and the k at adoption (if any),
+    walked one exposure at a time.
+
+    Simultaneous exposures make k jump by the group size: skipped values are
+    never visited. An adoption at the exact time of an exposure counts at the
+    new k (exposures are processed first).
+    """
+    visited = [0]
+    k = 0
+    idx = 0
+    n = len(transitions)
+    while idx < n:
+        t = transitions[idx]
+        if adoption is not None and t > adoption:
+            break
+        j = idx
+        while j < n and transitions[j] == t:
+            j += 1
+        k += j - idx
+        visited.append(k)
+        idx = j
+    return visited, (k if adoption is not None else None)
+
+
+def naive_exposure_curve(trace: NaiveTrace, users: list[str], min_e: int = 50,
+                         k_max: Optional[int] = None) -> ExposureCurve:
+    """exposure_curve's oracle: each named user's path counted one at a time."""
+    e_counts: dict[int, int] = {}
+    i_counts: dict[int, int] = {}
+    for u in users:
+        visited, k_adopt = naive_user_exposure_path(
+            list(trace.exposures.get(u, ())), trace.adopted_at.get(u))
+        for k in visited:
+            e_counts[k] = e_counts.get(k, 0) + 1
+        if k_adopt is not None:
+            i_counts[k_adopt] = i_counts.get(k_adopt, 0) + 1
+    if k_max is None:
+        eligible = [k for k, c in e_counts.items() if c >= min_e]
+        k_max = max(eligible) if eligible else max(e_counts)
+    e = np.array([e_counts.get(k, 0) for k in range(k_max + 1)], dtype=float)
+    i = np.array([i_counts.get(k, 0) for k in range(k_max + 1)], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(e > 0, i / e, np.nan)
+    return ExposureCurve(e=e, i=i, p=p)
 
 
 def _naive_int64(text: str) -> bool:

@@ -1085,6 +1085,11 @@ NUMPY_MA_FREE = {
     "flows": ["flows", "--log", "{log}", "--graph", "{graph}"],
     "flows-curve": ["flows", "--log", "{log}", "--graph", "{graph}", "--curve-out", "{out}.curve"],
     "synth": ["synth", "--config", "{synth}", "--seed", "1"],
+    # np.unique loads numpy.ma, but not with return_index=True, which build_trace uses.
+    "exposure": ["exposure", "--log", "{log}", "--graph", "{graph}", "--token", "tok"],
+    "sources": ["sources", "--log", "{log}", "--graph", "{graph}"],
+    "queues": ["queues", "--log", "{log}", "--graph", "{graph}"],
+    "queues-fit": ["queues", "--log", "{log}", "--graph", "{graph}", "--fit-delays", "{out}.fit"],
 }
 
 
