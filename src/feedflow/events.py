@@ -89,10 +89,6 @@ class SocialGraph:
         """Indices of the nodes node i follows, ascending."""
         return self.followee_indices[self.followee_indptr[i]:self.followee_indptr[i + 1]]
 
-    def follower_slice(self, i: int) -> np.ndarray:
-        """Indices of the followers of node i, ascending."""
-        return self.follower_indices[self.follower_indptr[i]:self.follower_indptr[i + 1]]
-
     def followee_sums(self, values: np.ndarray) -> np.ndarray:
         """Per node, the sum of values over the nodes it follows.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -182,8 +182,9 @@ def node_rates(
 
 # Every random draw hashes (seed, cascade_id, slot) with SplitMix64's finaliser
 # over uint64 arrays, which wrap on overflow. Edge e of the follower CSR owns slots
-# 3e (its liveness coin) and 3e + 1, 3e + 2 (a Box-Muller pair for its delay); the
-# seed node owns the last slot, 2**64 - 1, which no edge reaches.
+# 3e (its liveness coin) and 3e + 1, 3e + 2 (a Box-Muller pair for its delay, or
+# synth's contagion lag at 3e + 1); the seed node owns the last slot, 2**64 - 1, which
+# no edge reaches.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _CHUNK_CELLS = 1 << 20  # (cascade, node) cells of the cascades run together
 
@@ -211,80 +212,94 @@ def seed_nodes(keys: np.ndarray, n: int) -> np.ndarray:
     return (_hash(keys, np.full(len(keys), 2**64 - 1, np.uint64)) % np.uint64(n)).astype(np.int64)
 
 
+def first_passage(graph: SocialGraph, keys: np.ndarray, start: np.ndarray,
+                  start_time: np.ndarray, prob: np.ndarray, delay: Optional[Callable] = None,
+                  max_time=math.inf) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """First-passage spread over the live follower edges of a batch of cascades.
+
+    Key c * n + i is node i in cascade c, whose stream key is keys[c]; start
+    holds the ascending, distinct keys that start at their start_time. Edge e,
+    i -> j (j follows i), is live in cascade c when its coin is below prob[j].
+    Without a delay, the keys reachable over live edges are found by one
+    level-synchronous BFS (independent cascade). With delay(keys[c], e, j), the
+    reach times are first-passage times, in start_time's dtype, found by
+    label-correcting relaxation and pruned at max_time. Returns the reached
+    keys, ascending, and their times (None without a delay).
+    """
+    ptr, indices = graph.follower_indptr, graph.follower_indices
+    n, degree, timed = len(graph.nodes), np.diff(ptr), delay is not None
+    # Per key: not yet reached (untimed) or the reach time, `never` until reached.
+    never = np.inf if start_time.dtype.kind == "f" else np.iinfo(start_time.dtype).max
+    state = (np.full(keys.size * n, never, start_time.dtype) if timed
+             else np.ones(keys.size * n, bool))
+    state[start] = start_time if timed else False
+    frontier = start
+    while frontier.size:
+        i = frontier % n
+        counts = degree[i]
+        # The CSR edges e of every frontier key, and their (cascade, follower) keys.
+        e = csr_ranges(ptr[i], counts)
+        target = indices[e]
+        target += np.repeat(frontier - i, counts)
+        # Only a later arrival can be improved on; an edge's coin is fixed.
+        # (flatnonzero and take beat a boolean mask on these random masks.)
+        if timed:
+            t = np.repeat(state[frontier], counts)
+            sel = np.flatnonzero(state.take(target) > t)
+            t = t.take(sel)
+        else:
+            sel = np.flatnonzero(state.take(target))
+        e, target = e.take(sel), target.take(sel)
+        c, j = np.divmod(target, n)
+        sel = np.flatnonzero(slot_uniform(keys.take(c), 3 * e) < prob.take(j))
+        target = target.take(sel)
+        if timed:
+            arrive = t.take(sel) + delay(keys.take(c.take(sel)), e.take(sel), j.take(sel))
+            sel = np.flatnonzero((arrive <= max_time) & (arrive < state.take(target)))
+            target, arrive = target.take(sel), arrive.take(sel)
+            np.minimum.at(state, target, arrive)
+        else:
+            state[target] = False
+        # np.sort, not np.unique: the first np.unique call imports numpy.ma.
+        target = np.sort(target)
+        frontier = target[np.diff(target, prepend=-1) != 0]
+    reached = np.flatnonzero(state < never if timed else ~state)
+    return reached, state[reached] if timed else None
+
+
 def _simulate(graph: SocialGraph, config: SimConfig,
               delay_model: Optional[DelayModel]) -> Cascades:
-    """First-passage cascades over the live follower edges.
-
-    Edge e, i -> j (j follows i), is live in a cascade when its coin is below
-    beta[j]. Without a delay model a cascade is the set reachable over live
-    edges (independent cascade), found for a chunk of cascades at once by one
-    level-synchronous BFS over (cascade, node) keys. With one, adoption times
-    are first-passage times over live edges weighted by their delays, found by
-    label-correcting relaxation and pruned at max_time; the adopter set at
-    max_time = inf is then the independent-cascade one.
-    """
+    """Each cascade spreads from its seed at time 0 over the coins below beta."""
     _, lam_in = node_rates(graph, np.random.default_rng(config.seed), config.mu, config.sigma)
     beta = np.array([beta_of_inflow(l, config.beta_curve) for l in lam_in])
-    ptr, indices = graph.follower_indptr, graph.follower_indices
-    n, degree, timed = len(graph.nodes), np.diff(ptr), delay_model is not None
-    if timed:
+    n, delay = len(graph.nodes), None
+    if delay_model is not None:
         at = delay_model.bin_index(lam_in)
         loc = np.array([(b.mu1, b.mu2) for b in delay_model.bins])[at]
         scale = np.array([(b.sigma1, b.sigma2) for b in delay_model.bins])[at]
+
+        def delay(k, e, j):
+            # A lognormal from each normal of the edge's Box-Muller pair.
+            r = np.sqrt(-2.0 * np.log(slot_uniform(k, 3 * e + 1)))
+            theta = 2.0 * np.pi * slot_uniform(k, 3 * e + 2)
+            return (np.exp(loc[j, 0] + scale[j, 0] * r * np.cos(theta))
+                    + np.exp(loc[j, 1] + scale[j, 1] * r * np.sin(theta)))
     chunk = max(1, _CHUNK_CELLS // n)
     seed_cols, size_cols, node_cols, time_cols = [], [], [], []
     for first in range(0, config.n_cascades, chunk):
         ids = np.arange(first, min(first + chunk, config.n_cascades))
         keys = cascade_keys(config.seed, ids)
         seeds = seed_nodes(keys, n)
-        frontier = np.arange(ids.size) * n + seeds
-        # Per (cascade, node) key: not yet reached (IC) or the arrival time (CT).
-        state = np.full(ids.size * n, np.inf) if timed else np.ones(ids.size * n, bool)
-        state[frontier] = 0.0 if timed else False
-        while frontier.size:
-            i = frontier % n
-            counts = degree[i]
-            # The CSR edges e of every frontier key, and their (cascade, follower) keys.
-            e = csr_ranges(ptr[i], counts)
-            target = indices[e]
-            target += np.repeat(frontier - i, counts)
-            # Only a later arrival can be improved on; an edge's coin is fixed.
-            # (flatnonzero and take beat a boolean mask on these random masks.)
-            if timed:
-                t = np.repeat(state[frontier], counts)
-                sel = np.flatnonzero(state.take(target) > t)
-                t = t.take(sel)
-            else:
-                sel = np.flatnonzero(state.take(target))
-            e, target = e.take(sel), target.take(sel)
-            c, j = np.divmod(target, n)
-            sel = np.flatnonzero(slot_uniform(keys.take(c), 3 * e) < beta.take(j))
-            target = target.take(sel)
-            if timed:
-                k, slot, j = keys.take(c.take(sel)), 3 * e.take(sel), j.take(sel)
-                # The delay: a lognormal from each normal of the edge's Box-Muller pair.
-                r = np.sqrt(-2.0 * np.log(slot_uniform(k, slot + 1)))
-                theta = 2.0 * np.pi * slot_uniform(k, slot + 2)
-                arrive = t.take(sel) + (np.exp(loc[j, 0] + scale[j, 0] * r * np.cos(theta))
-                                        + np.exp(loc[j, 1] + scale[j, 1] * r * np.sin(theta)))
-                sel = np.flatnonzero((arrive <= config.max_time) & (arrive < state.take(target)))
-                target, arrive = target.take(sel), arrive.take(sel)
-                np.minimum.at(state, target, arrive)
-            else:
-                state[target] = False
-            # np.sort, not np.unique: the first np.unique call imports numpy.ma.
-            target = np.sort(target)
-            frontier = target[np.diff(target, prepend=-1) != 0]
-        reached = np.flatnonzero(state < np.inf if timed else ~state)
+        reached, time = first_passage(graph, keys, np.arange(ids.size) * n + seeds,
+                                      np.zeros(ids.size), beta, delay, config.max_time)
         seed_cols.append(seeds)
         size_cols.append(np.diff(np.searchsorted(reached, np.arange(ids.size + 1) * n)))
         # int32 halves the adopter column; the log's user codes are int32 too.
         node_cols.append((reached % n).astype(np.int32))
-        if timed:
-            time_cols.append(state[reached])
+        time_cols.append(time)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(size_cols))))
     return Cascades(np.concatenate(seed_cols), indptr, np.concatenate(node_cols),
-                    np.concatenate(time_cols) if timed else None)
+                    None if delay is None else np.concatenate(time_cols))
 
 
 def simulate_ic_bg(graph: SocialGraph, config: SimConfig) -> Cascades:

@@ -8,7 +8,6 @@ per-exposure adoption hazard.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -16,7 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .events import TS_BOUND, EventLog, SocialGraph, csr_ranges
-from .simulate import BetaCurve, DelayModel, beta_of_inflow, check_rates, node_rates
+from .simulate import (BetaCurve, DelayModel, beta_of_inflow, cascade_keys, check_rates,
+                       first_passage, node_rates, slot_uniform)
 
 SECONDS_PER_HOUR = 3600
 # The largest expected post count of one node: numpy's Poisson sampler
@@ -39,8 +39,9 @@ class ContagionPlan:
     def __post_init__(self):
         if not (0.0 <= self.hazard <= 1.0):
             raise ValueError("hazard must lie in [0, 1]")
-        if self.adopt_jitter_s < 1:
-            raise ValueError("adopt_jitter_s must be >= 1")
+        # 2^62 bounds every lag, so that a lag past the horizon cannot overflow.
+        if not 1 <= self.adopt_jitter_s <= TS_BOUND:
+            raise ValueError(f"adopt_jitter_s must lie in [1, 2^62], got {self.adopt_jitter_s}")
         if self.overload_hazard is not None and not (0.0 <= self.overload_hazard <= 1.0):
             raise ValueError("overload_hazard must lie in [0, 1]")
         if (self.overload_hazard is None) != (self.overload_threshold is None):
@@ -68,12 +69,6 @@ class WorkloadSpec:
         check_rates(self.mu, self.sigma)
 
 
-def _hazard_for(plan: ContagionPlan, lam_in: float) -> float:
-    if plan.overload_threshold is not None and lam_in > plan.overload_threshold:
-        return plan.overload_hazard
-    return plan.hazard
-
-
 def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     """Generate an event log plus a ground-truth parameter report.
 
@@ -92,7 +87,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     delay_bin = spec.delay_model.bin_index(lam_in)
 
     # Events under construction, in stages of creation: originals, forwards by
-    # depth, adoptions. A stage is its rows' (ts, author, orig row or -1, depth);
+    # depth, adoptions by contagion. A stage is its rows' (ts, author, orig row or -1, depth);
     # final ids are assigned after the global sort. Poisson posting per node
     # groups the originals' rows by author.
     counts, stamps = np.zeros(n, np.int64), []
@@ -143,39 +138,32 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
             break
         ptr = np.concatenate(([0], np.cumsum(np.bincount(author[kept], minlength=n))))
     del hits, delays, hit, author, ts, d, kept  # the last depth's, before the log's peak
-    n_rows, adopt_ts, adopt_author, token_rows = first + len(stages[-1][0]), [], [], {}
+    n_rows, token_rows = first + len(stages[-1][0]), {}
 
-    # Contagion injection: each exposure (a followee's adoption) gives a
-    # follower one independent chance to adopt after a short jittered delay.
-    # The jitter keeps adoption waves from marching in lockstep, which would
-    # pile simultaneous exposures onto single timestamps.
+    # Contagion injection: each follow edge gets one coin at the follower's hazard
+    # and one lag over 1..adopt_jitter_s, keyed by seed and contagion index; a node
+    # adopts at its first passage from the seeds, up to the horizon, and same-second
+    # adoptions stay in node order. The lag keeps adoption waves out of lockstep,
+    # which would pile simultaneous exposures onto single timestamps.
     truth_contagions = []
-    for plan in spec.contagions:
+    for index, plan in enumerate(spec.contagions):
         if plan.n_seeds > n:
             raise ValueError(f"plan {plan.token!r}: more seeds than nodes")
         seeds = rng.choice(n, size=plan.n_seeds, replace=False)
         # Seed adoption times are jittered across the first hour so that
         # exposure transitions do not pile up on a single timestamp.
         seed_ts = rng.integers(0, min(SECONDS_PER_HOUR, horizon_s) + 1, size=plan.n_seeds)
-        adopted: set[int] = set()
-        heap: list[tuple[int, int]] = [
-            (int(t), int(s)) for t, s in zip(seed_ts, sorted(seeds))
-        ]
-        heapq.heapify(heap)
-        while heap:
-            t, u = heapq.heappop(heap)
-            if u in adopted or t > horizon_s:
-                continue
-            adopted.add(u)
-            token_rows.setdefault(plan.token, []).append(n_rows + len(adopt_ts))
-            adopt_ts.append(t)
-            adopt_author.append(u)
-            for w in graph.follower_slice(u).tolist():
-                if w in adopted:
-                    continue
-                if rng.random() < _hazard_for(plan, float(lam_in[w])):
-                    lag = int(rng.integers(1, plan.adopt_jitter_s + 1))
-                    heapq.heappush(heap, (t + lag, w))
+        hazard = np.full(n, plan.hazard)
+        if plan.overload_threshold is not None:
+            hazard[lam_in > plan.overload_threshold] = plan.overload_hazard
+
+        def lag(k, e, j):  # from the edge's slot 3e + 1
+            return 1 + (slot_uniform(k, 3 * e + 1) * plan.adopt_jitter_s).astype(np.int64)
+        adopters, ts = first_passage(graph, cascade_keys(spec.seed, [index]), np.sort(seeds),
+                                     seed_ts, hazard, lag, horizon_s)
+        stages.append((ts, adopters, np.full(adopters.size, -1), 1))
+        token_rows.setdefault(plan.token, []).append(n_rows + np.arange(adopters.size))
+        n_rows += adopters.size
         truth_contagions.append(
             {
                 "token": plan.token,
@@ -183,15 +171,13 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
                 "hazard": plan.hazard,
                 "overload_hazard": plan.overload_hazard,
                 "overload_threshold": plan.overload_threshold,
-                "n_adopters": len(adopted),
+                "n_adopters": adopters.size,
                 "seeds": sorted(graph.nodes[s] for s in seeds.tolist()),
             }
         )
 
     # Event ids follow (ts, depth, row); lexsort is stable, so rows break ties.
     # An event's id is its row in the log.
-    stages.append((np.array(adopt_ts, np.int64), np.array(adopt_author, np.int64),
-                   np.full(len(adopt_ts), -1), 1))
     raw_depth = np.repeat([s[3] for s in stages], [len(s[0]) for s in stages])
     raw_ts, raw_author, raw_orig = (np.concatenate(c) for c in list(zip(*stages))[:3])
     del stages
@@ -203,7 +189,8 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     log = EventLog(
         raw_ts[order], np.arange(len(order), dtype=np.int64),
         author[order], np.where(forward, author[orig], -1), np.where(forward, event_id[orig], 0),
-        list(graph.nodes), {token: np.sort(event_id[rows]) for token, rows in token_rows.items()})
+        list(graph.nodes),
+        {token: np.sort(event_id[np.concatenate(rows)]) for token, rows in token_rows.items()})
 
     truth = {
         "seed": spec.seed,

@@ -153,7 +153,8 @@ def followee_names(graph: SocialGraph, user: str) -> frozenset[str]:
 
 def follower_names(graph: SocialGraph, user: str) -> frozenset[str]:
     """The names of the user's followers; UnknownUserError if not a node."""
-    return frozenset(graph.nodes[j] for j in graph.follower_slice(graph.index(user)).tolist())
+    i, ptr = graph.index(user), graph.follower_indptr
+    return frozenset(graph.nodes[j] for j in graph.follower_indices[ptr[i]:ptr[i + 1]].tolist())
 
 
 def tsv_text(obj) -> str:
@@ -613,3 +614,34 @@ def naive_cascades(
                     heapq.heappush(heap, (arrive, j))
         out.append((nodes[seed], {nodes[i]: t if timed else None for i, t in when.items()}))
     return out
+
+
+def naive_contagion(graph: SocialGraph, key: np.uint64, start: dict[int, int], hazard: list[float],
+                    jitter: int, horizon: int) -> dict[int, int]:
+    """One contagion walked one follower edge at a time from synth's draws.
+
+    Edge e, i -> j, reads its coin at slot 3e of the contagion's key and is live
+    when the coin is below hazard[j]; its lag, 1 + floor(u * jitter), reads u at
+    slot 3e + 1. A Dijkstra over the live edges from the start nodes at their
+    start times, in exact integers, keeping the adoptions at or before horizon.
+    Returns {adopter: adoption time}.
+    """
+    ptr, followers = graph.follower_indptr.tolist(), graph.follower_indices.tolist()
+    keys = np.full(len(followers), key, np.uint64)
+    slots = 3 * np.arange(len(followers), dtype=np.uint64)
+    coin = slot_uniform(keys, slots).tolist()
+    lag = [1 + int(u * jitter) for u in slot_uniform(keys, slots + np.uint64(1)).tolist()]
+    when = dict(start)
+    heap = [(t, i) for i, t in start.items()]
+    heapq.heapify(heap)
+    while heap:
+        t, i = heapq.heappop(heap)
+        if t > when[i]:
+            continue
+        for e in range(ptr[i], ptr[i + 1]):
+            j = followers[e]
+            arrive = t + lag[e]
+            if coin[e] < hazard[j] and arrive <= horizon and arrive < when.get(j, arrive + 1):
+                when[j] = arrive
+                heapq.heappush(heap, (arrive, j))
+    return when

@@ -119,7 +119,7 @@ def test_synth_is_deterministic(workspace, tmp_path, runner):
 # sha256 of synth's outputs for SYNTH_CONFIG (criterion 8's synth config) at
 # seed 11. A change to these bytes is an output change and must be declared.
 SYNTH_GOLDEN = {
-    "log.tsv": "930949a989497eae4807e93f627fe292c5db090844176dd5195504911bfb9a74",
+    "log.tsv": "7a139a9fa9e628be6505a82ff49bebe8bd60ac36b65a5c6c307d6ab37fdd74cc",
     "graph.tsv": "cb477ebd06800112ea7d578f2478f3e858dd765e1f1869dbc55e994bc6bed320",
     "truth.txt": "48da8a14805200117329c17edcc40498d049fa2436da47c734bacecdf65e2403",
 }
@@ -134,12 +134,12 @@ def test_synth_outputs_match_golden_digests(workspace):
 # `queues --source root` on a log with forward chains (see chain_log). A change
 # to these bytes is an output change and must be declared.
 ANALYSIS_GOLDEN = {
-    "flows.csv": "84c7b13270f02b25147559300163291d1f4915cdd1c6dff7de01f838000f6f49",
-    "curve.csv": "7de836573157d471cb92ab6b46dd07852ebfc825a5b609e3da2057806cc9ff1c",
-    "flows_orig.csv": "990141a15608421485af85fa1cc196b190c70c76b31837c60fcf0dd9c3229bc3",
-    "queues.csv": "ce05ed422da3bfa5315751f5d586e2b1ab2c33ef02c771f61ff29649b5bb3aa9",
+    "flows.csv": "55f9efe9813209f14b0f1188d88a0b6be18bc52a2d38d0bfe15378c14a02123c",
+    "curve.csv": "9abf9d5972d52b7174a4e31a5058bab8e8389ae9439a2ce296074644ab05e067",
+    "flows_orig.csv": "f05a6bd95a4e83ad88fb708eaade9678437a4e91b1323968777f43801f968ba9",
+    "queues.csv": "c34a5c2937343aab19f1f0a108686dde35997436eb3092de449a2619221f5280",
     "sources.csv": "10c43cea044cef76b79c2ea50c593fa1c46d3b69a570c0ecea298f2e816a7098",
-    "exposure.csv": "29d68e75f16e04b2a8df3c88f5595c88a9c09541420c2574ca8b2508374aae29",
+    "exposure.csv": "24845a6bcd9e019da62a9125bd218b1c70e311c79cdc34d7b7b7c162102c4ea6",
     "chain_immediate.csv": "7f916b789373906f8f3ddfddc3856652d2ac32f0f362e1cf57c193ca260adaf1",
     "chain_root.csv": "2cc101697666bbe0a6762c76702b7055f6bfab2060216a59f701ec3502d411f6",
 }
@@ -977,6 +977,18 @@ def test_synth_rejects_values_its_log_cannot_hold(tmp_path, runner, old, new, en
     message = all_output(result)
     assert message.startswith("error:") and key in message, message
     assert "Traceback" not in message
+    assert list(tmp_path.glob("bad*")) == []
+
+
+def test_synth_rejects_a_lag_bound_past_2_62(tmp_path, runner):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CONFIG + f"contagion.0.adopt_jitter_s = {2**62 + 1}\n")
+    out = tmp_path / "bad.tsv"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--seed", "1", "--out", str(out),
+                                  "--graph-out", str(tmp_path / "bad.graph.tsv")])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()  # stdout and stderr
+    assert len(lines) == 1 and lines[0].startswith("error:") and "adopt_jitter_s" in lines[0]
     assert list(tmp_path.glob("bad*")) == []
 
 

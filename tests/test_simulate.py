@@ -115,7 +115,8 @@ def test_follow_view_matches_graph():
     assert list(g.nodes) == sorted(g.nodes)
     edges = [line.split("\t") for line in tsv_text(g).splitlines()]
     for i, u in enumerate(g.nodes):
-        assert [g.nodes[j] for j in g.follower_slice(i)] == sorted(a for a, b in edges if b == u)
+        followers = g.follower_indices[g.follower_indptr[i]:g.follower_indptr[i + 1]]
+        assert [g.nodes[j] for j in followers] == sorted(a for a, b in edges if b == u)
         assert [g.nodes[j] for j in g.followee_slice(i)] == sorted(b for a, b in edges if a == u)
 
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from feedflow import synth
-from feedflow.events import parse_event_log
+from feedflow.events import TS_BOUND, parse_event_log
 from feedflow.graphgen import KroneckerParams, kronecker_generate
-from feedflow.simulate import BetaCurve, DelayBin, DelayModel
+from feedflow.simulate import BetaCurve, DelayBin, DelayModel, cascade_keys, first_passage
 from feedflow.synth import ContagionPlan, WorkloadSpec, generate_workload, ground_truth_text
-from helpers import EventKind, events_of, followee_names, reachable_followers, tsv_text
+from helpers import (EventKind, events_of, followee_names, follower_names, graph_of,
+                     naive_contagion, reachable_followers, tsv_text)
 
 CURVE = BetaCurve(lambda_c=30.0, beta0=0.1, gamma=0.65)
 DELAYS = DelayModel(bins=(DelayBin(0.0, math.inf, 3.0, 0.5, 2.0, 0.5),))
@@ -108,6 +109,11 @@ def test_contagion_plan_validation():
         ContagionPlan(token="t", n_seeds=1, hazard=1.5)
     with pytest.raises(ValueError):
         ContagionPlan(token="t", n_seeds=1, hazard=0.1, overload_hazard=0.05)
+    # A lag up to 2^62 added to a time below 2^62 stays inside int64.
+    for jitter in (0, TS_BOUND + 1):
+        with pytest.raises(ValueError, match="adopt_jitter_s"):
+            ContagionPlan(token="t", n_seeds=1, hazard=0.1, adopt_jitter_s=jitter)
+    assert ContagionPlan(token="t", n_seeds=1, hazard=0.1, adopt_jitter_s=TS_BOUND)
     with pytest.raises(ValueError):
         generate_workload(spec(contagions=(
             ContagionPlan(token="t", n_seeds=1000, hazard=0.1),
@@ -167,3 +173,97 @@ def test_log_does_not_depend_on_the_gather_block(monkeypatch, forward_retweets):
         monkeypatch.setattr(synth, "_GATHER_CELLS", cells)
         small, small_truth = generate_workload(sp)
         assert tsv_text(small) == tsv_text(log) and small_truth == truth
+
+
+def run_with_oracle(monkeypatch, sp):
+    """The spec's log and truth, and per plan the start times synth gave the
+    engine and the oracle's {adopter: time} from them."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return first_passage(*args)
+    monkeypatch.setattr(synth, "first_passage", spy)
+    log, truth = generate_workload(sp)
+    lam_in = [truth["lam_in"][u] for u in sp.graph.nodes]
+    horizon_s = round(sp.horizon_hours * 3600)
+    runs = []
+    for index, (plan, call) in enumerate(zip(sp.contagions, calls, strict=True)):
+        start = call[2]
+        assert (np.diff(start) > 0).all()
+        start = dict(zip(start.tolist(), call[3].tolist()))
+        over = plan.overload_threshold
+        hazard = [plan.overload_hazard if over is not None and lam > over else plan.hazard
+                  for lam in lam_in]
+        want = naive_contagion(sp.graph, cascade_keys(sp.seed, [index])[0], start, hazard,
+                               plan.adopt_jitter_s, horizon_s)
+        runs.append((start, want))
+    # Each token's adoption rows are its plans' oracle adoptions, exactly.
+    for token in {plan.token for plan in sp.contagions}:
+        rows = sorted((e.author, e.ts) for e in events_of(log) if token in e.marks)
+        assert rows == sorted((sp.graph.nodes[i], t)
+                              for plan, (_, want) in zip(sp.contagions, runs)
+                              if plan.token == token for i, t in want.items())
+    for plan_truth, (start, want) in zip(truth["contagions"], runs):
+        assert plan_truth["n_adopters"] == len(want)
+        assert plan_truth["seeds"] == [sp.graph.nodes[i] for i in start]
+    return log, truth, runs
+
+
+def test_contagions_match_the_edge_by_edge_oracle(monkeypatch):
+    over = 25.0
+    plans = (ContagionPlan("a", n_seeds=5, hazard=0.3),
+             ContagionPlan("shared", n_seeds=6, hazard=0.6, overload_hazard=0.1,
+                           overload_threshold=over, adopt_jitter_s=900),
+             ContagionPlan("shared", n_seeds=3, hazard=1.0, adopt_jitter_s=30),
+             ContagionPlan("none", n_seeds=4, hazard=0.0))
+    sp = spec(contagions=plans)
+    _, truth, runs = run_with_oracle(monkeypatch, sp)
+    g = sp.graph
+    # Hazard 1 floods the followers of every adopter; hazard 0 leaves the seeds.
+    flood = {g.nodes[i] for i in runs[2][1]}
+    assert reachable_followers(g, flood) == flood and len(flood) > 3
+    assert runs[3][1] == runs[3][0]
+    # The overload plan exposes users on both sides of its threshold.
+    exposed = {v for i in runs[1][1] for v in follower_names(g, g.nodes[i])}
+    assert {truth["lam_in"][v] > over for v in exposed} == {False, True}
+
+
+def test_contagion_on_a_ring_overtakes_seeds_and_stops_at_the_horizon(monkeypatch):
+    # Each node follows the one before it, so a contagion at hazard 1 with
+    # one-second lags walks the ring one node a second.
+    names = [f"r{i:04d}" for i in range(4000)]
+    ring = graph_of([(names[(i + 1) % 4000], names[i]) for i in range(4000)])
+    sp = spec(graph=ring, horizon_hours=1.0, mu=0.2, sigma=0.0,
+              contagions=(ContagionPlan("walk", n_seeds=1, hazard=1.0, adopt_jitter_s=1),
+                          ContagionPlan("race", n_seeds=40, hazard=1.0, adopt_jitter_s=1)))
+    _, _, runs = run_with_oracle(monkeypatch, sp)
+    (start, walk), (race_start, race) = runs
+    (seed, t0), = start.items()
+    # The walk adopts at 3600 s exactly; the next node, a second later, is dropped.
+    last = (seed + 3600 - t0) % 4000
+    assert walk[last] == 3600 and (last + 1) % 4000 not in walk
+    assert len(walk) == 3601 - t0
+    # Some seed adopts before its own start, reached from an earlier seed.
+    assert any(race[i] < t for i, t in race_start.items())
+
+
+def test_contagion_times_stay_exact_past_2_53_seconds(monkeypatch):
+    # A horizon of 2^61 s and lags up to 2^60 s: float64 would round the
+    # adoption times, which are sums of a seed time and odd lags.
+    sp = spec(horizon_hours=2.0**61 / 3600, mu=1e-17, sigma=0.0,
+              contagions=(ContagionPlan("far", n_seeds=5, hazard=0.5, adopt_jitter_s=2**60),))
+    log, _, runs = run_with_oracle(monkeypatch, sp)
+    start, want = runs[0]
+    assert max(want.values()) > 2**53 and len(want) > len(start)
+    assert log.ts.dtype == np.int64
+
+
+def test_contagions_leave_posts_and_forwards_alone():
+    def unmarked(sp):
+        log, _ = generate_workload(sp)
+        return [(e.ts, e.author, e.kind, e.orig_author) for e in events_of(log) if not e.marks]
+    plans = (ContagionPlan("a", n_seeds=5, hazard=0.5), ContagionPlan("b", n_seeds=3, hazard=1.0))
+    for forward_retweets in (False, True):
+        assert (unmarked(spec(forward_retweets=forward_retweets, contagions=plans))
+                == unmarked(spec(forward_retweets=forward_retweets)))
