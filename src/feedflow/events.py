@@ -144,46 +144,20 @@ class EventLog:
 
     A row is an event's position in that order. The log is columns over rows:
     ts, ids, author and orig_author (codes into names, -1 for an original),
-    forward, orig_ids (0 for an original), orig_row and each token's rows.
+    forward, orig_ids (0 for an original), orig_row (a forward's original's
+    row, which is earlier, else -1) and each token's rows. The producers build
+    every column: the log sorts and searches nothing.
     """
 
-    def __init__(self, ts, ids, author, orig_author, orig_ids, names, marks):
+    def __init__(self, ts, ids, author, orig_author, orig_ids, orig_row, names, marks):
         """The log of columns whose rows are in (ts, event_id) order; marks maps
         each token to its ascending rows."""
         self.ts, self.ids, self.author, self.orig_author = ts, ids, author, orig_author
         self.forward = orig_author >= 0
-        self.orig_ids, self.names, self._marks = orig_ids, names, marks
-        self._code = {name: code for code, name in enumerate(names)}
-        self._id_order = np.argsort(ids, kind="stable")
-        self._sorted_ids = ids[self._id_order]
-        dup = self._sorted_ids[1:][self._sorted_ids[1:] == self._sorted_ids[:-1]]
-        if dup.size:
-            raise LogFormatError(f"duplicate event_id {dup[0]}")
-        # -1 also for a forward whose original is absent or does not sort before it.
-        orig = self.rows_of(orig_ids)
-        self.orig_row = np.where(self.forward & (orig < np.arange(len(ids))), orig, -1)
-        self._by_author = np.argsort(author, kind="stable")
-        self._author_start = np.searchsorted(author[self._by_author], np.arange(len(names) + 1))
+        self.orig_ids, self.orig_row, self.names, self._marks = orig_ids, orig_row, names, marks
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def rows(self, author: str, window: tuple[int, int]) -> np.ndarray:
-        """The author's rows with ts inside the closed window, ascending."""
-        code = self._code.get(author)
-        if code is None:
-            return _NO_ROWS
-        rows = self._by_author[self._author_start[code]:self._author_start[code + 1]]
-        ts = self.ts[rows]
-        return rows[np.searchsorted(ts, window[0]):np.searchsorted(ts, window[1], "right")]
-
-    def rows_of(self, event_ids: Sequence[int]) -> np.ndarray:
-        """Rows of the given event ids; -1 for an id not in the log."""
-        ids = np.asarray(event_ids, dtype=np.int64)
-        if not len(self):
-            return np.full(ids.shape, -1, dtype=self._id_order.dtype)
-        at = np.minimum(np.searchsorted(self._sorted_ids, ids), len(self) - 1)
-        return np.where(self._sorted_ids[at] == ids, self._id_order[at], -1)
 
     def token_rows(self, token: str) -> np.ndarray:
         """Rows of the events marked with the token, ascending."""
@@ -618,11 +592,19 @@ def _check_references(pieces: list[list[np.ndarray]], names: dict[str, int],
         report.rejects.append(LineReject(int(line_no[i]), reason))
 
     kept = order[~rejected[order]]
+    del order  # before the gathers: a lower peak
     texts, rank = _sorted_table(names)
     rank = rank.astype(np.int32)
-    return (ts[kept], ids[kept], rank[author[kept]],
-            np.where(forward[kept], rank[orig_author[kept]], np.int32(-1)), orig_ids[kept],
-            texts, _mark_rows(mark[kept], list(fields)))
+    forward = forward[kept]
+    columns = (ts[kept], ids[kept], rank[author[kept]],
+               np.where(forward, rank[orig_author[kept]], np.int32(-1)), orig_ids[kept])
+    marks, orig = _mark_rows(mark[kept], list(fields)), orig[kept]
+    del line_no, ts, ids, orig_ids, author, orig_author, mark  # before orig_row: a lower peak
+    # A kept forward's original is kept, and its row is its line's place in kept.
+    jump[kept] = np.arange(len(kept))  # jump becomes the line -> row map
+    np.take(jump, orig, out=orig)
+    orig[~forward] = -1  # an original's orig_ids 0 matches an event with id 0
+    return (*columns, orig, texts, marks)
 
 
 def _mark_rows(mark: np.ndarray, fields: list[str]) -> dict[str, np.ndarray]:
@@ -655,15 +637,22 @@ def csr_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 class FeedIndex:
     """Every user's feed over a closed window, as sorted rows of the log.
 
-    A user's feed holds the in-window rows of her followees. The forwards of
-    feed items and the queue positions read the feed from here.
+    A user's feed holds the in-window rows of the user's followees, from one
+    sort of the window's rows by author node. The forwards of feed items and
+    the queue positions read the feed from here.
     """
 
     def __init__(self, log: EventLog, graph: SocialGraph, window: tuple[int, int]):
-        self.log = log
-        self.graph = graph
-        self.window = window
-        self._rows = [log.rows(v, window) for v in graph.nodes]  # indexed by node
+        self.log, self.graph = log, graph
+        lo = int(np.searchsorted(log.ts, window[0]))
+        hi = int(np.searchsorted(log.ts, window[1], "right"))
+        node = graph.nodes_of(log.names)[log.author[lo:hi]]
+        by_node = np.argsort(node, kind="stable")
+        # Each node's own in-window rows, ascending. An author outside the
+        # graph is node -1: its rows sort before node 0's and are left out.
+        start = np.searchsorted(node[by_node], np.arange(len(graph.nodes) + 1)).tolist()
+        by_node += lo
+        self._rows = [by_node[a:b] for a, b in zip(start, start[1:])]
 
     def rows(self, user: str) -> np.ndarray:
         """The user's feed as sorted log rows."""
@@ -679,7 +668,7 @@ class FeedIndex:
 
     def forwards(self, user: str) -> np.ndarray:
         """Rows of the user's own forwards inside the window."""
-        rows = self.log.rows(user, self.window)
+        rows = self._rows[self.graph.index(user)]
         return rows[self.log.forward[rows]]
 
 

@@ -9,6 +9,7 @@ per-exposure adoption hazard.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -39,11 +40,20 @@ class ContagionPlan:
     def __post_init__(self):
         if not (0.0 <= self.hazard <= 1.0):
             raise ValueError("hazard must lie in [0, 1]")
-        # 2^62 bounds every lag, so that a lag past the horizon cannot overflow.
-        if not 1 <= self.adopt_jitter_s <= TS_BOUND:
-            raise ValueError(f"adopt_jitter_s must lie in [1, 2^62], got {self.adopt_jitter_s}")
+        # A lag is whole seconds (2.5 would let one reach 3), and 2^62 bounds
+        # every lag, so that a lag past the horizon cannot overflow.
+        try:
+            jitter = operator.index(self.adopt_jitter_s)
+        except TypeError:
+            jitter = 0
+        if not 1 <= jitter <= TS_BOUND:
+            raise ValueError(f"adopt_jitter_s must be an integer in [1, 2^62], "
+                             f"got {self.adopt_jitter_s!r}")
         if self.overload_hazard is not None and not (0.0 <= self.overload_hazard <= 1.0):
             raise ValueError("overload_hazard must lie in [0, 1]")
+        # No in-flow exceeds NaN, so the overload hazard would never apply.
+        if self.overload_threshold is not None and math.isnan(self.overload_threshold):
+            raise ValueError("overload_threshold must not be NaN")
         if (self.overload_hazard is None) != (self.overload_threshold is None):
             raise ValueError("overload_hazard and overload_threshold go together")
         if self.n_seeds < 1:
@@ -189,7 +199,7 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     log = EventLog(
         raw_ts[order], np.arange(len(order), dtype=np.int64),
         author[order], np.where(forward, author[orig], -1), np.where(forward, event_id[orig], 0),
-        list(graph.nodes),
+        np.where(forward, event_id[orig], -1), list(graph.nodes),
         {token: np.sort(event_id[np.concatenate(rows)]) for token, rows in token_rows.items()})
 
     truth = {

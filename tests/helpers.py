@@ -108,9 +108,12 @@ class Event:
 def log_of(events: Iterable[Event]) -> EventLog:
     """The EventLog of the events, built from its columns without the parser,
     so it may hold rows a parse would reject: the rows in (ts, event_id)
-    order, the names coded in sorted order and each token's rows ascending."""
+    order, the names coded in sorted order and each token's rows ascending.
+    A forward's orig_row is its original's row if that is earlier, else -1."""
     events = sorted(events, key=operator.attrgetter("ts", "event_id"))
     forward = [e.kind is EventKind.RETWEET for e in events]
+    row_of = {e.event_id: row for row, e in enumerate(events)}
+    orig_row = [row_of.get(e.orig_event_id, -1) if fwd else -1 for e, fwd in zip(events, forward)]
     names = sorted({e.author for e in events}
                    | {e.orig_author for e, fwd in zip(events, forward) if fwd})
     code = {u: i for i, u in enumerate(names)}
@@ -125,6 +128,7 @@ def log_of(events: Iterable[Event]) -> EventLog:
         np.array([code[e.orig_author] if fwd else -1 for e, fwd in zip(events, forward)],
                  np.int32),
         np.array([e.orig_event_id or 0 for e in events], np.int64),
+        np.array([o if o < row else -1 for row, o in enumerate(orig_row)], np.int64),
         names,
         {token: np.array(rows, np.int64) for token, rows in marks.items()},
     )

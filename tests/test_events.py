@@ -169,6 +169,23 @@ def test_graph_tsv_bad_line():
         SocialGraph.from_tsv(tsv_file(["a\tb\n", "only-one-field\n"]))
 
 
+def test_parse_gives_each_forward_its_originals_row():
+    # Rows in (ts, event_id) order: ids 0, 3, 5, 7, 2. Event 0 is an original
+    # with id 0, which every original's orig_event_id 0 would match.
+    log, report = parse_event_log(tsv_file([
+        "300\td\tR\t7\t5\tb",        # forward of a forward
+        "100\ta\tT\t0",
+        "250\tf\tR\t9\t42\tz",       # unknown original: rejected
+        "400\te\tR\t2\t7\td",        # a chain of three forwards
+        "200\tb\tR\t5\t0\ta",        # forward of id 0
+        "150\tc\tT\t3",
+    ]))
+    assert [r.line_no for r in report.rejects] == [3]
+    assert log.ids.tolist() == [0, 3, 5, 7, 2]
+    assert log.orig_ids.tolist() == [0, 0, 0, 5, 7]
+    assert log.orig_row.tolist() == [-1, -1, 0, 2, 3]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(4, 10), st.integers(10, 120))
 def test_log_tsv_round_trip(seed, n_users, n_events):
@@ -187,9 +204,10 @@ def test_log_tsv_round_trip(seed, n_users, n_events):
     # Every column, not only the Event view: the parser fills them itself.
     for column in ("ts", "ids", "forward", "orig_row", "orig_ids"):
         assert getattr(log2, column).tolist() == getattr(log, column).tolist(), column
-    window = (0, 10_000)
+    feeds, feeds2 = FeedIndex(log, graph, (0, 10_000)), FeedIndex(log2, graph, (0, 10_000))
     for user in sorted(graph.nodes):
-        assert log2.rows(user, window).tolist() == log.rows(user, window).tolist()
+        assert feeds2.rows(user).tolist() == feeds.rows(user).tolist()
+        assert feeds2.forwards(user).tolist() == feeds.forwards(user).tolist()
     for token in ("tok", "x", "z", "absent"):
         assert log2.token_rows(token).tolist() == log.token_rows(token).tolist()
     for column in ("author", "orig_author"):  # codes may differ; the names they read may not
@@ -290,21 +308,7 @@ def test_event_log_span_and_indices():
         Event(1, 100, "a", EventKind.TWEET),
     ])
     assert log.span() == (100, 300)
-    assert [events_of(log)[r].event_id for r in log.rows("a", (0, 1000))] == [1]
-    assert log.rows_of([99]).tolist() == [-1]
     assert log_of([]).span() == (0, 0)
-    with pytest.raises(LogFormatError, match="duplicate event_id 1"):
-        log_of([Event(1, 100, "a", EventKind.TWEET), Event(1, 200, "b", EventKind.TWEET)])
-
-
-def test_rows_of_matches_a_dict_of_ids():
-    assert log_of([]).rows_of([1, 2]).tolist() == [-1, -1]
-    rng = np.random.default_rng(4)
-    ids = rng.choice(np.arange(-50, 50), size=30, replace=False)
-    log = log_of([Event(int(i), int(rng.integers(0, 5)), "a", EventKind.TWEET) for i in ids])
-    row = {e.event_id: r for r, e in enumerate(events_of(log))}
-    query = np.arange(-60, 60)
-    assert log.rows_of(query).tolist() == [row.get(i, -1) for i in query.tolist()]
 
 
 def test_event_log_row_columns():
@@ -321,10 +325,6 @@ def test_event_log_row_columns():
     assert log.forward.tolist() == [True, False, True, True, True, True]
     # -1 for the tweet, for an original that sorts after its forward, and for an absent one.
     assert log.orig_row.tolist() == [-1, -1, 1, 1, 3, -1]
-    assert log.rows_of([5, 99, 6]).tolist() == [4, -1, 0]
-    assert log.rows("a", (0, 1000)).tolist() == [0, 1, 4]
-    assert log.rows("b", (100, 300)).tolist() == [2, 3]
-    assert log.rows("nobody", (0, 1000)).tolist() == []
 
 
 def _log_outcome(parse, data: bytes):

@@ -87,6 +87,26 @@ def test_queue_positions_batch_and_coverage():
     assert n_out_of_feed == 1
 
 
+def test_authors_outside_the_graph_stay_out_of_node_zeros_feed():
+    # "zed" is no node: its author node is -1, which sorts before node 0 ("a").
+    g = graph_of([("u", "a")])
+    log = log_of([
+        Event(1, 100, "a", EventKind.TWEET),
+        Event(2, 150, "zed", EventKind.TWEET),
+        Event(3, 200, "zed", EventKind.RETWEET, orig_event_id=1, orig_author="a"),
+        Event(4, 300, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a"),
+        Event(5, 400, "u", EventKind.RETWEET, orig_event_id=2, orig_author="zed"),
+    ])
+    assert g.index("a") == 0
+    feeds = FeedIndex(log, g, (0, 1000))
+    assert feeds.rows("u").tolist() == [0]
+    assert feeds.forwards("u").tolist() == [3, 4]
+    assert feeds.forwards("a").tolist() == []
+    cols, n_out_of_feed = queue_positions("u", feeds)
+    assert cols.retweet_id.tolist() == [4] and cols.q.tolist() == [0]
+    assert n_out_of_feed == 1
+
+
 def test_queue_positions_root_mode_follows_chains():
     # u follows both the root author and the forwarder; root mode measures
     # against the root post instead of the forward that landed in the feed.

@@ -110,10 +110,15 @@ def test_contagion_plan_validation():
     with pytest.raises(ValueError):
         ContagionPlan(token="t", n_seeds=1, hazard=0.1, overload_hazard=0.05)
     # A lag up to 2^62 added to a time below 2^62 stays inside int64.
-    for jitter in (0, TS_BOUND + 1):
+    # A lag is whole seconds: 2.5 would let one reach 3.
+    for jitter in (0, TS_BOUND + 1, 2.5):
         with pytest.raises(ValueError, match="adopt_jitter_s"):
             ContagionPlan(token="t", n_seeds=1, hazard=0.1, adopt_jitter_s=jitter)
     assert ContagionPlan(token="t", n_seeds=1, hazard=0.1, adopt_jitter_s=TS_BOUND)
+    assert ContagionPlan(token="t", n_seeds=1, hazard=0.1, adopt_jitter_s=np.int64(30))
+    with pytest.raises(ValueError, match="overload_threshold"):
+        ContagionPlan(token="t", n_seeds=1, hazard=0.1, overload_hazard=0.1,
+                      overload_threshold=math.nan)
     with pytest.raises(ValueError):
         generate_workload(spec(contagions=(
             ContagionPlan(token="t", n_seeds=1000, hazard=0.1),
