@@ -646,7 +646,8 @@ class FeedIndex:
         self.log, self.graph = log, graph
         lo = int(np.searchsorted(log.ts, window[0]))
         hi = int(np.searchsorted(log.ts, window[1], "right"))
-        node = graph.nodes_of(log.names)[log.author[lo:hi]]
+        node = graph.nodes_of(log.names)  # int16 below 2**15 nodes: a radix argsort
+        node = node.astype(np.int16 if len(graph.nodes) < 2**15 else np.int64)[log.author[lo:hi]]
         by_node = np.argsort(node, kind="stable")
         # Each node's own in-window rows, ascending. An author outside the
         # graph is node -1: its rows sort before node 0's and are left out.

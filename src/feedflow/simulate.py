@@ -190,10 +190,12 @@ _CHUNK_CELLS = 1 << 20  # (cascade, node) cells of the cascades run together
 
 
 def _hash(keys: np.ndarray, slots) -> np.ndarray:
-    x = keys + np.asarray(slots, np.uint64) * _GAMMA
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = keys + np.asarray(slots, np.uint64) * _GAMMA  # the broadcast result; then in place
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(factor)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def cascade_keys(seed: int, cascade_ids) -> np.ndarray:
@@ -204,7 +206,9 @@ def cascade_keys(seed: int, cascade_ids) -> np.ndarray:
 def slot_uniform(keys: np.ndarray, slots) -> np.ndarray:
     """The draw at each (cascade key, slot), uniform strictly inside (0, 1). It
     keeps 52 bits, so that adding the half step is exact and stays below 1."""
-    return ((_hash(keys, slots) >> np.uint64(12)) + 0.5) * 2.0**-52
+    u = (_hash(keys, slots) >> np.uint64(12)) + 0.5
+    u *= 2.0**-52
+    return u
 
 
 def seed_nodes(keys: np.ndarray, n: int) -> np.ndarray:
@@ -220,20 +224,18 @@ def first_passage(graph: SocialGraph, keys: np.ndarray, start: np.ndarray,
     Key c * n + i is node i in cascade c, whose stream key is keys[c]; start
     holds the ascending, distinct keys that start at their start_time. Edge e,
     i -> j (j follows i), is live in cascade c when its coin is below prob[j].
-    Without a delay, the keys reachable over live edges are found by one
-    level-synchronous BFS (independent cascade). With delay(keys[c], e, j), the
-    reach times are first-passage times, in start_time's dtype, found by
-    label-correcting relaxation and pruned at max_time. Returns the reached
-    keys, ascending, and their times (None without a delay).
+    Pass 1 finds the keys reachable over live edges by a level-synchronous BFS
+    on one byte per key (independent cascade). With delay(keys[c], e, j), it
+    keeps each live edge out of a reached key and its delay, as a deeper level
+    can arrive earlier; pass 2 relaxes only those, pruned at max_time, to the
+    least arrival over live paths in start_time's dtype, in any order (t + delay
+    is monotone in t). Returns the reached keys, ascending, and times or None.
     """
     ptr, indices = graph.follower_indptr, graph.follower_indices
     n, degree, timed = len(graph.nodes), np.diff(ptr), delay is not None
-    # Per key: not yet reached (untimed) or the reach time, `never` until reached.
-    never = np.inf if start_time.dtype.kind == "f" else np.iinfo(start_time.dtype).max
-    state = (np.full(keys.size * n, never, start_time.dtype) if timed
-             else np.ones(keys.size * n, bool))
-    state[start] = start_time if timed else False
-    frontier = start
+    unreached = np.ones(keys.size * n, bool)
+    unreached[start] = False
+    frontier, live = start, []
     while frontier.size:
         i = frontier % n
         counts = degree[i]
@@ -241,30 +243,47 @@ def first_passage(graph: SocialGraph, keys: np.ndarray, start: np.ndarray,
         e = csr_ranges(ptr[i], counts)
         target = indices[e]
         target += np.repeat(frontier - i, counts)
-        # Only a later arrival can be improved on; an edge's coin is fixed.
-        # (flatnonzero and take beat a boolean mask on these random masks.)
-        if timed:
-            t = np.repeat(state[frontier], counts)
-            sel = np.flatnonzero(state.take(target) > t)
-            t = t.take(sel)
-        else:
-            sel = np.flatnonzero(state.take(target))
-        e, target = e.take(sel), target.take(sel)
+        if not timed:  # an edge into a reached key adds nothing (take beats a mask here)
+            sel = np.flatnonzero(unreached.take(target))
+            e, target = e.take(sel), target.take(sel)
         c, j = np.divmod(target, n)
         sel = np.flatnonzero(slot_uniform(keys.take(c), 3 * e) < prob.take(j))
         target = target.take(sel)
-        if timed:
-            arrive = t.take(sel) + delay(keys.take(c.take(sel)), e.take(sel), j.take(sel))
-            sel = np.flatnonzero((arrive <= max_time) & (arrive < state.take(target)))
-            target, arrive = target.take(sel), arrive.take(sel)
-            np.minimum.at(state, target, arrive)
-        else:
-            state[target] = False
+        if timed:  # each live edge as c * n * edges + e, and its delay
+            c, e, j = c.take(sel), e.take(sel), j.take(sel)
+            live.append((c * (n * indices.size) + e, delay(keys.take(c), e, j)))
+            target = target[unreached.take(target)]
+        unreached[target] = False
         # np.sort, not np.unique: the first np.unique call imports numpy.ma.
         target = np.sort(target)
         frontier = target[np.diff(target, prepend=-1) != 0]
-    reached = np.flatnonzero(state < never if timed else ~state)
-    return reached, state[reached] if timed else None
+    reached = np.flatnonzero(~unreached)
+    if not timed:
+        return reached, None
+    # The CSR orders edges by source, so sorted ids group the live edges by source key.
+    edge, d = map(np.concatenate, zip(*live))
+    del live  # each del keeps a copy of the live edges out of the peak
+    order = np.argsort(edge)
+    (base, e), d = np.divmod(edge.take(order), indices.size), d.take(order)
+    del edge, order
+    target = np.searchsorted(reached, base + indices.take(e))
+    base += np.repeat(np.arange(n), degree).take(e)  # each live edge's source key
+    out = np.append(np.searchsorted(base, reached), e.size)  # reached[p]'s first edge
+    never = np.inf if start_time.dtype.kind == "f" else np.iinfo(start_time.dtype).max
+    time = np.full(reached.size, never, start_time.dtype)
+    frontier = np.searchsorted(reached, start)
+    time[frontier] = start_time
+    while frontier.size:
+        counts = out[frontier + 1] - out[frontier]
+        k = csr_ranges(out[frontier], counts)
+        arrive = np.repeat(time[frontier], counts) + d.take(k)
+        to = target.take(k)
+        sel = np.flatnonzero((arrive <= max_time) & (arrive < time.take(to)))
+        np.minimum.at(time, to.take(sel), arrive.take(sel))
+        to = np.sort(to.take(sel))
+        frontier = to[np.diff(to, prepend=-1) != 0]
+    keep = np.flatnonzero(time < never)
+    return reached.take(keep), time.take(keep)
 
 
 def _simulate(graph: SocialGraph, config: SimConfig,

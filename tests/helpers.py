@@ -545,6 +545,16 @@ def sample_lognormal_sum(
     return rng.lognormal(mu1, sigma1, size) + rng.lognormal(mu2, sigma2, size)
 
 
+def splitmix64(key: int, slot: int) -> int:
+    """SplitMix64's finaliser of key + slot * 0x9E3779B97F4A7C15, in Python
+    integers mod 2**64: the oracle of every cascade draw's hash."""
+    mask = 2**64 - 1
+    x = (key + slot * 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
 def reachable_followers(graph: SocialGraph, seeds: set[str]) -> set[str]:
     """Transitive closure along follower edges (the direction cascades travel)."""
     seen = set(seeds)

@@ -302,6 +302,31 @@ def test_in_flow_stream_matches_brute_force(seed):
         assert originals[graph.index(user)] == sum(e.kind is EventKind.TWEET for e in expected)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_feed_index_is_the_same_on_either_side_of_the_int16_cut(seed):
+    # Below 2**15 nodes FeedIndex sorts int16 nodes. Isolated nodes that take
+    # the graph past the cut must change no feed and no forward list, and an
+    # author outside the graph (node -1) stays in no feed.
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 6)
+    view = events_of(random_log(rng, graph, 80))
+    view += [Event(1000 + k, int(rng.integers(0, 10_000)), "outsider", EventKind.TWEET)
+             for k in range(5)]
+    log = log_of(view)
+    view = events_of(log)
+    edges = [(u, v) for u in graph.nodes for v in followee_names(graph, u)]
+    padded = graph_of(edges, nodes=[*graph.nodes, *(f"~pad{k:05d}" for k in range(2**15))])
+    assert len(graph.nodes) < 2**15 <= len(padded.nodes)
+    small, big = FeedIndex(log, graph, (1000, 9000)), FeedIndex(log, padded, (1000, 9000))
+    for user in graph.nodes:
+        rows = small.rows(user)
+        assert [view[r] for r in rows] == [e for e in view if e.author in followee_names(
+            graph, user) and 1000 <= e.ts <= 9000]
+        assert big.rows(user).tolist() == rows.tolist()
+        assert big.forwards(user).tolist() == small.forwards(user).tolist()
+    assert sum(small.forwards(u).size for u in graph.nodes) > 0
+
+
 def test_event_log_span_and_indices():
     log = log_of([
         Event(2, 300, "b", EventKind.TWEET),

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from feedflow import simulate
 from feedflow.graphgen import KroneckerParams, kronecker_generate
@@ -12,11 +15,15 @@ from feedflow.simulate import (
     DelayBinError,
     DelayModel,
     SimConfig,
+    _hash,
     beta_of_inflow,
+    cascade_keys,
     distribution_report,
+    first_passage,
     node_rates,
     simulate_ct_bg,
     simulate_ic_bg,
+    slot_uniform,
     truncated_normal_rates,
 )
 from helpers import (
@@ -25,6 +32,7 @@ from helpers import (
     graph_of,
     naive_cascades,
     reachable_followers,
+    splitmix64,
     tsv_text,
 )
 
@@ -205,6 +213,90 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, cells):
     whole = [cascade_view(g, run(g, cfg)) for run in runs]
     monkeypatch.setattr(simulate, "_CHUNK_CELLS", cells)
     assert [cascade_view(g, run(g, cfg)) for run in runs] == whole
+
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(U64, U64), min_size=1, max_size=8), U64)
+@example([(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)], 2**64 - 1)
+@example([(2**64 - 1, 2**64 - 1)], 0)
+def test_hash_and_uniforms_match_the_splitmix64_oracle(pairs, key):
+    keys, slots = (np.array(column, np.uint64) for column in zip(*pairs))
+    # Elementwise, and one key broadcast against many slots (as cascade_keys does).
+    for k, s, want_keys in ((keys, slots, keys.tolist()), (np.array([key], np.uint64), slots,
+                                                          [key] * len(slots))):
+        want = [splitmix64(a, b) for a, b in zip(want_keys, s.tolist())]
+        assert _hash(k, s).tolist() == want
+        u = slot_uniform(k, s)
+        assert u.tolist() == [((h >> 12) + 0.5) * 2.0**-52 for h in want]
+        assert ((0.0 < u) & (u < 1.0)).all()
+    assert slot_uniform(np.array([key], np.uint64), 2**64 - 1).tolist() == \
+        [((splitmix64(key, 2**64 - 1) >> 12) + 0.5) * 2.0**-52]
+
+
+def relay_graph():
+    """a's followers b and c are BFS level 1 and d is level 2, but with the
+    delays below the path a -> c -> d -> b (1 + 1 + 1) beats a -> b (10)."""
+    g = graph_of([("b", "a"), ("c", "a"), ("d", "c"), ("b", "d")])
+    fixed = {("a", "b"): 10, ("a", "c"): 1, ("c", "d"): 1, ("d", "b"): 1}
+    source = np.repeat(np.arange(len(g.nodes)), np.diff(g.follower_indptr))
+    table = np.array([fixed[g.nodes[i], g.nodes[j]]
+                      for i, j in zip(source.tolist(), g.follower_indices.tolist())])
+    return g, table
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("max_time,want", [
+    (math.inf, {0: 0, 1: 3, 2: 1, 3: 2, 5: 2, 6: 0, 7: 1}),
+    (2, {0: 0, 2: 1, 3: 2, 5: 2, 6: 0, 7: 1}),  # cascade 0 reaches b, but at 3
+])
+def test_first_passage_takes_the_earliest_arrival_over_levels(dtype, max_time, want):
+    # Cascade 0 starts at a, cascade 1 at c; key c * 4 + i is node i (a, b, c, d)
+    # in cascade c. Every coin is below prob 1, so every edge is live.
+    g, table = relay_graph()
+    reached, time = first_passage(g, cascade_keys(0, [0, 1]), np.array([0, 6]),
+                                  np.zeros(2, dtype), np.ones(4),
+                                  lambda k, e, j: table[e].astype(dtype), max_time)
+    assert dict(zip(reached.tolist(), time.tolist())) == want
+    assert time.dtype == dtype
+    untimed, none = first_passage(g, cascade_keys(0, [0, 1]), np.array([0, 6]),
+                                  np.zeros(2, dtype), np.ones(4))
+    assert untimed.tolist() == [0, 1, 2, 3, 5, 6, 7] and none is None
+
+
+def test_ct_max_time_drops_reached_adopters():
+    # Every edge live and every delay exactly 2 s: by max_time 3 only the seed's
+    # followers adopt, although every reachable follower is reached over live edges.
+    g = small_graph()
+    fixed = DelayModel(bins=(DelayBin(0.0, math.inf, 0.0, 0.0, 0.0, 0.0),))
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=ALL_LIVE, n_cascades=20, seed=3,
+                    delay_model=fixed, max_time=3.0)
+    view = cascade_view(g, simulate_ct_bg(g, cfg))
+    for seed_node, times in view:
+        assert times == {seed_node: 0.0} | {u: 2.0 for u in follower_names(g, seed_node)}
+    assert sum(len(reachable_followers(g, {s})) for s, _ in view) > \
+        sum(len(times) for _, times in view)
+
+
+def test_ct_working_set_stays_near_ic():
+    # At the benchmark's scale (about 1,000 nodes and 800 cascades, one chunk)
+    # both models hold one byte per (cascade, node) cell; the continuous one
+    # adds only its live edges and their delays.
+    g = kronecker_generate(
+        KroneckerParams(((0.9, 0.5), (0.5, 0.3)), k=10, target_edges=20_000, seed=1))
+    cfg = SimConfig(mu=1.0, sigma=0.25, beta_curve=CURVE, n_cascades=800, seed=5,
+                    delay_model=WIDE_BIN)
+    peaks = []
+    for run in (simulate_ic_bg, simulate_ct_bg):
+        tracemalloc.start()
+        try:
+            run(g, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_ct_requires_delay_model():
