@@ -114,7 +114,7 @@ class SocialGraph:
         """
         names: dict[str, int] = {}
         edges = [np.empty((2, 0), np.int64)]  # per block: follower and followee codes
-        for first_line, lines in _blocks(fh, "graph line"):
+        for first_line, lines in _blocks(fh, "graph line", 1):
             follower, followee = lines.width(lines.first), lines.width(lines.last)
             pair = (lines.count() == 2) & (follower > 0) & (followee > 0)
             fast = pair & ~lines.nul & (np.maximum(follower, followee) <= _WIDE)
@@ -185,7 +185,7 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 # Every timestamp lies strictly within +-TS_BOUND, so that the difference of
 # any two, such as a forward's delay, fits in signed 64 bits.
 TS_BOUND = 1 << 62
-_BLOCK = 1 << 22  # bytes read at once; bounds the parse's transient memory
+_BLOCK = 1 << 22  # the largest read: a block's fixed ~1 ms is ~1% of parsing 4 MiB
 _ROW_BLOCK = 1 << 12  # rows formatted at once; bounds write_table's transient memory
 # The widest name or marks field the array path codes; a line with a wider
 # one goes through _parse_line. It bounds the words a field is packed into.
@@ -297,18 +297,21 @@ def _parse_line(line: str) -> tuple:
     return ts, author, kind == "R" or None, event_id, orig_id, orig_author, marks
 
 
-def _blocks(fh: BinaryIO, what: str) -> Iterator[tuple[int, _Lines]]:
+def _blocks(fh: BinaryIO, what: str, parts: int) -> Iterator[tuple[int, _Lines]]:
     """The file as (number of the block's first line, block's lines) pairs.
 
-    A block is about _BLOCK bytes cut after its last newline. As in text mode,
-    '\\r\\n' and a lone '\\r' end a line: both become '\\n', and an
-    unterminated last line gets one. Each read is checked as UTF-8 before any
-    of it is parsed: LogFormatError names the line (what names the file's
-    lines) of a byte sequence that is not UTF-8.
+    A block is about 1/parts of a seekable file, else _BLOCK bytes, and at
+    most _BLOCK, cut after its last newline. As in text mode, '\\r\\n' and a
+    lone '\\r' end a line: both become '\\n', and an unterminated last line
+    gets one. Each read is checked as UTF-8 before any of it is parsed:
+    LogFormatError names the line (what names the file's lines) of a byte
+    sequence that is not UTF-8.
     """
     first, tail, more = 1, b"", True
+    here = fh.tell() if fh.seekable() else None  # 1/parts of the bytes left, then back
+    size = _BLOCK if here is None else min(_BLOCK, (fh.seek(0, 2) - fh.seek(here)) // parts + 1)
     while more:
-        buf = tail + fh.read(_BLOCK)
+        buf = tail + fh.read(size)
         more = len(buf) > len(tail)
         if not buf.isascii():
             try:  # a sequence cut by the read is completed by the next one
@@ -335,12 +338,14 @@ def _blocks(fh: BinaryIO, what: str) -> Iterator[tuple[int, _Lines]]:
 class _Lines:
     """A block's lines split at tabs.
 
-    a is the block's bytes. Field j lies between the separators at bound[j]
-    and bound[j + 1] (bound[0] is -1, then each tab and newline); line i
-    holds fields first[i] to last[i]. nul[i] says the line holds a NUL byte.
+    block is the block's bytes, and a the same as uint8. Field j lies between
+    the separators at bound[j] and bound[j + 1] (bound[0] is -1, then each tab
+    and newline); line i holds fields first[i] to last[i]. nul[i] says the
+    line holds a NUL byte.
     """
 
     def __init__(self, block: bytes):
+        self.block = block
         self.a = a = np.frombuffer(block, np.uint8)
         # uint8 arithmetic: a byte below a tab wraps above a newline.
         separators = np.flatnonzero(a - _TAB <= _NL - _TAB)
@@ -370,7 +375,7 @@ class _Lines:
 
     def text(self, line: int) -> str:
         start, end = self.bound[self.first[line]] + 1, self.bound[self.last[line] + 1]
-        return self.a[start:end].tobytes().decode()
+        return self.block[start:end].decode()
 
     def ints(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each field's value, and whether the field is a plain decimal
@@ -435,7 +440,7 @@ class _Lines:
         new = np.concatenate(([True], (words[:, 1:] != words[:, :-1]).any(axis=0)))
         del words
         first = order[new]
-        distinct = [table.setdefault(self.a[s:e].tobytes().decode(), len(table))
+        distinct = [table.setdefault(self.block[s:e].decode(), len(table))
                     for s, e in zip(start[first].tolist(), end[first].tolist())]
         rank = np.cumsum(new, dtype=np.int32)
         rank -= 1
@@ -464,7 +469,9 @@ def parse_event_log(fh: BinaryIO) -> tuple[EventLog, ParseReport]:
     names: dict[str, int] = {}
     fields: dict[str, int] = {}  # marks field -> code
     pieces: list[list[np.ndarray]] = [[] for _ in range(7)]  # per column, one per block
-    for first, lines in _blocks(fh, "line"):
+    # In quarters: a block's arrays, about 6x its bytes, then peak about as high as
+    # _check_references does; larger blocks set the parse's peak, smaller ones cost time.
+    for first, lines in _blocks(fh, "line", 4):
         for piece, column in zip(pieces, _parse_block(first, lines, names, fields, report)):
             piece.append(column)
         del lines  # only its columns outlive a block
@@ -511,11 +518,12 @@ def _parse_block(first_line: int, lines: _Lines, names: dict[str, int],
 
     rows, f, fwd, marked = rows[good], f[good], fwd[good], marked[good]
     ts, ids, orig_ids = ts[good], ids[good], orig_ids[good]
+    code = lines.codes(np.concatenate([f + 1, f[fwd] + 5]), names)  # authors, then originals'
     orig_code = np.full(len(rows), -1, np.int32)
-    orig_code[fwd] = lines.codes(f[fwd] + 5, names)
+    orig_code[fwd] = code[len(rows):]
     mark_code = np.full(len(rows), -1, np.int32)
     mark_code[marked] = lines.codes(lines.last[rows[marked]], fields)
-    columns = [rows.astype(np.int64) + first_line, ts, ids, orig_ids, lines.codes(f + 1, names),
+    columns = [rows.astype(np.int64) + first_line, ts, ids, orig_ids, code[:len(rows)],
                orig_code, mark_code]
 
     fast = np.zeros(len(lines), bool)
@@ -537,9 +545,9 @@ def _parse_block(first_line: int, lines: _Lines, names: dict[str, int],
     return columns
 
 
-def _originals(ids, line_no, orig_ids) -> np.ndarray:
-    """The index of the parsed line holding each orig_id, -1 for none;
-    LogFormatError naming both lines of a repeated id."""
+def _originals(ids, line_no, orig_ids, forward) -> np.ndarray:
+    """The index of the parsed line holding each forward's orig_id, -1 for
+    none and for an original; LogFormatError naming both lines of a repeated id."""
     by_id = np.lexsort((line_no, ids))
     sorted_ids = ids[by_id]
     dup = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
@@ -548,8 +556,14 @@ def _originals(ids, line_no, orig_ids) -> np.ndarray:
         j = dup[np.argmin(line_no[by_id[dup + 1]])]
         raise LogFormatError(f"duplicate event_id {sorted_ids[j]} at lines "
                              f"{line_no[by_id[j]]} and {line_no[by_id[j + 1]]}")
-    at = np.searchsorted(sorted_ids, orig_ids).clip(0, max(len(ids) - 1, 0))
-    return np.where(sorted_ids[at] == orig_ids, by_id[at], -1)
+    wanted = orig_ids[forward]  # an original's orig_id is not searched
+    at = np.searchsorted(sorted_ids, wanted)
+    np.take(by_id, at, out=at, mode="clip")  # in place; an orig_id above every id clips
+    del sorted_ids, by_id  # before the next array: a lower peak
+    at[ids.take(at) != wanted] = -1
+    orig = np.full(len(ids), -1)
+    orig[forward] = at
+    return orig
 
 
 def _check_references(pieces: list[list[np.ndarray]], names: dict[str, int],
@@ -565,22 +579,23 @@ def _check_references(pieces: list[list[np.ndarray]], names: dict[str, int],
     line_no, ts, ids, orig_ids, author, orig_author, mark = (
         np.concatenate(piece) if len(piece) > 1 else (piece or [_NO_ROWS])[0]
         for piece in (pieces.pop(0) for _ in range(7)))
-    by_code = list(names)
+    by_code, n = list(names), len(ids)
     forward = orig_author >= 0
-    orig = _originals(ids, line_no, orig_ids)
-    found = forward & (orig >= 0)
+    orig = _originals(ids, line_no, orig_ids, forward)
+    found = orig >= 0
     before = found & ((ts[orig] < ts) | (ts[orig] == ts) & (ids[orig] < ids))
     # A forward of a rejected forward is rejected too: pointer jumping over
     # the originals ORs each chain's own rejects, doubling its reach a pass.
     rejected = (forward & ~before) | (before & (author[orig] != orig_author))
-    jump = np.where(before, orig, np.arange(len(ids)))
+    jump = np.arange(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    np.copyto(jump, orig, where=before)
     while True:
         rejected |= rejected[jump]
         if np.array_equal(jump[jump], jump):
             break
         jump = jump[jump]
-    order = np.lexsort((ids, ts))
-    for i in order[rejected[order]].tolist():
+    rej = np.flatnonzero(rejected)
+    for i in rej[np.lexsort((ids[rej], ts[rej]))].tolist():
         rid, oid = ids[i], orig_ids[i]
         if not found[i] or rejected[orig[i]] and before[i]:
             reason = f"retweet {rid} references unknown or rejected event {oid}"
@@ -591,20 +606,23 @@ def _check_references(pieces: list[list[np.ndarray]], names: dict[str, int],
                       f"{oid} was posted by {by_code[author[orig[i]]]!r}")
         report.rejects.append(LineReject(int(line_no[i]), reason))
 
-    kept = order[~rejected[order]]
-    del order  # before the gathers: a lower peak
+    del line_no, found, before, jump  # before the (ts, event_id) order: a lower peak
+    kept = np.lexsort((ids, ts))
+    kept = kept[~rejected[kept]]
+    columns = [ts, ids, orig_ids, author, orig_author, orig, mark]  # each freed as gathered
+    del ts, ids, orig_ids, author, orig_author, orig, mark, rejected
+    ts, ids, orig_ids, author, orig_author, orig = (columns.pop(0)[kept] for _ in range(6))
+    marks = _mark_rows(columns.pop()[kept], list(fields))
     texts, rank = _sorted_table(names)
     rank = rank.astype(np.int32)
-    forward = forward[kept]
-    columns = (ts[kept], ids[kept], rank[author[kept]],
-               np.where(forward, rank[orig_author[kept]], np.int32(-1)), orig_ids[kept])
-    marks, orig = _mark_rows(mark[kept], list(fields)), orig[kept]
-    del line_no, ts, ids, orig_ids, author, orig_author, mark  # before orig_row: a lower peak
+    forward = orig_author >= 0
+    author, orig_author = rank[author], np.where(forward, rank[orig_author], np.int32(-1))
     # A kept forward's original is kept, and its row is its line's place in kept.
-    jump[kept] = np.arange(len(kept))  # jump becomes the line -> row map
-    np.take(jump, orig, out=orig)
-    orig[~forward] = -1  # an original's orig_ids 0 matches an event with id 0
-    return (*columns, orig, texts, marks)
+    row = np.empty(n, np.int64)  # line -> row
+    row[kept] = np.arange(len(kept))
+    np.take(row, orig, out=orig, mode="clip")
+    orig[~forward] = -1  # clipped from -1 to row[0] above
+    return ts, ids, author, orig_author, orig_ids, orig, texts, marks
 
 
 def _mark_rows(mark: np.ndarray, fields: list[str]) -> dict[str, np.ndarray]:

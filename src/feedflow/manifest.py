@@ -18,13 +18,14 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10-3.11
     except ImportError:
         from hashlib import sha256
+_BUFFER = 1 << 16  # bytes file_digest reads at once, unbuffered, into one reused buffer
 
 
 def file_digest(path: str | Path) -> str:
-    h = sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    h, buf = sha256(), memoryview(bytearray(_BUFFER))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -456,15 +457,61 @@ def _block_corpus() -> tuple[bytes, bytes]:
     return "".join(log).encode() + b"12\tz\tT\t900009", "".join(edges).encode()
 
 
-@pytest.mark.parametrize("block", [7, 64, 4096])
+_LOG_CORPUS = _block_corpus()[0]
+# Reads that end between the two bytes of the log's first 'é', and reads that
+# leave a last block of a few lines.
+_INSIDE_E = _LOG_CORPUS.index("é".encode()) + 1
+_SHORT_TAIL = (len(_LOG_CORPUS) - 60) // 5
+
+
+@pytest.mark.parametrize("block", [7, 64, 4096, _INSIDE_E, _SHORT_TAIL])
 def test_parse_does_not_depend_on_block_size(monkeypatch, block):
     log, graph = _block_corpus()
     expected = (_log_outcome(naive_parse_event_log, log),
                 _graph_outcome(naive_graph_from_tsv, graph))
     assert len(expected[0][3]) == 2 and len(log) > 4096  # rejects, and more than one block
+    assert max(_INSIDE_E, _SHORT_TAIL) < len(log) // 4  # so each of their reads is one block
     monkeypatch.setattr(events, "_BLOCK", block)
     assert (_log_outcome(lambda d: parse_event_log(io.BytesIO(d)), log),
             _graph_outcome(lambda d: SocialGraph.from_tsv(io.BytesIO(d)), graph)) == expected
+
+
+def _working_set_log(n: int, users: int, seed: int) -> bytes:
+    """A valid log of n events, ids in line order, 60% of them forwards of
+    earlier originals."""
+    rng = np.random.default_rng(seed)
+    ts = np.sort(rng.integers(0, 10**6, n)).tolist()
+    author = rng.integers(0, users, n)
+    fwd = rng.random(n) < 0.6
+    fwd[0] = False
+    originals = np.flatnonzero(~fwd)
+    before = np.searchsorted(originals, np.flatnonzero(fwd))  # originals earlier than each
+    orig = np.zeros(n, np.int64)
+    orig[fwd] = originals[(rng.random(len(before)) * before).astype(np.int64)]
+    return "".join(
+        f"{ts[i]}\tu{author[i]}\tR\t{i}\t{orig[i]}\tu{author[orig[i]]}\n" if fwd[i]
+        else f"{ts[i]}\tu{author[i]}\tT\t{i}\n" for i in range(n)).encode()
+
+
+def test_parse_working_set_is_bounded_by_the_log(tmp_path, monkeypatch):
+    # The parse's peak, over the reads, the block arrays and the reference
+    # check, stays within a fixed multiple of the columns it returns.
+    path = tmp_path / "log.tsv"
+    path.write_bytes(_working_set_log(40_000, 1_000, 3))
+    blocks = []
+    parse_block = events._parse_block
+    monkeypatch.setattr(events, "_parse_block", lambda *a: blocks.append(1) or parse_block(*a))
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            log, report = parse_event_log(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(log, c).nbytes for c in
+                  ("ts", "ids", "author", "orig_author", "forward", "orig_ids", "orig_row"))
+    assert peak <= 3 * columns, (peak, columns)
+    assert len(log) == 40_000 and not report.rejects and len(blocks) >= 3
 
 
 @pytest.mark.parametrize("block", [16, 4096])

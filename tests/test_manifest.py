@@ -3,6 +3,7 @@ import importlib
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 from feedflow import __version__, manifest
@@ -11,10 +12,12 @@ from feedflow.manifest import RunManifest, file_digest, manifest_path_for
 
 
 def digest_cases(tmp_path) -> dict[Path, str]:
-    """Files of 0 bytes, 1 byte, 6 bytes and 3 MiB (three reads), each with hashlib's digest."""
-    cases = {}
+    """Files of 0 bytes, 1 byte, 6 bytes, exactly the read buffer, one byte over
+    it and 3 MiB (many buffers), each with hashlib's digest."""
+    cases, big = {}, bytes(range(256)) * (3 << 12)
     for name, data in (("empty", b""), ("one", b"x"), ("data.txt", b"hello\n"),
-                       ("big", bytes(range(256)) * (3 << 12))):
+                       ("buffer", big[:manifest._BUFFER]), ("over", big[:manifest._BUFFER + 1]),
+                       ("big", big)):
         (tmp_path / name).write_bytes(data)
         cases[tmp_path / name] = hashlib.sha256(data).hexdigest()
     return cases
@@ -23,6 +26,19 @@ def digest_cases(tmp_path) -> dict[Path, str]:
 def test_file_digest(tmp_path):
     for path, digest in digest_cases(tmp_path).items():
         assert file_digest(path) == digest
+
+
+def test_file_digest_reads_through_one_small_buffer(tmp_path):
+    path = tmp_path / "big"
+    path.write_bytes(bytes(range(256)) * (3 << 12))  # 3 MiB
+    tracemalloc.start()
+    try:
+        digest = file_digest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 2 * manifest._BUFFER, peak
 
 
 def test_file_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
