@@ -41,7 +41,7 @@ def _deferred(module: str, names: str) -> Iterator[Callable]:
 (beta_curve_from, check_known_keys, contagions_from, delay_model_from, get_float, get_int,
  kronecker_params_from, parse_config) = _deferred("config", "beta_curve_from check_known_keys "
     "contagions_from delay_model_from get_float get_int kronecker_params_from parse_config")
-parse_event_log, FeedCounts, FeedIndex = _deferred("events", "parse_event_log FeedCounts FeedIndex")
+parse_event_log, FeedIndex = _deferred("events", "parse_event_log FeedIndex")
 aggregate_curves, build_trace, exposure_curve, group_users_by_inflow = _deferred(
     "exposure", "aggregate_curves build_trace exposure_curve group_users_by_inflow")
 log_binned_curve, window_hours = _deferred("flows", "log_binned_curve window_hours")
@@ -230,13 +230,13 @@ def flows(log_path, graph_path, window, out_path, curve_path, min_received,
     import numpy as np
     log, graph, win = _load_inputs(log_path, graph_path, window)
     hours = window_hours(win)
-    counts = FeedCounts(log, graph, win, originals_only)
-    received, forwarded = counts.received(), counts.forwarded()
+    feeds = FeedIndex(log, graph, win, originals_only)
+    received, forwarded = feeds.received(), feeds.forwarded()
     lam, lam_r = received / hours, forwarded / hours
     beta_r = np.divide(forwarded, received, out=np.zeros(len(received)), where=received > 0)
     with _Outputs() as out:
         out.write_csv(out_path, "user,lambda,lambda_r,beta_r,F", [
-            (graph.nodes, np.arange(len(graph.nodes))), lam, lam_r, beta_r, counts.followees])
+            (graph.nodes, np.arange(len(graph.nodes))), lam, lam_r, beta_r, feeds.followees])
         if curve_path:
             eligible = received >= min_received
             curve = log_binned_curve(lam[eligible], beta_r[eligible],
@@ -298,9 +298,9 @@ def sources(log_path, graph_path, window, out_path):
     """Retweet source-set statistics per user."""
     import numpy as np
     log, graph, win = _load_inputs(log_path, graph_path, window)
-    counts = FeedCounts(log, graph, win)
-    source_set, out_of_feed = counts.sources()
-    followees = counts.followees
+    feeds = FeedIndex(log, graph, win)
+    source_set, out_of_feed = feeds.sources()
+    followees = feeds.followees
     p_src = np.divide(source_set, followees, out=np.zeros(len(followees)), where=followees > 0)
     with _Outputs() as out:
         out.write_csv(out_path, "user,F,S_r,p_src,out_of_feed", [
@@ -321,6 +321,7 @@ def sources(log_path, graph_path, window, out_path):
 @command_errors
 def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
     """Ordinal-time exposure curves per in-flow group, aggregated across tokens."""
+    import numpy as np
     log, graph, win = _load_inputs(log_path, graph_path, window)
     try:
         bounds = [
@@ -329,7 +330,7 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
         ]
     except ValueError:
         raise _fail(f"--ranges must look like '1:10,10:100', got {ranges!r}")
-    lam = FeedCounts(log, graph, win).received() / window_hours(win)
+    lam = FeedIndex(log, graph, win).received() / window_hours(win)
     groups = group_users_by_inflow(dict(zip(graph.nodes, lam.tolist())), bounds)
     traces = [build_trace(token, log, graph, win) for token in tokens]
     rows = []
@@ -340,7 +341,6 @@ def exposure(log_path, graph_path, window, tokens, ranges, aggregate, out_path):
         curves = [exposure_curve(trace, users) for trace in traces]
         agg = aggregate_curves(curves, mode=aggregate)
         rows += [(lo, hi, k, *eip) for k, eip in enumerate(zip(agg.e, agg.i, agg.p))]
-    import numpy as np
     table = np.array(rows).reshape(-1, 6).T
     with _Outputs() as out:  # an undefined P (NaN) is an empty field
         out.write_csv(out_path, "group_lo,group_hi,k,E,I,P",
@@ -389,6 +389,7 @@ def graphgen(config_path, initiator, power, target_edges, seed, out_path):
 @command_errors
 def simulate(model, graph_path, config_path, seed, workers, out_path, report_path):
     """Simulate cascades under background traffic on a follow graph."""
+    import numpy as np
     cfg = _read_config(config_path, "simulate")
     graph = _load_graph(graph_path)
     delay_model = None
@@ -405,7 +406,6 @@ def simulate(model, graph_path, config_path, seed, workers, out_path, report_pat
     )
     run = simulate_ic_bg if model == "ic" else simulate_ct_bg
     cascades = run(graph, sim_cfg)
-    import numpy as np  # after the run: imported before, the run's peak RSS read 0.3-0.9 MiB more
     size, duration = cascades.size, cascades.duration
     with _Outputs() as out:
         out.write_csv(out_path, "cascade_id,seed_node,size,duration", [

@@ -32,8 +32,11 @@ class ConfigError(ValueError):
 # --graph ignores the Kronecker keys but still accepts them.
 _KRONECKER = ("initiator", "k", "target_edges")
 _BETA_CURVE = ("lambda_c", "beta0", "gamma")
-_DELAY_BIN = r"delay_bin\.\d+\.(lo|hi|mu1|sigma1|mu2|sigma2)"
-_CONTAGION = (r"contagion\.\d+\."
+# An index is written one way only: \d+ would let delay_bin.00.mu1 or a non-ASCII digit
+# through, and _group_indices would read it as another key's index or not at all.
+_INDEX = r"(0|[1-9][0-9]*)"
+_DELAY_BIN = rf"delay_bin\.{_INDEX}\.(lo|hi|mu1|sigma1|mu2|sigma2)"
+_CONTAGION = (rf"contagion\.{_INDEX}\."
               r"(token|n_seeds|hazard|overload_hazard|overload_threshold|adopt_jitter_s)")
 KNOWN_KEYS = {
     "graphgen": _KRONECKER,

@@ -9,6 +9,7 @@ same deterministic timeline.
 from __future__ import annotations
 
 import codecs
+import functools
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator, Mapping, Sequence, TextIO
 
@@ -653,51 +654,14 @@ def csr_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 class FeedIndex:
-    """Every user's feed over a closed window, as sorted rows of the log.
+    """Every user's feed over a closed window: counts as columns indexed by
+    node, and each user's feed as sorted rows of the log.
 
-    A user's feed holds the in-window rows of the user's followees, from one
-    sort of the window's rows by author node. The forwards of feed items and
-    the queue positions read the feed from here.
-    """
-
-    def __init__(self, log: EventLog, graph: SocialGraph, window: tuple[int, int]):
-        self.log, self.graph = log, graph
-        lo = int(np.searchsorted(log.ts, window[0]))
-        hi = int(np.searchsorted(log.ts, window[1], "right"))
-        node = graph.nodes_of(log.names)  # int16 below 2**15 nodes: a radix argsort
-        node = node.astype(np.int16 if len(graph.nodes) < 2**15 else np.int64)[log.author[lo:hi]]
-        by_node = np.argsort(node, kind="stable")
-        # Each node's own in-window rows, ascending. An author outside the
-        # graph is node -1: its rows sort before node 0's and are left out.
-        start = np.searchsorted(node[by_node], np.arange(len(graph.nodes) + 1)).tolist()
-        by_node += lo
-        self._rows = [by_node[a:b] for a, b in zip(start, start[1:])]
-
-    def rows(self, user: str) -> np.ndarray:
-        """The user's feed as sorted log rows."""
-        followees = self.graph.followee_slice(self.graph.index(user))
-        parts = list(map(self._rows.__getitem__, followees.tolist()))
-        return np.sort(np.concatenate(parts)) if parts else _NO_ROWS
-
-    def locate(self, user: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The user's feed rows, and each given row's index in them (-1 if not in the feed)."""
-        feed = self.rows(user)
-        at = np.searchsorted(feed, rows)
-        return feed, np.where(at < np.searchsorted(feed, rows, "right"), at, -1)
-
-    def forwards(self, user: str) -> np.ndarray:
-        """Rows of the user's own forwards inside the window."""
-        rows = self._rows[self.graph.index(user)]
-        return rows[self.log.forward[rows]]
-
-
-class FeedCounts:
-    """Every user's feed counts over a closed window, as columns indexed by node.
-
-    A user's feed holds the in-window rows of her followees; with
-    originals_only, only their original posts. followees is each user's
-    followee count. Each other column is computed when it is asked for, in
-    array passes over the window's rows and forwards.
+    A user's feed holds the in-window rows of the user's followees; with
+    originals_only, the counts take only their original posts. followees is
+    each user's followee count. Each other column is computed when it is
+    asked for, in array passes over the window's rows and forwards; the rows
+    by node that rows() and forwards() read are sorted on first use.
     """
 
     def __init__(self, log: EventLog, graph: SocialGraph, window: tuple[int, int],
@@ -708,7 +672,32 @@ class FeedCounts:
         self._lo = int(np.searchsorted(log.ts, window[0]))
         self._hi = int(np.searchsorted(log.ts, window[1], "right"))
 
-    def _forwards(self) -> np.ndarray:
+    @functools.cached_property
+    def _rows(self) -> list[np.ndarray]:
+        """Each node's own in-window rows, ascending, from one stable sort of
+        the window's rows by author node."""
+        n = len(self.graph.nodes)
+        # int16 below 2**15 nodes: a radix argsort
+        node = self._node.astype(np.int16 if n < 2**15 else np.int64)[
+            self.log.author[self._lo:self._hi]]
+        by_node = np.argsort(node, kind="stable")
+        # An author outside the graph is node -1: its rows sort before node 0's and are left out.
+        start = np.searchsorted(node[by_node], np.arange(n + 1)).tolist()
+        by_node += self._lo
+        return [by_node[a:b] for a, b in zip(start, start[1:])]
+
+    def rows(self, user: str) -> np.ndarray:
+        """The user's feed as sorted log rows."""
+        followees = self.graph.followee_slice(self.graph.index(user))
+        parts = list(map(self._rows.__getitem__, followees.tolist()))
+        return np.sort(np.concatenate(parts)) if parts else _NO_ROWS
+
+    def forwards(self, user: str) -> np.ndarray:
+        """Rows of the user's own forwards inside the window."""
+        rows = self._rows[self.graph.index(user)]
+        return rows[self.log.forward[rows]]
+
+    def _window_forwards(self) -> np.ndarray:
         """The in-window forward rows, ascending."""
         return self._lo + np.flatnonzero(self.log.forward[self._lo:self._hi])
 
@@ -747,14 +736,14 @@ class FeedCounts:
         """Each user's number of feed items."""
         per_node = self.posted()
         if self.originals_only:
-            per_node -= self._per_node(self.log.author[self._forwards()])
+            per_node -= self._per_node(self.log.author[self._window_forwards()])
         ptr = self.graph.followee_indptr
         sums = np.concatenate(([0], np.cumsum(per_node[self.graph.followee_indices])))
         return sums[ptr[1:]] - sums[ptr[:-1]]
 
     def forwarded(self) -> np.ndarray:
         """Each user's number of distinct feed items she forwarded inside the window."""
-        log, rows = self.log, self._forwards()
+        log, rows = self.log, self._window_forwards()
         u, item = self._node[log.author[rows]], log.orig_row[rows]
         del rows  # every array here is sized to the forwards: hold few at once
         # orig_row is -1 or an earlier row, so an item at or after lo is in the window.
@@ -768,7 +757,7 @@ class FeedCounts:
     def sources(self) -> tuple[np.ndarray, np.ndarray]:
         """Each user's number of distinct followees she forwarded from inside
         the window, and her in-window forwards of users she does not follow."""
-        rows = self._forwards()
+        rows = self._window_forwards()
         u, v = self._node[self.log.author[rows]], self._node[self.log.orig_author[rows]]
         known = u >= 0
         u, v = u[known], v[known]

@@ -1,7 +1,7 @@
 """Population-level rate curves and fits.
 
 Rates are in events/hour; the per-user counts they come from are the columns
-of events.FeedCounts. Population curves use logarithmic bins (10 per decade
+of events.FeedIndex. Population curves use logarithmic bins (10 per decade
 by default).
 """
 

@@ -61,11 +61,12 @@ def queue_positions(
             root = np.where(hop, log.orig_row[root], root)
             hop = (root >= 0) & log.forward[root]
         targets = np.where(root >= 0, root, targets)
-    feed, at = feeds.locate(user, targets)
-    kept = at >= 0
-    forwards, targets = forwards[kept], targets[kept]
+    feed = feeds.rows(user)
+    at = np.searchsorted(feed, targets)
+    kept = at < np.searchsorted(feed, targets, "right")  # the target is in the feed
+    forwards, targets, at = forwards[kept], targets[kept], at[kept]
     # Feed items strictly between the original (at index `at`) and the forward.
-    q = np.searchsorted(feed, forwards) - at[kept] - 1
+    q = np.searchsorted(feed, forwards) - at - 1
     columns = QueuePositions(log.ids[forwards], log.ids[targets], q.astype(np.int64),
                              log.ts[forwards] - log.ts[targets])
     return columns, len(kept) - len(forwards)

@@ -1,4 +1,4 @@
-"""The two-regime source growth fit; the source sets are events.FeedCounts.sources."""
+"""The two-regime source growth fit; the source sets are events.FeedIndex.sources."""
 
 from __future__ import annotations
 

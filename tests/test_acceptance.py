@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from feedflow.cli import main as cli_main
-from feedflow.events import FeedCounts, FeedIndex
+from feedflow.events import FeedIndex
 from feedflow.exposure import build_trace, exposure_curve, group_users_by_inflow
 from feedflow.flows import (
     fit_power_law_mle,
@@ -60,7 +60,7 @@ def test_criterion_1_beta_curve_round_trip(capsys):
                         horizon_hours=100.0, seed=11, mu=1.5, sigma=0.5)
     log, _ = generate_workload(spec)
     window = log.span()
-    counts = FeedCounts(log, graph, window, originals_only=True)
+    counts = FeedIndex(log, graph, window, originals_only=True)
     received, forwarded = counts.received(), counts.forwarded()
     eligible = received >= 50
     bins = log_binned_curve(received[eligible] / window_hours(window),
@@ -219,7 +219,7 @@ def test_criterion_7_exposure_curves(capsys):
     log_b, truth_b = generate_workload(spec_b)
     window_b = log_b.span()
     seeds_b = set(truth_b["contagions"][0]["seeds"])
-    received = FeedCounts(log_b, dense, window_b, originals_only=True).received()
+    received = FeedIndex(log_b, dense, window_b, originals_only=True).received()
     lam = {u: r / window_hours(window_b) for u, r in zip(dense.nodes, received.tolist())
            if u not in seeds_b}
     groups = group_users_by_inflow(lam, [(0.0, 25.0), (35.0, 1e9)])

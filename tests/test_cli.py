@@ -1037,6 +1037,41 @@ def test_manifest_mode_matches_the_outputs(workspace, runner):
     assert modes == {0o644}
 
 
+# command -> (its arguments, the inputs its manifest names). {kron} is a config
+# of the Kronecker keys alone, {sim} is SIM_CONFIG.
+READ_INPUTS = ["--log", "{log}", "--graph", "{graph}"]
+MANIFEST_INPUTS = {
+    "flows": (["flows", *READ_INPUTS], {"log", "graph"}),
+    "queues": (["queues", *READ_INPUTS], {"log", "graph"}),
+    "sources": (["sources", *READ_INPUTS], {"log", "graph"}),
+    "exposure": (["exposure", *READ_INPUTS, "--token", "tok"], {"log", "graph"}),
+    "simulate": (["simulate", "--model", "ic", "--graph", "{graph}", "--config", "{sim}",
+                  "--seed", "3"], {"graph", "sim"}),
+    "synth": (["synth", "--config", "{synth}", "--seed", "2"], {"synth"}),
+    "synth-graph": (["synth", "--config", "{synth}", "--graph", "{graph}", "--seed", "2"],
+                    {"synth", "graph"}),
+    "graphgen": (["graphgen", "--initiator", "0.9,0.5,0.5,0.3", "--k", "4",
+                  "--target-edges", "40", "--seed", "1"], set()),
+    "graphgen-config": (["graphgen", "--config", "{kron}", "--seed", "1"], {"kron"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_INPUTS))
+def test_manifest_names_exactly_the_files_read(workspace, runner, command):
+    files = {"log": workspace / "log.tsv", "graph": workspace / "graph.tsv",
+             "synth": workspace / "synth.cfg", "sim": workspace / "sim.cfg",
+             "kron": workspace / "kron.cfg"}
+    files["sim"].write_text(SIM_CONFIG)
+    files["kron"].write_text("initiator = 0.9, 0.5, 0.5, 0.3\nk = 4\ntarget_edges = 40\n")
+    args, read = MANIFEST_INPUTS[command]
+    out = workspace / "out.txt"
+    result = runner.invoke(main, [a.format(**files) for a in args] + ["--out", str(out)])
+    assert result.exit_code == 0, all_output(result)
+    manifest = json.loads((workspace / "out.txt.manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(files[name]): hashlib.sha256(files[name].read_bytes()).hexdigest() for name in read}
+
+
 def test_bad_delay_bin_hi_names_the_key(workspace, tmp_path, runner):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(SYNTH_CONFIG.replace("delay_bin.0.hi = inf", "delay_bin.0.hi = infinity?"))

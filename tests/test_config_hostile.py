@@ -125,3 +125,27 @@ def test_hostile_config_value_works_or_fails_cleanly(graph_path, case, value, by
         ic = (out / "main.out").read_text().splitlines()
         # cascade_id,seed_node,size,duration: IC's durations are 0.
         assert [line.split(",")[:3] for line in ct] == [line.split(",")[:3] for line in ic]
+
+
+# Each index is 0 or a number without a leading zero, in ASCII digits. Read as
+# int, "00" or "01" would name another key's bin, or one that is never read, and
+# "٣" (ARABIC-INDIC DIGIT THREE) is a digit to \d but not to the index rule.
+@pytest.mark.parametrize("by_env", [False, True])
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "delay_bin.00.mu1", "9.0"),
+    ("synth", "delay_bin.00.mu1", "9.0"),
+    ("synth", "contagion.01.token", "other"),
+    ("simulate", "delay_bin.٣.lo", "0"),
+    ("synth", "contagion.٣.token", "other"),
+])
+def test_index_written_another_way_is_an_unknown_key(graph_path, tmp_path, command, key,
+                                                      value, by_env):
+    cfg, env = dict(BASE[command]), {}
+    if by_env:
+        env[ENV_PREFIX + key.upper().replace(".", "__")] = value
+    else:
+        cfg[key] = value
+    result, _ = run(args_of(command, graph_path), cfg, env, tmp_path, command)
+    stderr = result.stderr if result.stderr_bytes is not None else result.output
+    assert result.exit_code == 1, stderr
+    assert stderr == f"error: unknown config key {key!r}\n"

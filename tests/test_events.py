@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from feedflow import events
 from feedflow.cli import _Outputs
 from feedflow.events import (
-    FeedCounts,
     FeedIndex,
     LogFormatError,
     SocialGraph,
@@ -272,7 +271,7 @@ def test_in_flow_stream_window_and_filter():
         return [view[r].event_id for r in FeedIndex(log, g, window).rows("u")]
 
     def received(window, originals_only=False):
-        return FeedCounts(log, g, window, originals_only).received()[g.index("u")]
+        return FeedIndex(log, g, window, originals_only).received()[g.index("u")]
 
     assert feed_ids((100, 400)) == [1, 2, 3] and received((100, 400)) == 3
     assert received((100, 400), originals_only=True) == 2  # events 1 and 2
@@ -289,8 +288,8 @@ def test_in_flow_stream_matches_brute_force(seed):
     log = random_log(rng, graph, 60)
     lo, hi = sorted(rng.integers(0, 10_000, size=2).tolist())
     feeds = FeedIndex(log, graph, (lo, hi))
-    received = FeedCounts(log, graph, (lo, hi)).received()
-    originals = FeedCounts(log, graph, (lo, hi), originals_only=True).received()
+    received = FeedIndex(log, graph, (lo, hi)).received()
+    originals = FeedIndex(log, graph, (lo, hi), originals_only=True).received()
     view = events_of(log)
     for user in sorted(graph.nodes):
         rows = feeds.rows(user)
@@ -459,12 +458,14 @@ def _block_corpus() -> tuple[bytes, bytes]:
 
 _LOG_CORPUS = _block_corpus()[0]
 # Reads that end between the two bytes of the log's first 'é', and reads that
-# leave a last block of a few lines.
+# leave a last block of a few lines. Named, not numbered: random_log walks
+# frozensets, so the corpus, and these sizes, change with the string hash seed.
 _INSIDE_E = _LOG_CORPUS.index("é".encode()) + 1
 _SHORT_TAIL = (len(_LOG_CORPUS) - 60) // 5
 
 
-@pytest.mark.parametrize("block", [7, 64, 4096, _INSIDE_E, _SHORT_TAIL])
+@pytest.mark.parametrize("block", [7, 64, 4096, pytest.param(_INSIDE_E, id="inside-e"),
+                                   pytest.param(_SHORT_TAIL, id="short-tail")])
 def test_parse_does_not_depend_on_block_size(monkeypatch, block):
     log, graph = _block_corpus()
     expected = (_log_outcome(naive_parse_event_log, log),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedflow.events import FeedCounts, FeedIndex
+from feedflow.events import FeedIndex
 from feedflow.flows import (
     DegenerateFitError,
     EmpiricalDistribution,
@@ -36,7 +36,7 @@ def small_fixture():
 
 def test_compute_flow_stats_hand_counts():
     g, log = small_fixture()
-    counts = FeedCounts(log, g, (0, 12 * HOUR))
+    counts = FeedIndex(log, g, (0, 12 * HOUR))
     assert g.nodes == ("a", "b", "c", "u")
     # u receives events 1,2,3 over 12 h; retweets one of them (event 4).
     assert counts.received().tolist() == [0, 0, 0, 3]
@@ -55,7 +55,7 @@ def test_repeated_forwards_of_one_item_count_once():
         *(Event(i, 600 * i, "u", EventKind.RETWEET, orig_event_id=1, orig_author="a")
           for i in (3, 4, 5)),
     ])
-    counts = FeedCounts(log, g, (0, HOUR))
+    counts = FeedIndex(log, g, (0, HOUR))
     u = g.index("u")
     received, forwarded = counts.received()[u], counts.forwarded()[u]
     assert (received, forwarded, received - forwarded, forwarded / received) == (2, 1, 1, 0.5)
@@ -66,14 +66,14 @@ def test_repeated_forwards_of_one_item_count_once():
 
 def test_retweet_of_non_followee_not_counted():
     g, log = small_fixture()
-    counts = FeedCounts(log, g, (0, 12 * HOUR))
+    counts = FeedIndex(log, g, (0, 12 * HOUR))
     assert counts.forwarded()[g.index("u")] == 1  # only event 4; event 7 forwards a non-followee
 
 
 def test_retweet_of_out_of_window_original_not_counted():
     g, log = small_fixture()
     # Window starts after event 1 was posted, so its retweet has no in-window source.
-    assert FeedCounts(log, g, (HOUR, 12 * HOUR)).forwarded()[g.index("u")] == 0
+    assert FeedIndex(log, g, (HOUR, 12 * HOUR)).forwarded()[g.index("u")] == 0
 
 
 def test_original_author_outside_the_graph_is_not_followed():
@@ -85,7 +85,7 @@ def test_original_author_outside_the_graph_is_not_followed():
         Event(2, 200, "b", EventKind.RETWEET, orig_event_id=1, orig_author="x"),
         Event(3, 300, "z", EventKind.TWEET),
     ])
-    counts = FeedCounts(log, g, (0, 1000))
+    counts = FeedIndex(log, g, (0, 1000))
     assert g.nodes == ("a", "b", "z")
     assert counts.received().tolist() == [1, 0, 0]
     assert counts.posted().tolist() == [0, 1, 1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from feedflow.events import FeedCounts, UnknownUserError
+from feedflow.events import FeedIndex, UnknownUserError
 from feedflow.sources import fit_source_regimes
 from helpers import Event, EventKind, graph_of, log_of
 
@@ -23,7 +23,7 @@ def fixture():
 
 def test_source_stats_counts():
     g, log = fixture()
-    counts = FeedCounts(log, g, (0, 1000))
+    counts = FeedIndex(log, g, (0, 1000))
     u = g.index("u")
     source_set, out_of_feed = counts.sources()
     assert counts.followees[u] == 3
@@ -35,16 +35,16 @@ def test_source_stats_counts():
 def test_source_stats_window():
     g, log = fixture()
     u = g.index("u")
-    source_set, out_of_feed = FeedCounts(log, g, (450, 1000)).sources()
+    source_set, out_of_feed = FeedIndex(log, g, (450, 1000)).sources()
     assert source_set[u] == 2          # forwards 5 and 8 (from b and a)
     assert out_of_feed[u] == 1         # forward 6 of x, whose original is before the window
-    source_set, _ = FeedCounts(log, g, (0, 450)).sources()
+    source_set, _ = FeedIndex(log, g, (0, 450)).sources()
     assert source_set[u] == 1
 
 
 def test_source_stats_no_followees():
     g, log = fixture()
-    counts = FeedCounts(log, g, (0, 1000))
+    counts = FeedIndex(log, g, (0, 1000))
     x = g.index("x")
     assert counts.followees[x] == 0 and counts.sources()[0][x] == 0
     with pytest.raises(UnknownUserError):
