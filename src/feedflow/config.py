@@ -104,9 +104,11 @@ def beta_curve_from(cfg: dict[str, str]) -> BetaCurve:
 
 
 def _group_indices(cfg: dict[str, str], group: str) -> list[int]:
-    """The indices i of the keys <group>.<i>.*, ascending."""
-    return sorted({int(k.split(".")[1]) for k in cfg
-                   if k.startswith(group + ".") and k.split(".")[1].isdigit()})
+    """The indices i of the keys <group>.<i>.*, ascending; ConfigError for one written otherwise."""
+    index = {k: k.split(".")[1] for k in cfg if k.startswith(group + ".")}
+    for key in (k for k, i in index.items() if not re.fullmatch(_INDEX, i)):
+        raise ConfigError(f"config key {key!r}: an index is written 0, 1, 2, ... only")
+    return sorted({int(i) for i in index.values()})
 
 
 def delay_model_from(cfg: dict[str, str]) -> DelayModel:

@@ -65,15 +65,15 @@ class SocialGraph:
         self.nodes = tuple(names)
         self._index = {u: i for i, u in enumerate(self.nodes)}
         n = len(self.nodes)
-        # np.sort, not np.unique: the first np.unique call imports numpy.ma (10-30 ms).
-        key = np.sort(f * n + v)
-        key = key[np.diff(key, prepend=-1) != 0]
-        f, v = np.divmod(key, n)
-        by_followee = np.argsort(v, kind="stable")
-        self.followee_indptr = np.searchsorted(f, np.arange(n + 1))
-        self.followee_indices = v
-        self.follower_indptr = np.searchsorted(v[by_followee], np.arange(n + 1))
-        self.follower_indices = f[by_followee]
+        key = f * n  # each edge as f * n + v, built and sorted in place
+        key += v
+        key.sort()
+        key = sorted_distinct(key)
+        self.followee_indices = v = key % n
+        key //= n  # now each edge's follower
+        self.followee_indptr = np.searchsorted(key, np.arange(n + 1))
+        self.follower_indptr = np.concatenate(([0], np.cumsum(np.bincount(v, minlength=n))))
+        self.follower_indices = key.take(np.argsort(v, kind="stable"))
 
     def index(self, user: str) -> int:
         """The user's node index."""
@@ -175,7 +175,7 @@ class EventLog:
             for r in self._marks[token].tolist():
                 marks.setdefault(r, []).append(token)
         code = {t: i for i, t in enumerate(["", *sorted({",".join(m) for m in marks.values()})])}
-        mark = np.zeros(len(self), np.int64)
+        mark = np.zeros(len(self), np.min_scalar_type(len(code)))
         mark[list(marks)] = [code[",".join(m)] for m in marks.values()]
         write_table(fh, [self.ts, (self.names, self.author), (("T", "R"), self.forward), self.ids,
                          self.orig_ids, (self.names, self.orig_author), (list(code), mark)],
@@ -232,8 +232,7 @@ def write_table(fh: TextIO, columns: Sequence, sep: str = "\t",
         if not isinstance(col, tuple) and np.asarray(col).dtype.kind == "f":
             # Distinct by bits, so -0.0 is not 0.0 (np.unique merges them, and imports numpy.ma).
             bits = np.ascontiguousarray(col, np.float64).view(np.int64)
-            distinct = np.sort(bits)
-            distinct = distinct[np.diff(distinct, prepend=distinct[:1] ^ 1) != 0]
+            distinct = sorted_distinct(np.sort(bits))
             col = (["" if v != v else format(v, ".10g") for v in distinct.view(float).tolist()],
                    np.searchsorted(distinct, bits))
         if isinstance(col, tuple) and id(col[0]) not in tables:  # held, so the id stays theirs
@@ -653,6 +652,13 @@ def csr_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return at
 
 
+def sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending array a (np.unique would import numpy.ma)."""
+    keep = np.ones(a.size, bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 class FeedIndex:
     """Every user's feed over a closed window: counts as columns indexed by
     node, and each user's feed as sorted rows of the log.
@@ -725,7 +731,7 @@ class FeedIndex:
         """Each node's number of distinct keys u * base + x, 0 <= x < base,
         among the given keys; sorts them in place."""
         key.sort()  # np.unique would import numpy.ma
-        return np.bincount(key[np.diff(key, prepend=-1) != 0] // base,
+        return np.bincount(sorted_distinct(key) // base,
                            minlength=len(self.graph.nodes))
 
     def posted(self) -> np.ndarray:

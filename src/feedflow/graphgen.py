@@ -17,7 +17,7 @@ from .events import SocialGraph
 
 # Rows of the initiator cells drawn at once. The draws and so the edges do not
 # depend on it; it bounds the transient arrays of a batch.
-ROW_CHUNK = 1 << 15
+ROW_CHUNK = 1 << 13
 MAX_K = 31  # an edge u -> v is the int64 key u << k | v
 
 
@@ -98,8 +98,11 @@ def kronecker_edges(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
             left -= rows
             keys = _edge_keys(_cells(rng, cdf, rows, k))
             keys = keys[(keys >> k) != (keys & mask)]
-            distinct, first = np.unique(keys, return_index=True)  # sorted: a fast search
-            first = np.sort(first[held[np.searchsorted(held, distinct)] != distinct])
+            first = np.argsort(keys, kind="stable")  # np.unique would import numpy.ma
+            distinct = keys.take(first)
+            new = held[np.searchsorted(held, distinct)] != distinct  # each key's first row not held
+            new[1:] &= distinct[1:] != distinct[:-1]
+            first = np.sort(first[new])
             keys = np.sort(keys[first[:need]])  # the first new ones, in draw order
             held = np.insert(held, np.searchsorted(held, keys), keys)
             need -= len(keys)
@@ -113,4 +116,7 @@ def kronecker_generate(params: KroneckerParams) -> SocialGraph:
     names = sorted(map(str, range(params.n_nodes)))
     rank = np.empty(params.n_nodes, np.int64)
     rank[np.array(names, np.int64)] = np.arange(params.n_nodes)
-    return SocialGraph(names, rank[follower], rank[followee])
+    follower = rank[follower]  # the unmapped arrays and rank are freed before the graph's peak
+    followee = rank[followee]
+    del rank
+    return SocialGraph(names, follower, followee)

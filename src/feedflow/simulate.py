@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .events import SocialGraph, csr_ranges
+from .events import SocialGraph, csr_ranges, sorted_distinct
 
 
 class DelayBinError(ValueError):
@@ -187,6 +187,7 @@ def node_rates(
 # no edge reaches.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _CHUNK_CELLS = 1 << 20  # (cascade, node) cells of the cascades run together
+_PIECE_EDGES = 1 << 14  # out-edges of a BFS level whose coins are drawn together
 
 
 def _hash(keys: np.ndarray, slots) -> np.ndarray:
@@ -225,11 +226,12 @@ def first_passage(graph: SocialGraph, keys: np.ndarray, start: np.ndarray,
     holds the ascending, distinct keys that start at their start_time. Edge e,
     i -> j (j follows i), is live in cascade c when its coin is below prob[j].
     Pass 1 finds the keys reachable over live edges by a level-synchronous BFS
-    on one byte per key (independent cascade). With delay(keys[c], e, j), it
-    keeps each live edge out of a reached key and its delay, as a deeper level
-    can arrive earlier; pass 2 relaxes only those, pruned at max_time, to the
-    least arrival over live paths in start_time's dtype, in any order (t + delay
-    is monotone in t). Returns the reached keys, ascending, and times or None.
+    on one byte per key (independent cascade), in pieces of at most _PIECE_EDGES
+    edges or one key (coins are keyed by (key, slot)). With delay(keys[c], e, j),
+    it keeps each live edge out of a reached key, as a deeper level can arrive
+    earlier; pass 2 draws their delays, in start_time's dtype, and relaxes only
+    those, pruned at max_time, to the least arrival over live paths, in any order
+    (t + delay is monotone in t). Returns the reached keys, ascending, and times or None.
     """
     ptr, indices = graph.follower_indptr, graph.follower_indices
     n, degree, timed = len(graph.nodes), np.diff(ptr), delay is not None
@@ -237,51 +239,58 @@ def first_passage(graph: SocialGraph, keys: np.ndarray, start: np.ndarray,
     unreached[start] = False
     frontier, live = start, []
     while frontier.size:
-        i = frontier % n
-        counts = degree[i]
-        # The CSR edges e of every frontier key, and their (cascade, follower) keys.
-        e = csr_ranges(ptr[i], counts)
-        target = indices[e]
-        target += np.repeat(frontier - i, counts)
-        if not timed:  # an edge into a reached key adds nothing (take beats a mask here)
-            sel = np.flatnonzero(unreached.take(target))
-            e, target = e.take(sel), target.take(sel)
-        c, j = np.divmod(target, n)
-        sel = np.flatnonzero(slot_uniform(keys.take(c), 3 * e) < prob.take(j))
-        target = target.take(sel)
-        if timed:  # each live edge as c * n * edges + e, and its delay
-            c, e, j = c.take(sel), e.take(sel), j.take(sel)
-            live.append((c * (n * indices.size) + e, delay(keys.take(c), e, j)))
-            target = target[unreached.take(target)]
-        unreached[target] = False
-        # np.sort, not np.unique: the first np.unique call imports numpy.ma.
-        target = np.sort(target)
-        frontier = target[np.diff(target, prepend=-1) != 0]
-    reached = np.flatnonzero(~unreached)
+        at = np.concatenate(([0], np.cumsum(degree.take(frontier % n))))  # each key's first edge
+        level, hi = [], 0
+        while hi < frontier.size:  # keys lo..hi-1: at most _PIECE_EDGES edges, or one key
+            lo, hi = hi, max(hi + 1, int(np.searchsorted(at, at[hi] + _PIECE_EDGES, "right")) - 1)
+            i = frontier[lo:hi] % n
+            counts = degree[i]
+            # The CSR edges e of the piece's keys, and their (cascade, follower) keys.
+            e = csr_ranges(ptr[i], counts)
+            target = indices[e]
+            target += np.repeat(frontier[lo:hi] - i, counts)
+            if not timed:  # an edge into a reached key adds nothing (take beats a mask here)
+                sel = np.flatnonzero(unreached.take(target))
+                e, target = e.take(sel), target.take(sel)
+            c, j = np.divmod(target, n)
+            sel = np.flatnonzero(slot_uniform(keys.take(c), 3 * e) < prob.take(j))
+            target = target.take(sel)
+            if timed:  # each live edge as c * n * edges + e
+                live.append(c.take(sel) * (n * indices.size) + e.take(sel))
+                target = target[unreached.take(target)]
+            unreached[target] = False
+            level.append(target)
+        frontier = sorted_distinct(np.sort(np.concatenate(level)))
+    reached = np.flatnonzero(np.logical_not(unreached, out=unreached))
+    del unreached
     if not timed:
         return reached, None
-    # The CSR orders edges by source, so sorted ids group the live edges by source key.
-    edge, d = map(np.concatenate, zip(*live))
-    del live  # each del keeps a copy of the live edges out of the peak
-    order = np.argsort(edge)
-    (base, e), d = np.divmod(edge.take(order), indices.size), d.take(order)
-    del edge, order
-    target = np.searchsorted(reached, base + indices.take(e))
-    base += np.repeat(np.arange(n), degree).take(e)  # each live edge's source key
-    out = np.append(np.searchsorted(base, reached), e.size)  # reached[p]'s first edge
+    # The CSR orders edges by source, so sorted ids group the live edges by source key:
+    # reached key c * n + i's first live edge is the first id from c * n * edges + ptr[i].
+    live = np.concatenate(live)  # the pieces freed, then sorted in place
+    live.sort()
+    out = np.append(np.searchsorted(live, reached // n * (n * indices.size) + ptr[reached % n]),
+                    live.size)
+    d, target = np.empty(live.size, start_time.dtype), np.empty(live.size, np.int64)
+    step = (_PIECE_EDGES + 3) // 4  # a delay's working arrays are about twice a coin's
+    for lo in range(0, live.size, step):  # each live edge's delay and target's place in reached
+        base, e = np.divmod(live[lo:lo + step], indices.size)  # base = c * n
+        d[lo:lo + e.size] = delay(keys.take(base // n), e, indices.take(e))
+        target[lo:lo + e.size] = np.searchsorted(reached, base + indices.take(e))
+    del live
     never = np.inf if start_time.dtype.kind == "f" else np.iinfo(start_time.dtype).max
     time = np.full(reached.size, never, start_time.dtype)
     frontier = np.searchsorted(reached, start)
     time[frontier] = start_time
     while frontier.size:
         counts = out[frontier + 1] - out[frontier]
-        k = csr_ranges(out[frontier], counts)
-        arrive = np.repeat(time[frontier], counts) + d.take(k)
-        to = target.take(k)
+        to = csr_ranges(out[frontier], counts)  # the level's live edges, then their targets
+        arrive, to = d.take(to), target.take(to)
+        arrive += np.repeat(time[frontier], counts)
         sel = np.flatnonzero((arrive <= max_time) & (arrive < time.take(to)))
         np.minimum.at(time, to.take(sel), arrive.take(sel))
-        to = np.sort(to.take(sel))
-        frontier = to[np.diff(to, prepend=-1) != 0]
+        frontier = sorted_distinct(np.sort(to.take(sel)))
+    del out, target, d
     keep = np.flatnonzero(time < never)
     return reached.take(keep), time.take(keep)
 

@@ -104,8 +104,9 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
     for i in range(n):
         counts[i] = rng.poisson(lam_out[i] * spec.horizon_hours)
         stamps.append(np.sort(rng.integers(0, horizon_s + 1, size=counts[i])))
-    stages = [(np.concatenate(stamps), np.repeat(np.arange(n), counts),
+    stages = [(np.concatenate(stamps), np.repeat(np.arange(n, dtype=np.int32), counts),
                np.full(counts.sum(), -1), 0)]
+    del stamps
 
     # Forwarding: each received post is forwarded with the beta-curve
     # probability after a delay from the receiver's in-flow bin. The frontier,
@@ -186,21 +187,27 @@ def generate_workload(spec: WorkloadSpec) -> tuple[EventLog, dict]:
             }
         )
 
-    # Event ids follow (ts, depth, row); lexsort is stable, so rows break ties.
-    # An event's id is its row in the log.
-    raw_depth = np.repeat([s[3] for s in stages], [len(s[0]) for s in stages])
-    raw_ts, raw_author, raw_orig = (np.concatenate(c) for c in list(zip(*stages))[:3])
+    # Event ids follow (ts, depth, row); lexsort is stable, so rows break ties. An event's
+    # id is its row in the log. Each column is joined, freeing its pieces, before the next.
+    ts, author, orig, depth = map(list, zip(*stages))
     del stages
-    order = np.lexsort((raw_depth, raw_ts))
+    depth = np.repeat(np.array(depth, np.min_scalar_type(max(depth))), [t.size for t in ts])
+    ts = np.concatenate(ts)
+    order = np.lexsort((depth, ts))
+    ts.sort()  # ts.take(order)
+    author = np.concatenate(author, dtype=np.int32).take(order)
+    orig = np.concatenate(orig).take(order)
+    ids = np.arange(order.size, dtype=np.int64)
     event_id = np.empty_like(order)
-    event_id[order] = np.arange(len(order))
-    author, orig = raw_author.astype(np.int32), raw_orig[order]
-    forward, orig = orig >= 0, np.maximum(orig, 0)
-    log = EventLog(
-        raw_ts[order], np.arange(len(order), dtype=np.int64),
-        author[order], np.where(forward, author[orig], -1), np.where(forward, event_id[orig], 0),
-        np.where(forward, event_id[orig], -1), list(graph.nodes),
-        {token: np.sort(event_id[np.concatenate(rows)]) for token, rows in token_rows.items()})
+    event_id[order] = ids
+    del order
+    marks = {token: np.sort(event_id[np.concatenate(rows)]) for token, rows in token_rows.items()}
+    original = orig < 0
+    orig = event_id.take(orig)  # each forward's original's row; -1 takes a row that is replaced
+    del event_id
+    orig_author, orig_ids = author.take(orig), orig.copy()
+    orig_author[original], orig_ids[original], orig[original] = -1, 0, -1
+    log = EventLog(ts, ids, author, orig_author, orig_ids, orig, list(graph.nodes), marks)
 
     truth = {
         "seed": spec.seed,

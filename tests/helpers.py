@@ -280,7 +280,7 @@ def random_log(
         author = users[rng.integers(len(users))]
         candidates = []
         if rng.random() < retweet_prob:
-            for v in followee_names(graph, author):
+            for v in sorted(followee_names(graph, author)):  # a set's order follows the hash seed
                 candidates.extend(by_author[v])
         if candidates:
             orig = candidates[rng.integers(len(candidates))]

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedflow.cli import main
-from feedflow.config import ENV_PREFIX, KNOWN_KEYS
+from feedflow.config import ENV_PREFIX, KNOWN_KEYS, ConfigError, contagions_from, delay_model_from
 from feedflow.events import parse_event_log
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 
@@ -149,3 +149,26 @@ def test_index_written_another_way_is_an_unknown_key(graph_path, tmp_path, comma
     stderr = result.stderr if result.stderr_bytes is not None else result.output
     assert result.exit_code == 1, stderr
     assert stderr == f"error: unknown config key {key!r}\n"
+
+
+# A library caller hands delay_model_from and contagions_from a dict that no
+# command's key check has seen: each must name the key, not read "00" as bin 0,
+# fail inside int() on "²", or read "٣" as bin 3.
+@pytest.mark.parametrize("key", ["delay_bin.00.mu1", "delay_bin.01.lo", "delay_bin.².lo",
+                                 "delay_bin.٣.lo", "delay_bin.x.sigma1"])
+def test_delay_model_from_names_an_index_written_another_way(key):
+    cfg = dict(DELAY_BINS)
+    assert len(delay_model_from(cfg).bins) == 2
+    cfg[key] = "9.0"
+    with pytest.raises(ConfigError, match=f"^config key {re.escape(repr(key))}: "):
+        delay_model_from(cfg)
+
+
+@pytest.mark.parametrize("key", ["contagion.00.token", "contagion.01.token", "contagion.².token",
+                                 "contagion.٣.token"])
+def test_contagions_from_names_an_index_written_another_way(key):
+    cfg = {k: v for k, v in BASE["synth"].items() if k.startswith("contagion.")}
+    assert [p.token for p in contagions_from(cfg)] == ["tok"]
+    cfg[key] = "other"
+    with pytest.raises(ConfigError, match=f"^config key {re.escape(repr(key))}: "):
+        contagions_from(cfg)

@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -458,8 +461,7 @@ def _block_corpus() -> tuple[bytes, bytes]:
 
 _LOG_CORPUS = _block_corpus()[0]
 # Reads that end between the two bytes of the log's first 'é', and reads that
-# leave a last block of a few lines. Named, not numbered: random_log walks
-# frozensets, so the corpus, and these sizes, change with the string hash seed.
+# leave a last block of a few lines. Named, not numbered: they are the corpus's sizes.
 _INSIDE_E = _LOG_CORPUS.index("é".encode()) + 1
 _SHORT_TAIL = (len(_LOG_CORPUS) - 60) // 5
 
@@ -606,3 +608,64 @@ def test_writers_on_an_empty_log_and_graph():
     log, graph = log_of([]), graph_of([])
     assert tsv_text(log) == log_tsv_oracle(log) == ""
     assert tsv_text(graph) == graph_tsv_oracle(graph) == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 12), st.booleans())
+def test_graph_constructor_matches_a_naive_csr(data, n, loop):
+    # Edges f[k] -> v[k] over n sorted names, repeats included, and perhaps one self-loop.
+    names = [f"u{i:02d}" for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(1, max(1, n - 1)))
+    edges = [(a, (a + r) % n) for a, r in data.draw(st.lists(steps, max_size=80)) if n > 1]
+    edges += data.draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+    if loop:
+        a = data.draw(st.integers(0, n - 1))
+        edges.insert(data.draw(st.integers(0, len(edges))), (a, a))
+    f, v = (np.array([e[k] for e in edges], np.int64) for k in (0, 1))
+    given_f, given_v = f.copy(), v.copy()
+    if loop:
+        with pytest.raises(LogFormatError, match=r"^self-loop edge for user 'u\d\d'$"):
+            SocialGraph(names, f, v)
+        return
+    g = SocialGraph(names, f, v)
+    assert f.tolist() == given_f.tolist() and v.tolist() == given_v.tolist()
+    distinct = sorted(set(edges))
+    by_followee = sorted(distinct, key=lambda e: (e[1], e[0]))
+    assert g.nodes == tuple(names)
+    assert g.followee_indptr.tolist() == [sum(a < i for a, _ in distinct) for i in range(n + 1)]
+    assert g.followee_indices.tolist() == [b for _, b in distinct]
+    assert g.follower_indptr.tolist() == [sum(b < i for _, b in distinct) for i in range(n + 1)]
+    assert g.follower_indices.tolist() == [a for a, _ in by_followee]
+
+
+def test_graph_constructor_working_set_is_bounded_by_its_csr():
+    # 120,000 edges over 2,000 nodes, about 3% of them repeats: the peak holds the
+    # CSR, the edge keys and one sort order, not the several copies of each it once did.
+    rng = np.random.default_rng(4)
+    n, names = 2_000, [f"user{i:04d}" for i in range(2_000)]
+    f = rng.integers(0, n, 120_000)
+    v = (f + rng.integers(1, n, f.size)) % n
+    tracemalloc.start()
+    try:
+        g = SocialGraph(names, f, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = sum(a.nbytes for a in (g.followee_indptr, g.followee_indices, g.follower_indptr,
+                                 g.follower_indices))
+    assert g.n_edges() < f.size
+    assert peak <= 2.3 * csr, (peak, csr)
+
+
+def test_random_log_does_not_depend_on_the_hash_seed():
+    # followee_names is a frozenset of strings, whose order follows PYTHONHASHSEED.
+    code = ("import numpy as np; from helpers import random_graph, random_log, tsv_text; "
+            "rng = np.random.default_rng(5); "
+            "print(tsv_text(random_log(rng, random_graph(rng, 8), 400)), end='')")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    logs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout
+            for seed in ("0", "1")]
+    assert logs[0] == logs[1]
+    assert logs[0].count("\n") == 400 and "\tR\t" in logs[0]

@@ -21,6 +21,7 @@ from feedflow.simulate import (
     distribution_report,
     first_passage,
     node_rates,
+    seed_nodes,
     simulate_ct_bg,
     simulate_ic_bg,
     slot_uniform,
@@ -213,6 +214,67 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, cells):
     whole = [cascade_view(g, run(g, cfg)) for run in runs]
     monkeypatch.setattr(simulate, "_CHUNK_CELLS", cells)
     assert [cascade_view(g, run(g, cfg)) for run in runs] == whole
+
+
+@pytest.mark.parametrize("piece", [1, 7, 1 << 40])
+def test_first_passage_does_not_depend_on_the_pieces(monkeypatch, piece):
+    # The 40 seeds' first level alone has hundreds of out-edges: pieces of 1 and 7
+    # split every level (and pass 2's quarter pieces are 1 and 2), while 2^40 keeps
+    # each level whole. IC, CT with float delays and a finite max_time, and synth's
+    # whole-second lags with int64 times all reach and time the same keys.
+    g = kronecker_generate(
+        KroneckerParams(((0.9, 0.5), (0.5, 0.3)), k=7, target_edges=1500, seed=3))
+    n = len(g.nodes)
+    keys = cascade_keys(2, np.arange(40))
+    start = np.arange(40) * n + seed_nodes(keys, n)
+    prob = np.random.default_rng(1).uniform(0.05, 0.4, n)
+
+    def delay(k, e, j):
+        return np.exp(3.0 * slot_uniform(k, 3 * e + 1)) + j % 3
+
+    def lag(k, e, j):  # synth's
+        return 1 + (slot_uniform(k, 3 * e + 1) * 600).astype(np.int64)
+
+    def runs():
+        return [first_passage(g, keys, start, np.zeros(40), prob),
+                first_passage(g, keys, start, np.zeros(40), prob, delay, 12.0),
+                first_passage(g, keys, start, np.arange(40) * 30, prob, lag, 1_500)]
+    whole = runs()
+    monkeypatch.setattr(simulate, "_PIECE_EDGES", piece)
+    for (reached, time), (want, want_time) in zip(runs(), whole):
+        assert reached.tolist() == want.tolist()
+        assert (time is None) if want_time is None else time.tolist() == want_time.tolist()
+    assert whole[0][0].size > 1_000
+    assert 40 < whole[1][0].size < whole[0][0].size and whole[2][1].dtype == np.int64
+
+
+def test_first_passage_working_set_on_large_cascades():
+    # 400 cascades of about 400 adopters each on 1,024 nodes. IC holds a byte per
+    # (cascade, node) cell, its reached keys and one piece's arrays; CT adds its live
+    # edges (about 365,000), with their delays and targets, and offsets per reached key.
+    g = kronecker_generate(
+        KroneckerParams(((0.9, 0.5), (0.5, 0.3)), k=10, target_edges=6000, seed=7))
+    n = len(g.nodes)
+    _, lam_in = node_rates(g, np.random.default_rng(5), 1.0, 0.25)
+    prob = np.array([beta_of_inflow(lam, BetaCurve(30.0, 0.3, 0.65)) for lam in lam_in])
+    keys = cascade_keys(5, np.arange(400))
+    start = np.arange(400) * n + seed_nodes(keys, n)
+    live = []
+
+    def delay(k, e, j):
+        live.append(e.size)
+        return np.exp(3.0 * slot_uniform(k, 3 * e + 1))
+    peaks = []
+    for d in (None, delay):
+        tracemalloc.start()
+        try:
+            reached, _ = first_passage(g, keys, start, np.zeros(400), prob, d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reached.size > 150_000 and sum(live) > 2 * reached.size
+    assert peaks[0] <= 4 * reached.nbytes, (peaks[0], reached.nbytes)
+    assert peaks[1] <= 4.5 * 8 * (reached.size + sum(live)), (peaks[1], reached.size, sum(live))
 
 
 U64 = st.integers(0, 2**64 - 1)

@@ -1,10 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from feedflow import synth
+from feedflow import simulate, synth
 from feedflow.events import TS_BOUND, parse_event_log
 from feedflow.graphgen import KroneckerParams, kronecker_generate
 from feedflow.simulate import BetaCurve, DelayBin, DelayModel, cascade_keys, first_passage
@@ -178,6 +179,41 @@ def test_log_does_not_depend_on_the_gather_block(monkeypatch, forward_retweets):
         monkeypatch.setattr(synth, "_GATHER_CELLS", cells)
         small, small_truth = generate_workload(sp)
         assert tsv_text(small) == tsv_text(log) and small_truth == truth
+
+
+@pytest.mark.parametrize("piece", [1, 7])
+def test_contagions_do_not_depend_on_the_level_pieces(monkeypatch, piece):
+    # Each contagion is one cascade of first_passage with whole-second int64 lags.
+    sp = spec(contagions=(ContagionPlan("a", n_seeds=5, hazard=0.4),
+                          ContagionPlan("b", n_seeds=3, hazard=0.9, adopt_jitter_s=30)))
+    log, truth = generate_workload(sp)
+    assert len(log.token_rows("a")) > 5 and len(log.token_rows("b")) > 3
+    monkeypatch.setattr(simulate, "_PIECE_EDGES", piece)
+    small, small_truth = generate_workload(sp)
+    assert tsv_text(small) == tsv_text(log) and small_truth == truth
+
+
+def test_generate_workload_working_set_is_bounded_by_the_log():
+    # The benchmark's synth scale: 1,024 users, 20,000 follows and 30 h give about
+    # 56,000 events. The peak, over the stages and the log's assembly, stays within a
+    # small multiple of the columns returned, as the parse's does.
+    g = kronecker_generate(
+        KroneckerParams(((0.9, 0.5), (0.5, 0.3)), k=10, target_edges=20_000, seed=1))
+    sp = WorkloadSpec(graph=g, beta_curve=BetaCurve(30.0, 0.05, 0.65),
+                      delay_model=DelayModel(bins=(DelayBin(0.0, math.inf, 4.0, 0.3, 3.0, 1.2),)),
+                      horizon_hours=30.0, seed=1, mu=1.0, sigma=0.25,
+                      contagions=(ContagionPlan("tok0", n_seeds=8, hazard=0.08),))
+    np.random.default_rng(0)  # numpy.random is imported before the trace, not in it
+    tracemalloc.start()
+    try:
+        log, _ = generate_workload(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(log, c).nbytes for c in
+                  ("ts", "ids", "author", "orig_author", "forward", "orig_ids", "orig_row"))
+    assert len(log) > 50_000
+    assert peak <= 2 * columns, (peak, columns)
 
 
 def run_with_oracle(monkeypatch, sp):
